@@ -194,6 +194,9 @@ def _load_split(data_dir, feats: dict, split: str):
 
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
+    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                            accum_steps=args.accum_steps, lr=args.lr,
+                            weight_decay=args.weight_decay, seed=seed)
     feats = _feature_params(args)
     train_set = _load_split(args.data, feats, "train")
     dev_set = _load_split(args.data, feats, "dev") if args.track_dev else None
@@ -206,9 +209,6 @@ def _cmd_train(args) -> int:
         film_hidden=args.d_model, expert_hidden=args.d_model,
         experts=_parse_experts(args.experts),
         dropout=args.dropout, seed=seed)
-    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                            accum_steps=args.accum_steps, lr=args.lr,
-                            weight_decay=args.weight_decay, seed=seed)
 
     model = MsfSerModel(model_cfg)
     log = None
@@ -395,6 +395,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         return argv
     try:
         blob = json.loads(Path(known.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"--config {known.config}: cannot read: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"--config {known.config}: invalid JSON: {exc}")
     if not isinstance(blob, dict):

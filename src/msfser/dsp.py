@@ -3,16 +3,24 @@
 Everything here is deterministic and amplitude-aware only where it should
 be: frame energy scales with the signal, the F0 estimator does not (it
 works on normalized autocorrelation).  F0 uses a normalized
-cross-correlation search over the candidate lag range with parabolic peak
-refinement; among near-equal correlation peaks the shortest lag wins,
-which suppresses subharmonic (octave-down) picks.
+cross-correlation search over the candidate lag range (RAPT's NCCF,
+Talkin 1995) with parabolic peak refinement; among near-equal correlation
+peaks the shortest lag wins, which suppresses subharmonic (octave-down)
+picks.
+
+The tracker is batched: frames are grouped by their lag range (all but the
+last few frames of a signal share the full range) and each group runs
+through one vectorised kernel in blocks of at most ``_PITCH_BLOCK`` frames,
+which bounds the working set.  The result is bitwise equal to a per-frame
+scalar loop, kept in the test suite as the oracle.  Each frame's magnitude
+spectrum is computed once and shared by the energy and the mel bands.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -25,6 +33,11 @@ SILENCE_RMS_FLOOR = 1e-4
 # Peaks within this fraction of the best correlation count as equivalent;
 # the earliest such lag is taken as the period.
 _PEAK_EQUIV = 0.97
+
+# Frames per call of the pitch kernel: large enough to amortise the numpy
+# call overhead, small enough that its (frames x FFT length) arrays stay
+# a few hundred KiB.
+_PITCH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -71,17 +84,24 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class ProsodyTrack:
-    """Per-frame log-F0 (voiced frames only), voicing flags and energy."""
+    """Per-frame log-F0 (voiced frames only), voicing flags and energy.
+
+    ``spectrum``, when present, is the (T x W//2+1) one-sided magnitude
+    spectrum of each tapered frame; ``energy`` is its row L2 norm.
+    """
 
     frame_times: np.ndarray
     log_f0: np.ndarray     # natural log of Hz; meaningful only where voiced
     voiced: np.ndarray     # bool
     energy: np.ndarray
+    spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = len(self.frame_times)
         if not (len(self.log_f0) == len(self.voiced) == len(self.energy) == n):
             raise ValueError("ProsodyTrack sequences must have equal length")
+        if self.spectrum is not None and len(self.spectrum) != n:
+            raise ValueError("ProsodyTrack spectrum must have one row per frame")
         if np.any(self.energy < 0):
             raise ValueError("energy must be non-negative")
         if n and not np.all(np.isfinite(self.log_f0[self.voiced])):
@@ -138,50 +158,100 @@ def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
     return frames, times
 
 
-def stft_energy(frame: np.ndarray, window: str = "hann") -> float:
-    """L2 norm of the one-sided magnitude spectrum of the tapered frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    tapered = frame * _taper(len(frame), window)
-    spec = np.fft.rfft(tapered)
-    return float(np.sqrt(np.sum(np.abs(spec) ** 2)))
-
-
-def _frame_energies(frames: np.ndarray, window: str) -> np.ndarray:
+def _magnitudes(frames: np.ndarray, window: str) -> np.ndarray:
+    """One-sided magnitude spectrum of each tapered frame (T x W//2+1)."""
     tapered = frames * _taper(frames.shape[1], window)[None, :]
-    spec = np.fft.rfft(tapered, axis=1)
-    return np.sqrt(np.sum(np.abs(spec) ** 2, axis=1))
+    return np.abs(np.fft.rfft(tapered, axis=1))
 
 
-def _nccf(x: np.ndarray, start: int, span: int, max_lag: int) -> np.ndarray:
-    """Normalized cross-correlation of x[start:start+span] against itself
-    shifted by lags 0..max_lag.  Values in [-1, 1] up to rounding."""
-    seg = x[start:start + span + max_lag]
-    a = x[start:start + span]
-    n = next_fast_len(len(seg) + span, real=True)
-    fa = np.fft.rfft(a, n)
-    fs = np.fft.rfft(seg, n)
-    corr = np.fft.irfft(np.conj(fa) * fs, n)[:max_lag + 1]
-    sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
-    e0 = sq[span]
-    e_tau = sq[span:span + max_lag + 1] - sq[:max_lag + 1]
-    denom = np.sqrt(e0 * e_tau)
+def _energies(mag: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(mag ** 2, axis=1))
+
+
+def stft_energy(frame: np.ndarray, window: str = "hann") -> float:
+    """L2 norm of the one-sided magnitude spectrum of the tapered frame.
+
+    A one-row view of the batched path :func:`estimate_f0` runs.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    return float(_energies(_magnitudes(frame[None, :], window))[0])
+
+
+def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
+                 lag_min: int, threshold: float):
+    """NCCF pitch search for frames that share the lag range 0..max_lag.
+
+    Row k correlates the mean-removed segment x[s:s + w + max_lag]
+    (s = starts[k]) against its first w samples.  Returns the refined lag,
+    the refined correlation, and whether an interior peak in
+    lag_min..max_lag reached ``threshold``.  Needs max_lag > lag_min + 1.
+    """
+    span = w + max_lag
+    seg = x[starts[:, None] + np.arange(span)]
+    seg = seg - seg.mean(axis=1, keepdims=True)
+
+    n = next_fast_len(span + w, real=True)
+    fa = np.fft.rfft(seg[:, :w], n, axis=1)
+    fs = np.fft.rfft(seg, n, axis=1)
+    corr = np.fft.irfft(np.conj(fa) * fs, n, axis=1)[:, :max_lag + 1]
+    sq = np.zeros((len(seg), span + 1))
+    np.cumsum(seg * seg, axis=1, out=sq[:, 1:])
+    denom = np.sqrt(sq[:, w:w + 1] * (sq[:, w:] - sq[:, :max_lag + 1]))
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0, corr / np.maximum(denom, 1e-300), 0.0)
-    return out
+        r = np.where(denom > 0, corr / np.maximum(denom, 1e-300), 0.0)
+
+    # interior local maxima over lags lag_min+1 .. max_lag-1; the earliest
+    # peak within _PEAK_EQUIV of the best one is the period
+    win = r[:, lag_min:]
+    mid = win[:, 1:-1]
+    is_peak = (mid > win[:, :-2]) & (mid >= win[:, 2:])
+    best = np.where(is_peak, mid, -np.inf).max(axis=1)
+    found = is_peak.any(axis=1) & (best >= threshold)
+    lag = lag_min + 1 + np.argmax(is_peak & (mid >= _PEAK_EQUIV * best[:, None]),
+                                  axis=1)
+
+    # parabolic refinement; lag is never at either end of r
+    rows = np.arange(len(r))
+    rm, r0, rp = r[rows, lag - 1], r[rows, lag], r[rows, lag + 1]
+    curv = rm - 2.0 * r0 + rp
+    flat = (curv >= 0) | (np.abs(curv) < 1e-30)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = np.where(flat, 0.0, np.clip(0.5 * (rm - rp) / curv, -0.5, 0.5))
+    value = np.where(flat, r0, r0 - 0.25 * (rm - rp) * delta)
+    return lag + delta, value, found
 
 
-def _refine_peak(r: np.ndarray, lag: int) -> tuple[float, float]:
-    """Parabolic interpolation around an integer-lag correlation peak."""
-    if lag <= 0 or lag >= len(r) - 1:
-        return float(lag), float(r[lag])
-    rm, r0, rp = r[lag - 1], r[lag], r[lag + 1]
-    denom = rm - 2.0 * r0 + rp
-    if denom >= 0 or abs(denom) < 1e-30:
-        return float(lag), float(r0)
-    delta = 0.5 * (rm - rp) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    value = r0 - 0.25 * (rm - rp) * delta
-    return lag + delta, float(value)
+def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
+           f0_min: float, f0_max: float, threshold: float):
+    """(voiced, log_f0) for the frames starting at 0, h, 2h, ...
+
+    Frames above the silence floor whose lag range holds an interior lag
+    are grouped by that range and fed to :func:`_pitch_block` in blocks.
+    """
+    lag_min = max(2, int(math.floor(sr / f0_max)))
+    lag_max = int(math.ceil(sr / f0_min))
+    n = len(rms)
+    starts = h * np.arange(n)
+    max_lags = np.minimum(lag_max, len(x) - starts - w)
+    live = np.flatnonzero((rms > SILENCE_RMS_FLOOR) & (max_lags > lag_min + 1))
+
+    ref_lag = np.ones(n)    # unsearched frames stay unfound; 1 keeps sr/lag finite
+    ref_val = np.zeros(n)
+    found = np.zeros(n, dtype=bool)
+    for max_lag in np.unique(max_lags[live]):
+        group = live[max_lags[live] == max_lag]
+        for b in range(0, len(group), _PITCH_BLOCK):
+            idx = group[b:b + _PITCH_BLOCK]
+            ref_lag[idx], ref_val[idx], found[idx] = _pitch_block(
+                x, starts[idx], w, int(max_lag), lag_min, threshold)
+
+    f0 = sr / ref_lag
+    voiced = (found & (ref_val >= threshold)
+              & (f0_min * 0.9 <= f0) & (f0 <= f0_max * 1.1))
+    log_f0 = np.zeros(n)
+    # math.log, not np.log: the two need not agree in the last bit
+    log_f0[voiced] = list(map(math.log, f0[voiced]))
+    return voiced, log_f0
 
 
 def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
@@ -193,6 +263,13 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     candidate lag range reaches ``voicing_threshold`` and the frame RMS is
     above the silence floor.  F0 comes from the chosen lag after parabolic
     refinement; ``log_f0`` is the natural log of Hz.
+
+    Frames are batched by lag range: those with the full range (all but
+    the last few) share one FFT length, each tail frame whose range is
+    cut short by the end of the signal forms its own group, and every
+    group runs through the same vectorised kernel in blocks of at most
+    ``_PITCH_BLOCK`` frames.  The output is bitwise equal to running the
+    search frame by frame.  The returned track carries the frame spectra.
     """
     if f0_min >= f0_max:
         raise ValueError(f"need f0_min < f0_max, got {f0_min} >= {f0_max}")
@@ -201,54 +278,13 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
         raise ValueError(f"sample rate {sr} too low to resolve f0_max={f0_max}")
 
     frames, times = frame_signal(audio, cfg)
-    energy = _frame_energies(frames, cfg.window)
-
-    x = audio.samples
-    w = cfg.win_samples(sr)
-    h = cfg.hop_samples(sr)
-    lag_min = max(2, int(math.floor(sr / f0_max)))
-    lag_max = int(math.ceil(sr / f0_min))
-
-    n = len(frames)
-    voiced = np.zeros(n, dtype=bool)
-    log_f0 = np.zeros(n)
+    mag = _magnitudes(frames, cfg.window)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
-
-    for i in range(n):
-        if rms[i] <= SILENCE_RMS_FLOOR:
-            continue
-        start = i * h
-        avail = len(x) - start - w
-        max_lag = min(lag_max, avail)
-        if max_lag <= lag_min + 1:
-            continue
-        seg = x[start:start + w + max_lag]
-        seg = seg - seg.mean()
-        r = _nccf(seg, 0, w, max_lag)
-        window = r[lag_min:max_lag + 1]
-        if len(window) < 3:
-            continue
-        interior = window[1:-1]
-        is_peak = (interior > window[:-2]) & (interior >= window[2:])
-        peak_lags = np.nonzero(is_peak)[0] + lag_min + 1
-        if len(peak_lags) == 0:
-            continue
-        best = float(np.max(r[peak_lags]))
-        if best < voicing_threshold:
-            continue
-        candidates = peak_lags[r[peak_lags] >= _PEAK_EQUIV * best]
-        lag = int(candidates[0])
-        ref_lag, ref_val = _refine_peak(r, lag)
-        if ref_val < voicing_threshold or ref_lag <= 0:
-            continue
-        f0 = sr / ref_lag
-        if not (f0_min * 0.9 <= f0 <= f0_max * 1.1):
-            continue
-        voiced[i] = True
-        log_f0[i] = math.log(f0)
-
-    return ProsodyTrack(frame_times=times, log_f0=log_f0,
-                        voiced=voiced, energy=energy)
+    voiced, log_f0 = _pitch(audio.samples, sr, cfg.win_samples(sr),
+                            cfg.hop_samples(sr), rms, f0_min, f0_max,
+                            voicing_threshold)
+    return ProsodyTrack(frame_times=times, log_f0=log_f0, voiced=voiced,
+                        energy=_energies(mag), spectrum=mag)
 
 
 # ---------------------------------------------------------------------------
@@ -277,42 +313,22 @@ def mel_filterbank(n_bands: int, n_fft_bins: int, sample_rate: int) -> np.ndarra
     return fb
 
 
-def mel_band_centers(n_bands: int, sample_rate: int) -> np.ndarray:
-    """Center frequency in Hz of each triangular band."""
-    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2.0),
-                                   n_bands + 2))
-    return edges[1:-1]
-
-
-def mel_band_energies(frame: np.ndarray, sample_rate: int,
-                      n_bands: int, window: str = "hann") -> np.ndarray:
-    """log(1 + band energy) per triangular mel band of the frame spectrum."""
-    if n_bands < 1:
-        raise ValueError("n_bands must be >= 1")
-    frame = np.asarray(frame, dtype=np.float64)
-    tapered = frame * _taper(len(frame), window)
-    mag = np.abs(np.fft.rfft(tapered))
-    fb = mel_filterbank(n_bands, len(mag), sample_rate)
-    return np.log1p(fb @ mag)
-
-
 def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
                     n_bands: int = 16,
                     f0_min: float = 40.0, f0_max: float = 500.0,
                     voicing_threshold: float = 0.3) -> FrameFeatureSeq:
     """Per-frame [log-energy, log-F0-or-0, voiced flag, mel bands].
 
-    dim = 3 + n_bands; frame count matches :func:`frame_signal`.
+    dim = 3 + n_bands; frame count matches :func:`frame_signal`.  The
+    mel bands reuse the frame spectra of :func:`estimate_f0`.
     """
     track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max,
                         voicing_threshold=voicing_threshold)
-    frames, _ = frame_signal(audio, cfg)
-    tapered = frames * _taper(frames.shape[1], cfg.window)[None, :]
-    mag = np.abs(np.fft.rfft(tapered, axis=1))
+    mag = track.spectrum
     fb = mel_filterbank(n_bands, mag.shape[1], audio.sample_rate)
     mel = np.log1p(mag @ fb.T)
 
-    feats = np.zeros((len(frames), 3 + n_bands))
+    feats = np.zeros((len(track), 3 + n_bands))
     feats[:, 0] = np.log1p(track.energy)
     feats[:, 1] = np.where(track.voiced, track.log_f0, 0.0)
     feats[:, 2] = track.voiced.astype(np.float64)

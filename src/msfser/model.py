@@ -506,6 +506,19 @@ class TrainConfig:
     weight_decay: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 2:
+            # a micro-batch needs two utterances for the concordance loss
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.accum_steps < 1:
+            raise ValueError(f"accum_steps must be >= 1, got {self.accum_steps}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+
     def to_dict(self) -> dict:
         return {"epochs": self.epochs, "batch_size": self.batch_size,
                 "accum_steps": self.accum_steps, "lr": self.lr,

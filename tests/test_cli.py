@@ -187,6 +187,28 @@ class TestTrainEval:
         assert main(["eval", "--data", str(dataset),
                      "--model", "/nonexistent-model"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"),
+        ("--epochs", "-3"),
+        ("--batch-size", "1"),
+        ("--batch-size", "0"),
+        ("--accum-steps", "0"),
+        ("--lr", "0"),
+        ("--lr", "-1e-3"),
+        ("--lr", "nan"),
+        ("--weight-decay", "-1e-4"),
+    ])
+    def test_bad_train_setting_exits_2(self, dataset, tmp_path, capsys,
+                                       flag, value):
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(dataset), "--out", str(out),
+                     "--quiet", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEmbed:
     def write_tsv(self, path, rows):
@@ -264,6 +286,14 @@ class TestConfigFile:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["segment"]["mode"] == "adjacent"
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(tmp_path / "missing.json"),
+                  "textgrid-check", "x"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "missing.json" in stderr and "Traceback" not in stderr
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

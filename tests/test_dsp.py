@@ -18,8 +18,6 @@ from msfser.dsp import (
     acoustic_frames,
     estimate_f0,
     frame_signal,
-    mel_band_centers,
-    mel_band_energies,
     mel_filterbank,
     prosody_to_csv,
     read_wav,
@@ -190,6 +188,22 @@ class TestF0:
                         f0_max=400.0)
 
 
+def mel_band_centers(n_bands, sample_rate):
+    """Center frequency in Hz of each triangular band, from the mel scale."""
+    top = 2595.0 * math.log10(1.0 + sample_rate / 2.0 / 700.0)
+    mels = np.linspace(0.0, top, n_bands + 2)[1:-1]
+    return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
+
+
+def mel_band_energies(frame, sample_rate, n_bands, window="hann"):
+    """log(1 + band energy) of one frame: taper, FFT, filterbank."""
+    n = len(frame)
+    taper = (np.ones(n) if window == "rectangular"
+             else 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    mag = np.abs(np.fft.rfft(np.asarray(frame) * taper))
+    return np.log1p(mel_filterbank(n_bands, len(mag), sample_rate) @ mag)
+
+
 class TestMel:
     def test_filterbank_shape_and_range(self):
         fb = mel_filterbank(8, 161, SR)
@@ -199,20 +213,34 @@ class TestMel:
         assert np.all(fb.sum(axis=1) > 0.0)
 
     def test_band_centers_increase(self):
+        # each triangle peaks at the FFT bin nearest its mel-scale center
         centers = mel_band_centers(8, SR)
-        assert len(centers) == 8
         assert np.all(np.diff(centers) > 0.0)
         assert 0.0 < centers[0] < centers[-1] < SR / 2.0
+        bin_hz = np.linspace(0.0, SR / 2.0, 161)
+        peaks = bin_hz[np.argmax(mel_filterbank(8, 161, SR), axis=1)]
+        assert np.all(np.diff(peaks) > 0.0)
+        assert np.abs(peaks - centers).max() <= bin_hz[1] / 2.0
 
     def test_tone_lands_in_nearest_band(self):
         centers = mel_band_centers(8, SR)
         target = 2                        # aim at band 2's center
         audio = tone(centers[target], dur=0.1, harmonic=0.0)
-        frame = audio.samples[:320]
-        bands = mel_band_energies(frame, SR, 8)
+        bands = acoustic_frames(audio, FrameConfig(), n_bands=8).frames[0, 3:]
         assert bands.shape == (8,)
         assert np.all(bands >= 0.0)
         assert abs(int(np.argmax(bands)) - target) <= 1
+
+    def test_mel_columns_match_per_frame_oracle(self):
+        rng = np.random.default_rng(12)
+        audio = AudioBuffer(0.2 * rng.standard_normal(SR // 4), SR)
+        for window in ("hann", "rectangular"):
+            cfg = FrameConfig(window=window)
+            feats = acoustic_frames(audio, cfg, n_bands=12)
+            frames, _ = frame_signal(audio, cfg)
+            want = np.array([mel_band_energies(f, SR, 12, window)
+                             for f in frames])
+            assert np.allclose(feats.frames[:, 3:], want, rtol=1e-12, atol=0)
 
     def test_acoustic_frames_layout(self):
         audio = tone(200.0, dur=0.3)
