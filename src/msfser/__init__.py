@@ -36,7 +36,6 @@ from .lemf import (
     LemfResult,
     WordProsody,
     assemble_extended_description,
-    emphasis_scores,
     run_lemf,
     select_emphasis_indices,
     select_emphasis_segment,
@@ -80,7 +79,7 @@ __all__ = [
     "ModelConfig", "MsfSerError", "MsfSerModel", "Param", "ProsodyTrack",
     "SynthConfig", "TextGrid", "Tier", "TrainConfig", "UttExample",
     "WordProsody", "acoustic_frames", "assemble_extended_description",
-    "attentive_pool", "ccc", "ccc_loss", "emphasis_scores", "estimate_f0",
+    "attentive_pool", "ccc", "ccc_loss", "estimate_f0",
     "eval_report", "evaluate", "film_modulate", "frame_signal",
     "gated_fuse", "generate_dataset", "grad_check", "hash_token",
     "load_checkpoint", "load_examples", "make_batch", "moe_combine",

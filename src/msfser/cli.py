@@ -23,21 +23,16 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dsp import FrameConfig, prosody_to_csv, read_wav
 from .embeddings import CHANNELS, EmbeddingStore, toy_embedding
 from .errors import (
-    EmptyFrames,
     EmptyInput,
     LengthMismatch,
     MsfSerError,
     NumericalFailure,
     ShapeMismatch,
-    SignalTooShort,
     TextGridError,
-    TooShort,
 )
 from .lemf import LemfConfig, run_lemf, words_to_json
 from .model import (
@@ -51,7 +46,7 @@ from .numcore import load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_dataset, load_examples
 from .textgrid import read_textgrid_file, validate_textgrid
 
-_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, EmptyFrames)
+_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch)
 
 
 def _resolve_seed(value) -> int:
@@ -178,10 +173,11 @@ def _parse_experts(text: str) -> tuple[str, ...]:
     return experts
 
 
+_FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
+
+
 def _feature_params(args) -> dict:
-    return {"win_ms": args.win_ms, "hop_ms": args.hop_ms,
-            "n_bands": args.n_bands, "f0_min": args.f0_min,
-            "f0_max": args.f0_max}
+    return {key: getattr(args, key) for key in _FEATURE_KEYS}
 
 
 def _load_split(data_dir, feats: dict, split: str):
@@ -239,9 +235,21 @@ def _cmd_train(args) -> int:
 
 
 def _load_trained(model_dir):
+    """(model, run config) from a directory written by ``msfser train``."""
     root = Path(model_dir)
-    run_cfg = json.loads((root / "train_config.json").read_text(encoding="utf-8"))
-    model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
+    cfg_path = root / "train_config.json"
+    run_cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    feats = run_cfg.get("features") if isinstance(run_cfg, dict) else None
+    if not (isinstance(feats, dict) and set(feats) == set(_FEATURE_KEYS)
+            and all(type(v) in (int, float) for v in feats.values())
+            and type(feats["n_bands"]) is int
+            and isinstance(run_cfg.get("train"), dict)):
+        raise ValueError(f"{cfg_path}: expected 'train' and 'features' "
+                         f"objects, the latter of numbers {_FEATURE_KEYS}")
+    try:
+        model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{cfg_path}: bad 'model' section: {exc!r}") from exc
     model.load_params(load_checkpoint(root / "checkpoint.json"))
     return model, run_cfg
 
@@ -302,7 +310,9 @@ def _cmd_textgrid_check(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The msfser parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="msfser",
         description="Speech emotion tooling: emphasis detection, synthetic "
@@ -383,11 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+")
     p.set_defaults(func=_cmd_textgrid_check)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull defaults from a flat JSON file named by --config."""
+def _apply_config_file(parser: argparse.ArgumentParser,
+                       commands: dict[str, argparse.ArgumentParser],
+                       argv: list[str]) -> list[str]:
+    """Pull defaults from a flat JSON file named by --config.
+
+    Each key must name an option of some subcommand.
+    """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
@@ -401,16 +416,22 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error(f"--config {known.config}: invalid JSON: {exc}")
     if not isinstance(blob, dict):
         parser.error(f"--config {known.config}: expected a JSON object")
-    parser.set_defaults(**{k.replace("-", "_"): v for k, v in blob.items()})
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        sp.set_defaults(**{k.replace("-", "_"): v for k, v in blob.items()})
+    defaults = {k.replace("-", "_"): v for k, v in blob.items()}
+    # argparse lists a parser's arguments only in the private _actions
+    options = {a.dest for sp in commands.values() for a in sp._actions}
+    unknown = sorted(set(defaults) - (options - {"help"}))
+    if unknown:
+        parser.error(f"--config {known.config}: unknown keys "
+                     f"{', '.join(unknown)}")
+    for sp in commands.values():
+        sp.set_defaults(**defaults)
     return rest
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    argv = _apply_config_file(parser, argv)
+    parser, commands = build_parser()
+    argv = _apply_config_file(parser, commands, argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

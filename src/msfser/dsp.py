@@ -14,17 +14,19 @@ through one vectorised kernel in blocks of at most ``_PITCH_BLOCK`` frames,
 which bounds the working set.  The result is bitwise equal to a per-frame
 scalar loop, kept in the test suite as the oracle.  Each frame's magnitude
 spectrum is computed once and shared by the energy and the mel bands.
+WAV I/O uses numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import struct
+import wave
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.io import wavfile
 
 from .errors import SignalTooShort
 
@@ -177,6 +179,19 @@ def stft_energy(frame: np.ndarray, window: str = "hann") -> float:
     return float(_energies(_magnitudes(frame[None, :], window))[0])
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2*3*5-smooth integer >= n, a length the real FFT runs fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
                  lag_min: int, threshold: float):
     """NCCF pitch search for frames that share the lag range 0..max_lag.
@@ -190,7 +205,7 @@ def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
     seg = x[starts[:, None] + np.arange(span)]
     seg = seg - seg.mean(axis=1, keepdims=True)
 
-    n = next_fast_len(span + w, real=True)
+    n = _fast_len(span + w)
     fa = np.fft.rfft(seg[:, :w], n, axis=1)
     fs = np.fft.rfft(seg, n, axis=1)
     corr = np.fft.irfft(np.conj(fa) * fs, n, axis=1)[:, :max_lag + 1]
@@ -340,26 +355,51 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
 # WAV + CSV interfaces
 # ---------------------------------------------------------------------------
 
+_WAV_DTYPES = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4")}  # (tag, bits)
+# bytes 4..15 of a WAVE_FORMAT_EXTENSIBLE (tag 0xFFFE) sub-format GUID
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 def read_wav(path) -> AudioBuffer:
-    """Read a mono RIFF/WAVE file (PCM16 or IEEE float32)."""
-    sr, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono audio, got shape {data.shape}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}; "
-                         "use PCM16 or float32")
-    return AudioBuffer(samples=samples, sample_rate=int(sr))
+    """Read a mono RIFF/WAVE file of PCM16 (format tag 1) or float32 (3).
+
+    Either may sit under WAVE_FORMAT_EXTENSIBLE.  Other chunks (``fact``,
+    ``LIST``, odd-sized ones) are skipped, and a data chunk cut short by
+    the end of the file yields the whole samples present.  Any other
+    layout or sample format raises ValueError.
+    """
+    blob = Path(path).read_bytes()
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    dtype, pos = None, 12
+    while pos + 8 <= len(blob):
+        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
+        body = blob[pos + 8:pos + 8 + size]
+        pos += 8 + size + (size & 1)    # chunks are padded to even length
+        if chunk_id == b"fmt " and len(body) >= 16:
+            tag, channels, sr, _, align, bits = struct.unpack_from("<HHIIHH", body)
+            if tag == 0xFFFE and body[28:40] == _GUID_TAIL:
+                tag = struct.unpack_from("<I", body, 24)[0]
+            dtype = _WAV_DTYPES.get((tag, bits))
+            if channels != 1 or dtype is None or align != dtype.itemsize:
+                raise ValueError(f"{path}: {channels}-channel {bits}-bit WAV of "
+                                 f"format {tag:#x}; use mono PCM16 or float32")
+        elif chunk_id == b"data":
+            if dtype is None:
+                raise ValueError(f"{path}: no usable fmt chunk before the data")
+            data = np.frombuffer(body, dtype, len(body) // dtype.itemsize)
+            samples = data / 32768.0 if dtype.kind == "i" else data
+            return AudioBuffer(samples=samples, sample_rate=sr)
+    raise ValueError(f"{path}: WAV file has no data chunk")
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
     """Write as PCM16 little-endian mono."""
     clipped = np.clip(audio.samples, -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype(np.int16)
-    wavfile.write(path, audio.sample_rate, pcm)
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+        out.setparams((1, 2, audio.sample_rate, len(pcm), "NONE", ""))
+        out.writeframes(pcm.tobytes())
 
 
 def prosody_to_csv(track: ProsodyTrack, fh) -> None:

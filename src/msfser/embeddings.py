@@ -90,17 +90,6 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self._vectors)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._vectors
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted({utt for utt, _ in self._vectors}))
-
-    def dim(self, channel: str) -> int:
-        if channel not in self._dims:
-            raise MissingEmbedding(f"no {channel!r} vectors in store")
-        return self._dims[channel]
-
     def put(self, utt_id: str, channel: str, vector) -> None:
         if channel not in CHANNELS:
             raise MalformedRecord(

@@ -76,18 +76,6 @@ class LengthMismatch(MsfSerError):
     """Two sequences that must have equal length do not."""
 
 
-class TooShort(MsfSerError):
-    """Fewer samples than the statistic is defined for."""
-
-
-class EmptyFrames(MsfSerError):
-    """An utterance with zero acoustic frames."""
-
-
-class MissingSemantics(MsfSerError):
-    """An expert was asked for a semantic vector the bundle does not carry."""
-
-
 class TooFewUtterances(MsfSerError):
     """Training/evaluation set too small for batch statistics."""
 

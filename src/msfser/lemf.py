@@ -136,15 +136,6 @@ def zscore_normalize(values) -> np.ndarray:
     return (values - mu) / sigma
 
 
-def emphasis_scores(words, weights: EmphasisWeights = EmphasisWeights()) -> np.ndarray:
-    """s(w) per word from already-standardized features."""
-    return np.array([
-        weights.alpha * w.z_pitch + weights.beta * w.z_energy
-        + weights.gamma * w.z_duration
-        for w in words
-    ])
-
-
 def select_emphasis_indices(scores, mode: str = "adjacent",
                             k: int = 3) -> tuple[int, ...]:
     """Indices of the emphasis segment words, sorted ascending.

@@ -93,14 +93,6 @@ def tanh_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy * (1.0 - y * y)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_bwd(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * (x > 0.0)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     ex = np.exp(shifted)
@@ -318,21 +310,39 @@ def save_checkpoint(params, path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Named parameter values from a :func:`save_checkpoint` file.
+
+    Any defect in the file raises :class:`NumericalFailure`: invalid JSON,
+    another version, or a parameter that is not ``{"rows", "cols",
+    "data"}`` with rows * cols finite numbers.
+    """
     try:
         blob = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise NumericalFailure(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(blob, dict) or blob.get("version") != CHECKPOINT_VERSION:
+    version = blob.get("version") if isinstance(blob, dict) else None
+    if version != CHECKPOINT_VERSION:
         raise NumericalFailure(
-            f"unsupported checkpoint version {blob.get('version')!r}, "
+            f"unsupported checkpoint version {version!r}, "
             f"expected {CHECKPOINT_VERSION!r}")
+    params = blob.get("params", {})
+    if not isinstance(params, dict):
+        raise NumericalFailure("checkpoint 'params' must be a JSON object")
     out = {}
-    for name, rec in blob.get("params", {}).items():
-        rows, cols, data = rec["rows"], rec["cols"], rec["data"]
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.size != rows * cols:
+    for name, rec in params.items():
+        try:
+            rows, cols = rec["rows"], rec["cols"]
+            arr = np.asarray(rec["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NumericalFailure(
+                f"checkpoint param {name!r} is malformed: {exc!r}") from exc
+        if not (type(rows) is int and type(cols) is int and rows >= 0
+                and cols >= 0 and arr.size == rows * cols):
             raise NumericalFailure(
                 f"checkpoint param {name!r}: {arr.size} values for "
-                f"shape ({rows}, {cols})")
+                f"shape ({rows!r}, {cols!r})")
+        if not np.all(np.isfinite(arr)):
+            raise NumericalFailure(
+                f"checkpoint param {name!r} holds non-finite values")
         out[name] = arr.reshape(rows, cols)
     return out

@@ -33,8 +33,7 @@ from .embeddings import EmbeddingStore
 from .errors import MalformedRecord, TooFewUtterances
 from .model import UttExample
 from .numcore import seeded_rng
-from .textgrid import Interval, TextGrid, Tier, read_textgrid_file, \
-    serialize_textgrid
+from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
 
 SILENCE_GAP_S = 0.05
 SYLLABLES = ("ba", "da", "ga", "ka", "ma", "na", "pa", "ta")
@@ -282,9 +281,3 @@ def load_examples(data_dir, split: str | None = None,
             les=store.get(utt_id, "les"), gs=store.get(utt_id, "gs"),
             es=store.get(utt_id, "es"), target=rec["target"]))
     return examples
-
-
-def load_alignment(data_dir, utt_id: str) -> tuple[AudioBuffer, TextGrid]:
-    root = Path(data_dir)
-    return (read_wav(root / "wavs" / f"{utt_id}.wav"),
-            read_textgrid_file(root / "grids" / f"{utt_id}.TextGrid"))

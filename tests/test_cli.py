@@ -1,6 +1,11 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import json
+import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +130,18 @@ class TestEmphasis:
         assert main(["emphasis", "--wav", "/nonexistent.wav",
                      "--grid", str(grid)]) == 2
 
+    def test_unsupported_wav_exits_2(self, emphasis_files, capsys):
+        wav, grid, _ = emphasis_files
+        # rewrite the fmt chunk as 24-bit PCM: bytes 32..35 are
+        # block align and bits per sample
+        blob = bytearray(wav.read_bytes())
+        blob[32:36] = struct.pack("<HH", 3, 24)
+        wav.write_bytes(bytes(blob))
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "24-bit" in err
+        assert "Traceback" not in err
+
 
 class TestSynth:
     def test_writes_dataset_and_manifest(self, dataset, capsys):
@@ -187,6 +204,71 @@ class TestTrainEval:
         assert main(["eval", "--data", str(dataset),
                      "--model", "/nonexistent-model"]) == 2
 
+    @staticmethod
+    def _spoil_checkpoint(blob, how):
+        name = sorted(blob["params"])[0]
+        if how == "no_cols":
+            del blob["params"][name]["cols"]
+        elif how == "text_data":
+            blob["params"][name]["data"][0] = "x"
+        elif how == "nan_data":
+            blob["params"][name]["data"][0] = float("nan")
+        elif how == "float_rows":
+            blob["params"][name]["rows"] = 1.5
+        elif how == "params_list":
+            blob["params"] = [1]
+        return blob
+
+    @staticmethod
+    def _spoil_run_config(blob, how):
+        if how == "no_model_keys":
+            blob["model"] = {}
+        elif how == "unknown_model_key":
+            blob["model"]["width"] = 3
+        elif how == "text_d_model":
+            blob["model"]["d_model"] = "x"
+        elif how == "no_features_key":
+            del blob["features"]["n_bands"]
+        elif how == "text_feature":
+            blob["features"]["win_ms"] = "20"
+        return blob
+
+    @pytest.mark.parametrize("target, how, code", [
+        ("checkpoint.json", "[1]", 3),
+        ("checkpoint.json", "{nope", 3),
+        ("checkpoint.json", "no_cols", 3),
+        ("checkpoint.json", "text_data", 3),
+        ("checkpoint.json", "nan_data", 3),
+        ("checkpoint.json", "float_rows", 3),
+        ("checkpoint.json", "params_list", 3),
+        ("checkpoint.json", None, 2),
+        ("train_config.json", "[1]", 2),
+        ("train_config.json", '{"model": {}}', 2),
+        ("train_config.json", "{nope", 2),
+        ("train_config.json", "no_model_keys", 2),
+        ("train_config.json", "unknown_model_key", 2),
+        ("train_config.json", "text_d_model", 2),
+        ("train_config.json", "no_features_key", 2),
+        ("train_config.json", "text_feature", 2),
+    ])
+    def test_eval_corrupt_model_exits_cleanly(self, trained, dataset, tmp_path,
+                                              capsys, target, how, code):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        path = model / target
+        if how is None:
+            path.unlink()
+        elif how.startswith(("[", "{")):
+            path.write_text(how)
+        else:
+            spoil = (self._spoil_checkpoint if target == "checkpoint.json"
+                     else self._spoil_run_config)
+            path.write_text(json.dumps(spoil(json.loads(path.read_text()), how)))
+        assert main(["eval", "--data", str(dataset),
+                     "--model", str(model)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--epochs", "0"),
         ("--epochs", "-3"),
@@ -245,7 +327,10 @@ class TestEmbed:
         assert main(["embed", "--input", str(tsv), "--out", str(out),
                      "--channel", "gs", "--dim", "4", "--append"]) == 0
         store = EmbeddingStore.load_jsonl(out)
-        assert ("u1", "les") in store and ("u1", "gs") in store
+        assert np.array_equal(store.get("u1", "les"),
+                              toy_embedding("text", 4, "les"))
+        assert np.array_equal(store.get("u1", "gs"),
+                              toy_embedding("text", 4, "gs"))
 
     def test_duplicate_without_append_is_error(self, tmp_path, capsys):
         tsv = tmp_path / "in.tsv"
@@ -301,6 +386,58 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as err:
             main(["--config", str(cfg), "textgrid-check", "x"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("blob", [
+        {"epochz": 3},
+        {"epochs": 3, "func": "x"},
+        {"seed": 1, "help": True},
+    ])
+    def test_unknown_config_key_is_usage_error(self, dataset, tmp_path,
+                                               capsys, blob):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "train", "--data", str(dataset),
+                  "--out", str(out), "--quiet"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        bad = sorted(set(blob) - {"epochs", "seed"})
+        assert f"unknown keys {', '.join(bad)}" in stderr
+        assert "Traceback" not in stderr and not out.exists()
+
+    def test_key_of_another_subcommand_is_accepted(self, dataset, tmp_path,
+                                                   capsys):
+        # seed is shared by synth and train; mode belongs to emphasis only
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4, "mode": "topk", "epochs": 1,
+                                   "batch-size": 8, "d_model": 4}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "train", "--data", str(dataset),
+                     "--out", str(out), "--quiet"]) == 0
+        run_cfg = json.loads((out / "train_config.json").read_text())
+        assert run_cfg["train"]["seed"] == 4
+        assert run_cfg["train"]["epochs"] == 1
+        assert run_cfg["train"]["batch_size"] == 8
+
+
+class TestRuntime:
+    def test_import_loads_no_scipy(self):
+        src = Path(__import__("msfser").__file__).resolve().parents[1]
+        code = ("import msfser.cli, sys; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_numpy_is_the_only_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__import__("msfser").__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+        assert any(d.startswith("scipy") for d in
+                   project["optional-dependencies"]["test"])
 
 
 class TestMisc:

@@ -2,19 +2,25 @@
 
 The STFT energy tests compare against a straight-line O(N^2) DFT written
 with scalar math, sharing no code with the implementation under test.
+The WAV reader and writer and the FFT length rule are checked against
+scipy, which the runtime does not use.
 """
 
 import io
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
 
 from msfser.dsp import (
     AudioBuffer,
     FrameConfig,
     ProsodyTrack,
+    _fast_len,
     acoustic_frames,
     estimate_f0,
     frame_signal,
@@ -254,6 +260,41 @@ class TestMel:
         assert np.all(feats.frames[voiced_col == 1.0, 1] > 0.0)
 
 
+def wav_chunk(chunk_id: bytes, payload: bytes) -> bytes:
+    pad = b"\x00" if len(payload) % 2 else b""
+    return chunk_id + struct.pack("<I", len(payload)) + payload + pad
+
+
+def wav_fmt(tag: int, bits: int, channels: int = 1, sr: int = SR,
+            extensible: bool = False) -> bytes:
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels,
+                       sr, sr * align, align, bits)
+    if extensible:
+        # cbSize, valid bits, channel mask, then the sub-format GUID
+        # {tag-0000-0010-8000-00AA00389B71}
+        body += struct.pack("<HHII", 22, bits, 4, tag)
+        body += b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return wav_chunk(b"fmt ", body)
+
+
+def riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def scipy_read(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)
+        return wavfile.read(path)
+
+
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        for n in list(range(1, 20001)) + [65537, 99991, 1_000_003]:
+            assert _fast_len(n) == next_fast_len(n, real=True), n
+
+
 class TestWavIO:
     def test_round_trip_quantization(self, tmp_path):
         audio = tone(330.0, dur=0.25, amp=0.6)    # peak 0.9, no clipping
@@ -283,6 +324,76 @@ class TestWavIO:
     def test_unsupported_dtype_rejected(self, tmp_path):
         path = tmp_path / "u8.wav"
         wavfile.write(path, SR, np.zeros(100, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            read_wav(path)
+
+    PCM = np.array([0, 1, -1, 32767, -32768, 1234, -4321], dtype="<i2")
+    FLOAT = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e-7], dtype="<f4")
+
+    @pytest.mark.parametrize("case", [
+        "pcm16", "float32_fact", "ext_pcm16", "ext_float32", "odd_chunk",
+        "truncated_pcm16", "truncated_float32"])
+    def test_read_matches_scipy(self, tmp_path, case):
+        path = tmp_path / f"{case}.wav"
+        if case == "pcm16":
+            wavfile.write(path, 22050, self.PCM)
+        elif case == "float32_fact":
+            wavfile.write(path, 8000, self.FLOAT)
+            assert b"fact" in path.read_bytes()
+        elif case == "ext_pcm16":
+            path.write_bytes(riff(wav_fmt(1, 16, extensible=True),
+                                  wav_chunk(b"data", self.PCM.tobytes())))
+        elif case == "ext_float32":
+            path.write_bytes(riff(wav_fmt(3, 32, extensible=True),
+                                  wav_chunk(b"data", self.FLOAT.tobytes())))
+        elif case == "odd_chunk":
+            path.write_bytes(riff(wav_chunk(b"LIST", b"INFOabc"),
+                                  wav_fmt(1, 16),
+                                  wav_chunk(b"junk", b"x"),
+                                  wav_chunk(b"data", self.PCM.tobytes())))
+        elif case == "truncated_pcm16":
+            # the last sample loses one of its two bytes
+            path.write_bytes(riff(wav_fmt(1, 16),
+                                  wav_chunk(b"data", self.PCM.tobytes()))[:-5])
+        else:
+            path.write_bytes(riff(wav_fmt(3, 32),
+                                  wav_chunk(b"data", self.FLOAT.tobytes()))[:-6])
+        sr, data = scipy_read(path)
+        audio = read_wav(path)
+        expected = data.astype(np.float64)
+        if data.dtype == np.int16:
+            expected = expected / 32768.0
+        assert audio.sample_rate == sr
+        assert 0 < len(audio.samples) == len(data)
+        assert audio.samples.tobytes() == expected.tobytes()
+
+    def test_write_matches_scipy_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        audio = AudioBuffer(rng.uniform(-1.2, 1.2, 1001), 22050)
+        ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+        write_wav(ours, audio)
+        pcm = np.round(np.clip(audio.samples, -1.0, 1.0) * 32767.0)
+        wavfile.write(ref, 22050, pcm.astype(np.int16))
+        assert ours.read_bytes() == ref.read_bytes()
+
+    # stereo and uint8 files, as scipy writes them, are rejected above
+    @pytest.mark.parametrize("blob", [
+        riff(wav_fmt(1, 24), wav_chunk(b"data", bytes(9))),
+        riff(wav_fmt(3, 64), wav_chunk(b"data", bytes(16))),
+        riff(wav_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, SR, 4 * SR, 4, 16)),
+             wav_chunk(b"data", bytes(16))),
+        riff(wav_fmt(1, 16, channels=2, extensible=True),
+             wav_chunk(b"data", bytes(8))),
+        b"RIFX" + riff(wav_fmt(1, 16), wav_chunk(b"data", bytes(4)))[4:],
+        b"not a wav file at all",
+        riff(wav_fmt(1, 16)),
+        riff(wav_chunk(b"data", bytes(4)), wav_fmt(1, 16)),
+        riff(wav_chunk(b"fmt ", bytes(8)), wav_chunk(b"data", bytes(4))),
+    ], ids=["pcm24", "float64", "pcm16_in_4_bytes", "ext_stereo", "rifx",
+            "not_riff", "no_data", "data_before_fmt", "short_fmt"])
+    def test_bad_files_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
         with pytest.raises(ValueError):
             read_wav(path)
 

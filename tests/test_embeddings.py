@@ -100,8 +100,11 @@ class TestStore:
         store.put("u1", "les", [1.0, 2.0, 3.0])   # other channel: fine
         with pytest.raises(DimMismatch):
             store.put("u2", "gs", [1.0, 2.0, 3.0])
-        assert store.dim("gs") == 2
-        assert store.dim("les") == 3
+        store.put("u2", "gs", [3.0, 4.0])
+        store.put("u2", "les", [4.0, 5.0, 6.0])
+        assert len(store.get("u2", "gs")) == 2
+        assert len(store.get("u2", "les")) == 3
+        assert len(store) == 4
 
     def test_validation_on_put(self):
         store = EmbeddingStore()
@@ -117,11 +120,13 @@ class TestStore:
         store.put("b", "gs", [1.0])
         store.put("a", "gs", [2.0])
         store.put("a", "es", [3.0])
-        assert store.ids() == ("a", "b")
         assert len(store) == 3
-        assert ("a", "es") in store
-        assert ("a", "gs") in store
-        assert ("c", "gs") not in store
+        assert store.get("a", "es")[0] == 3.0
+        assert store.get("a", "gs")[0] == 2.0
+        assert store.get("b", "gs")[0] == 1.0
+        for key in (("c", "gs"), ("b", "es")):
+            with pytest.raises(MissingEmbedding):
+                store.get(*key)
 
 
 class TestJsonl:

@@ -17,7 +17,6 @@ from msfser.lemf import (
     aggregate_word_prosody,
     analyze_words,
     assemble_extended_description,
-    emphasis_scores,
     run_lemf,
     select_emphasis_indices,
     select_emphasis_segment,
@@ -121,12 +120,18 @@ class TestScoring:
         assert (w.alpha, w.beta, w.gamma) == (1.0, 1.2, 0.8)
 
     def test_score_formula(self):
-        words = [WordProsody(word="x", interval=Interval(0, 1, "x"),
-                             f_pitch=0, f_energy=0, f_duration=0,
-                             z_pitch=0.5, z_energy=-1.0, z_duration=2.0,
-                             score=0.0)]
-        s = emphasis_scores(words)
-        assert s[0] == pytest.approx(1.0 * 0.5 + 1.2 * (-1.0) + 0.8 * 2.0)
+        track = track_from([0.01, 0.03, 0.05], [5.0, 5.5, 4.0],
+                           [True, True, True], [1.0, 3.0, 2.0])
+        words = (Interval(0.00, 0.02, "a"), Interval(0.02, 0.04, "b"),
+                 Interval(0.04, 0.10, "c"))
+        for a, b, g in ((1.0, 1.2, 0.8), (0.7, -0.4, 1.9)):
+            weights = EmphasisWeights(alpha=a, beta=b, gamma=g)
+            out = analyze_words(track, words, [(), (), ()], weights)
+            assert len({w.z_duration for w in out}) == 2   # durations differ
+            for w in out:
+                assert w.score == pytest.approx(
+                    a * w.z_pitch + b * w.z_energy + g * w.z_duration,
+                    abs=1e-12)
 
     def test_analyze_words_matches_hand_computation(self):
         times = [0.01, 0.03, 0.05, 0.07, 0.09, 0.11]
