@@ -401,7 +401,10 @@ def _apply_config_file(parser: argparse.ArgumentParser,
                        argv: list[str]) -> list[str]:
     """Pull defaults from a flat JSON file named by --config.
 
-    Each key must name an option of some subcommand.
+    Each key must name an option of some subcommand.  A flag such as
+    --quiet takes true or false; any other option takes a string or a
+    number, which argparse converts with the option's type as if it had
+    been typed on the command line.
     """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
@@ -418,11 +421,23 @@ def _apply_config_file(parser: argparse.ArgumentParser,
         parser.error(f"--config {known.config}: expected a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in blob.items()}
     # argparse lists a parser's arguments only in the private _actions
-    options = {a.dest for sp in commands.values() for a in sp._actions}
-    unknown = sorted(set(defaults) - (options - {"help"}))
+    options = {a.dest: a for sp in commands.values() for a in sp._actions
+               if a.dest != "help"}
+    unknown = sorted(set(defaults) - set(options))
     if unknown:
         parser.error(f"--config {known.config}: unknown keys "
                      f"{', '.join(unknown)}")
+    for key, value in defaults.items():
+        if options[key].nargs == 0:         # a store_true flag
+            if type(value) is not bool:
+                parser.error(f"--config {known.config}: {key} must be "
+                             f"true or false, got {value!r}")
+        elif type(value) in (int, float):
+            # argparse passes string defaults through the option's type
+            defaults[key] = str(value)
+        elif type(value) is not str:
+            parser.error(f"--config {known.config}: {key} must be a string "
+                         f"or a number, got {value!r}")
     for sp in commands.values():
         sp.set_defaults(**defaults)
     return rest

@@ -31,7 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch, TooFewUtterances
+from .errors import (
+    LengthMismatch,
+    NumericalFailure,
+    ShapeMismatch,
+    TooFewUtterances,
+)
 from .numcore import (
     AdamW,
     Param,
@@ -243,10 +248,10 @@ class MsfSerModel:
         self.config = config
         rng = seeded_rng(config.seed)
         d, p = config.d_model, 2 * config.d_model
-        self._params: dict[str, Param] = {}
+        values: dict[str, np.ndarray] = {}
 
         def par(name, value):
-            self._params[name] = Param(name, value)
+            values[name] = value
 
         par("enc.w", glorot_uniform(rng, config.acoustic_dim, d))
         par("enc.b", np.zeros((1, d)))
@@ -278,6 +283,14 @@ class MsfSerModel:
             par(f"head{name}.b2", np.zeros((1, 3)))
         par("route.logits", np.zeros((3, len(config.experts))))
 
+        self.theta = np.concatenate([a.reshape(-1) for a in values.values()])
+        self.grad = np.zeros_like(self.theta)
+        ends = np.cumsum([a.size for a in values.values()])[:-1]
+        self._params: dict[str, Param] = {
+            name: Param(name, t.reshape(a.shape), g.reshape(a.shape))
+            for (name, a), t, g in zip(values.items(), np.split(self.theta, ends),
+                                       np.split(self.grad, ends))}
+
     # ------------------------------------------------------ accessors
 
     def params(self):
@@ -288,7 +301,7 @@ class MsfSerModel:
 
     @property
     def n_params(self) -> int:
-        return sum(p.value.size for p in self.params())
+        return self.theta.size
 
     def params_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -308,8 +321,7 @@ class MsfSerModel:
             self._params[name].value[...] = arr
 
     def zero_grad(self) -> None:
-        for p in self.params():
-            p.zero_grad()
+        self.grad[...] = 0.0
 
     # -------------------------------------------------------- forward
 
@@ -377,8 +389,7 @@ class MsfSerModel:
             ln, ln_cache = layer_norm_fwd(hz, v(f"head{name}.ln_g"),
                                           v(f"head{name}.ln_b"))
             act = tanh_fwd(ln)
-            mask = dropout_mask(rng if rng is not None else seeded_rng(0),
-                                act.shape, cfg.dropout, train)
+            mask = dropout_mask(rng, act.shape, cfg.dropout, train)
             dropped = dropout_fwd(act, mask)
             out = linear_fwd(dropped, v(f"head{name}.w2"), v(f"head{name}.b2"))
             cache["head"][name] = (x, ln_cache, act, mask, dropped)
@@ -532,11 +543,12 @@ def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
     Each optimizer step averages gradients over up to accum_steps
     micro-batches of batch_size utterances.  Micro-batches of fewer than
     two utterances are skipped: the concordance loss is constant there.
+    A non-finite loss or gradient raises NumericalFailure before the step.
     """
     if len(train_set) < 2:
         raise TooFewUtterances(
             f"need at least 2 training utterances, got {len(train_set)}")
-    opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.n_params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = seeded_rng(cfg.seed)
     history = []
     for epoch in range(1, cfg.epochs + 1):
@@ -545,7 +557,7 @@ def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
                  for i in range(0, len(order), cfg.batch_size)]
         micro = [m for m in micro if len(m) >= 2]
         losses = []
-        for start in range(0, len(micro), cfg.accum_steps):
+        for step, start in enumerate(range(0, len(micro), cfg.accum_steps), 1):
             group = micro[start:start + cfg.accum_steps]
             model.zero_grad()
             for idx in group:
@@ -553,7 +565,10 @@ def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
                 loss = model.loss_and_grad(batch, train=True, rng=rng,
                                            grad_scale=1.0 / len(group))
                 losses.append(loss)
-            opt.step(model.params())
+            if not np.isfinite(model.grad).all() \
+                    or not np.isfinite(losses[-len(group):]).all():
+                raise NumericalFailure(_nonfinite_report(model, epoch, step))
+            opt.step(model.theta, model.grad)
         row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         if dev_set is not None:
             row["dev_ccc_avg"] = float(np.mean(
@@ -562,6 +577,20 @@ def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
         if log is not None:
             log(row)
     return history
+
+
+def _nonfinite_report(model: MsfSerModel, epoch: int, step: int) -> str:
+    """Name the first parameter with a non-finite gradient, else the loss."""
+    where = f"epoch {epoch}, step {step}"
+    bad = np.flatnonzero(~np.isfinite(model.grad))
+    if bad.size == 0:
+        return f"{where}: training loss is not finite"
+    offset = int(bad[0])
+    for p in model.params():        # in theta order
+        if offset < p.value.size:
+            break
+        offset -= p.value.size
+    return f"{where}: gradient of {p.name!r} is not finite"
 
 
 def evaluate(model: MsfSerModel, dataset, eval_batch: int = 64) -> dict:

@@ -8,15 +8,17 @@ arrays are float64 and gradients are exact analytic expressions, so the
 model is verifiable against finite differences to tight tolerances.
 
 Conventions: data is row-major, one sample per row.  Parameters are 2-D
-(biases are shaped (1, n)).  Backward functions take the upstream
-gradient last and return gradients in the same order as the forward
-inputs.
+(biases are shaped (1, n)) named views into one flat vector of values
+and one of gradients, which AdamW updates as whole vectors.  Backward
+functions take the upstream gradient last and return gradients in the
+same order as the forward inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,8 @@ import numpy as np
 from .errors import NumericalFailure, ShapeMismatch
 
 LAYER_NORM_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = "msf-ser-ckpt-v1"
 
 
@@ -31,22 +35,13 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+@dataclass(eq=False)
 class Param:
-    """A named trainable array with a gradient accumulator."""
+    """A named trainable array and its gradient; update both in place."""
 
-    def __init__(self, name: str, value):
-        self.name = name
-        self.value = np.array(value, dtype=np.float64)
-        if self.value.ndim != 2:
-            raise ShapeMismatch(
-                f"param {name!r} must be 2-D, got shape {self.value.shape}")
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
-    def __repr__(self) -> str:
-        return f"Param({self.name!r}, shape={self.value.shape})"
+    name: str
+    value: np.ndarray
+    grad: np.ndarray
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -131,9 +126,12 @@ def layer_norm_bwd(cache, dy: np.ndarray):
 
 # --------------------------------------------------------------- dropout
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float,
+def dropout_mask(rng: np.random.Generator | None, shape, rate: float,
                  train: bool) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 or 1/(1-rate) entries; ones in eval."""
+    """Inverted-dropout multiplier: 0 or 1/(1-rate) entries; ones in eval.
+
+    rng is read only when training with rate > 0.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
@@ -222,33 +220,27 @@ def ccc_loss(pred: np.ndarray, target: np.ndarray):
 # ----------------------------------------------------------------- AdamW
 
 class AdamW:
-    """Adam with decoupled weight decay; one shared step counter."""
+    """Adam with decoupled weight decay over one flat parameter vector."""
 
-    def __init__(self, lr: float = 1e-5, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, size: int, lr: float = 1e-5, weight_decay: float = 0.0):
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
 
-    def step(self, params) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update theta in place from its gradient grad (same shape)."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for p in params:
-            m = self._m.setdefault(p.name, np.zeros_like(p.value))
-            v = self._v.setdefault(p.name, np.zeros_like(p.value))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            mhat = m / bc1
-            vhat = v / bc2
-            p.value -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
-                                  + self.weight_decay * p.value)
+        m, v = self._m, self._v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        mhat = m / (1.0 - ADAM_BETA1 ** self.t)
+        vhat = v / (1.0 - ADAM_BETA2 ** self.t)
+        theta -= self.lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
+                            + self.weight_decay * theta)
 
 
 # ---------------------------------------------------------- grad checking
@@ -261,7 +253,7 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
     param values.
     """
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     base = loss_fn()
     if not np.isfinite(base):
         raise NumericalFailure(f"loss is not finite: {base}")
@@ -273,11 +265,11 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
             orig = flat[i]
             flat[i] = orig + eps
             for q in params:
-                q.zero_grad()
+                q.grad[...] = 0.0
             up = loss_fn()
             flat[i] = orig - eps
             for q in params:
-                q.zero_grad()
+                q.grad[...] = 0.0
             down = loss_fn()
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
@@ -291,12 +283,10 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
 
 # ------------------------------------------------------------ checkpoints
 
-def save_checkpoint(params, path) -> None:
+def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
     """Write named parameter values as versioned JSON (bitwise round-trip)."""
     blob = {"version": CHECKPOINT_VERSION, "params": {}}
-    items = params.items() if isinstance(params, dict) else \
-        ((p.name, p.value) for p in params)
-    for name, value in sorted(items):
+    for name, value in sorted(params.items()):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeMismatch(f"checkpoint param {name!r} must be 2-D")

@@ -238,7 +238,10 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 
 
 def read_targets_csv(path) -> list[dict]:
-    """Rows of {utt_id, split, target (3,)} in file order."""
+    """Rows of {utt_id, split, target (3,)} in file order.
+
+    A non-finite valence, arousal or dominance raises MalformedRecord.
+    """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -247,13 +250,14 @@ def read_targets_csv(path) -> list[dict]:
             raise MalformedRecord(
                 f"{path}: targets CSV must have columns {sorted(need)}")
         for rec in reader:
-            rows.append({
-                "utt_id": rec["utt_id"],
-                "split": rec["split"],
-                "target": np.array([float(rec["valence"]),
-                                    float(rec["arousal"]),
-                                    float(rec["dominance"])]),
-            })
+            target = np.array([float(rec["valence"]), float(rec["arousal"]),
+                               float(rec["dominance"])])
+            if not np.all(np.isfinite(target)):
+                raise MalformedRecord(
+                    f"{path}: utterance {rec['utt_id']!r} has a non-finite "
+                    f"target {target.tolist()}")
+            rows.append({"utt_id": rec["utt_id"], "split": rec["split"],
+                         "target": target})
     return rows
 
 

@@ -269,6 +269,22 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_nonfinite_target_exits_2(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        lines = (data / "targets.csv").read_text().splitlines()
+        head, first = lines[0].split(","), lines[1].split(",")
+        first[head.index("arousal")] = "nan"
+        lines[1] = ",".join(first)
+        (data / "targets.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "non-finite" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--epochs", "0"),
         ("--epochs", "-3"),
@@ -419,6 +435,44 @@ class TestConfigFile:
         assert run_cfg["train"]["seed"] == 4
         assert run_cfg["train"]["epochs"] == 1
         assert run_cfg["train"]["batch_size"] == 8
+
+
+    @pytest.mark.parametrize("blob", [
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"epochs": "two"},
+        {"experts": 5},
+        {"lr": [1e-3]},
+        {"seed": None},
+        {"quiet": "yes"},
+        {"quiet": 1},
+        {"track_dev": {}},
+    ])
+    def test_bad_config_value_exits_2(self, dataset, tmp_path, capsys, blob):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        out = tmp_path / "run"
+        try:
+            code = main(["--config", str(cfg), "train", "--data", str(dataset),
+                         "--out", str(out), "--quiet"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        stderr = capsys.readouterr().err
+        assert "error: " in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_config_values_convert_like_flags(self, dataset, tmp_path,
+                                              capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "lr": 0.002, "quiet": True,
+                                   "batch_size": "8", "d_model": 4}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "train", "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        train = json.loads((out / "train_config.json").read_text())["train"]
+        assert (train["epochs"], train["lr"], train["batch_size"]) == (1, 0.002, 8)
 
 
 class TestRuntime:

@@ -6,13 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from msfser.errors import LengthMismatch, ShapeMismatch, TooFewUtterances
+from msfser.errors import (
+    LengthMismatch,
+    NumericalFailure,
+    ShapeMismatch,
+    TooFewUtterances,
+)
 from msfser.model import (
     Batch,
     ModelConfig,
     MsfSerModel,
     TrainConfig,
     UttExample,
+    _nonfinite_report,
     _pool_bwd,
     attentive_pool,
     config_hash,
@@ -335,6 +341,18 @@ class TestModelStructure:
         with pytest.raises(ValueError):
             model.forward(batch, train=True)
 
+    def test_params_are_views_of_theta_and_grad(self):
+        model = MsfSerModel(tiny_config())
+        assert model.n_params == sum(p.value.size for p in model.params())
+        assert model.theta.shape == model.grad.shape == (model.n_params,)
+        for p in model.params():
+            assert np.shares_memory(p.value, model.theta)
+            assert np.shares_memory(p.grad, model.grad)
+        model.param("route.logits").grad[...] = 7.0
+        assert np.count_nonzero(model.grad == 7.0) == 9
+        model.theta[0] = 3.5
+        assert model.param("enc.w").value[0, 0] == 3.5
+
     def test_load_params_round_trip_and_errors(self):
         model = MsfSerModel(tiny_config())
         other = MsfSerModel(tiny_config(seed=9))
@@ -461,6 +479,26 @@ class TestModelBehavior:
         assert h1 == h2
         for name, arr in m1.params_dict().items():
             assert np.array_equal(arr, m2.params_dict()[name])
+
+    def test_nonfinite_gradient_stops_training(self):
+        model = MsfSerModel(tiny_config(dropout=0.0))
+        data = tiny_examples(4, model.config, seed=3)
+        data[2].frames[1, 0] = np.nan
+        before = model.theta.copy()
+        with pytest.raises(NumericalFailure,
+                           match=r"epoch 1, step 1: gradient of 'enc.w'"):
+            train_model(model, data, TrainConfig(epochs=2, batch_size=4,
+                                                 accum_steps=1, lr=1e-3))
+        assert np.array_equal(model.theta, before)
+
+    def test_nonfinite_report_finds_parameter_by_offset(self):
+        model = MsfSerModel(tiny_config())
+        assert _nonfinite_report(model, 3, 2) == \
+            "epoch 3, step 2: training loss is not finite"
+        model.param("headB.w1").grad[1, 2] = np.inf
+        model.param("route.logits").grad[0, 0] = np.nan
+        assert _nonfinite_report(model, 3, 2) == \
+            "epoch 3, step 2: gradient of 'headB.w1' is not finite"
 
     def test_train_requires_two_utterances(self):
         model = MsfSerModel(tiny_config())

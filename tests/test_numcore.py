@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfser.errors import NumericalFailure, ShapeMismatch
+from msfser.model import ModelConfig, MsfSerModel
 from msfser.numcore import (
     AdamW,
     Param,
@@ -330,45 +331,93 @@ def adamw_oracle(w0, grads, lr, b1, b2, eps, wd):
     return w
 
 
+class PerParamAdamW:
+    """The per-parameter AdamW loop, one m/v pair per name: the flat step's oracle."""
+
+    def __init__(self, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
+        self.beta1, self.beta2 = betas
+        self.t = 0
+        self._m, self._v = {}, {}
+
+    def step(self, params):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p in params:
+            m = self._m.setdefault(p.name, np.zeros_like(p.value))
+            v = self._v.setdefault(p.name, np.zeros_like(p.value))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            mhat = m / bc1
+            vhat = v / bc2
+            p.value -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
+                                  + self.weight_decay * p.value)
+
+
+def named(name, value):
+    """A standalone Param over its own value and a zero gradient."""
+    value = np.array(value, dtype=np.float64)
+    return Param(name, value, np.zeros_like(value))
+
+
 class TestAdamW:
     def test_single_step_hand_trace(self):
         # w=1, g=1, lr=0.1: mhat=1, vhat=1, w -> 1 - 0.1/(1+1e-8) ~ 0.9
-        p = Param("w", [[1.0]])
-        p.grad[...] = 1.0
-        opt = AdamW(lr=0.1)
-        opt.step([p])
-        assert abs(p.value[0, 0] - 0.9) <= 1e-8
+        theta, grad = np.array([1.0]), np.array([1.0])
+        opt = AdamW(1, lr=0.1)
+        opt.step(theta, grad)
+        assert abs(theta[0] - 0.9) <= 1e-8
 
     def test_multi_step_matches_oracle(self):
         rng = seeded_rng(16)
         grads = [float(g) for g in rng.standard_normal(6)]
-        p = Param("w", [[0.5]])
-        opt = AdamW(lr=0.05, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+        theta, grad = np.array([0.5]), np.zeros(1)
+        opt = AdamW(1, lr=0.05, weight_decay=0.01)
         for g in grads:
-            p.grad[...] = g
-            opt.step([p])
+            grad[0] = g
+            opt.step(theta, grad)
         want = adamw_oracle(0.5, grads, 0.05, 0.9, 0.999, 1e-8, 0.01)
-        assert p.value[0, 0] == pytest.approx(want, abs=1e-14)
+        assert theta[0] == pytest.approx(want, abs=1e-14)
 
     def test_decay_is_decoupled(self):
         # zero gradient: the only movement is the decay term lr*wd*w
-        p = Param("w", [[2.0]])
-        opt = AdamW(lr=0.1, weight_decay=0.05)
-        opt.step([p])
-        assert p.value[0, 0] == pytest.approx(2.0 - 0.1 * 0.05 * 2.0, abs=1e-15)
+        theta = np.array([2.0])
+        opt = AdamW(1, lr=0.1, weight_decay=0.05)
+        opt.step(theta, np.zeros(1))
+        assert theta[0] == pytest.approx(2.0 - 0.1 * 0.05 * 2.0, abs=1e-15)
 
     def test_state_is_per_param_name(self):
-        a, b = Param("a", [[1.0]]), Param("b", [[1.0]])
-        a.grad[...] = 1.0
-        b.grad[...] = -1.0
-        opt = AdamW(lr=0.1)
-        opt.step([a, b])
-        assert a.value[0, 0] < 1.0 < b.value[0, 0]
+        # each parameter's slice of the vector keeps its own moments
+        theta = np.ones(2)
+        a, b = theta[:1], theta[1:]
+        opt = AdamW(2, lr=0.1)
+        opt.step(theta, np.array([1.0, -1.0]))
+        assert a[0] < 1.0 < b[0]
+
+    def test_flat_step_equals_per_param_loop(self):
+        cfg = ModelConfig(acoustic_dim=11, les_dim=16, gs_dim=16, es_dim=16,
+                          d_model=16, att_dim=16, film_hidden=16,
+                          expert_hidden=16)
+        flat, looped = MsfSerModel(cfg), MsfSerModel(cfg)
+        opt = AdamW(flat.n_params, lr=1e-2, weight_decay=1e-4)
+        oracle = PerParamAdamW(lr=1e-2, weight_decay=1e-4)
+        rng = seeded_rng(19)
+        for _ in range(20):
+            g = rng.standard_normal(flat.n_params) * rng.uniform(1e-3, 10.0)
+            flat.grad[...] = g
+            looped.grad[...] = g
+            opt.step(flat.theta, flat.grad)
+            oracle.step(looped.params())
+            assert np.array_equal(flat.theta, looped.theta)
+        assert not np.array_equal(flat.theta, MsfSerModel(cfg).theta)
 
 
 class TestGradCheck:
     def test_correct_gradients_pass(self):
-        p = Param("w", [[1.0, -2.0], [0.5, 3.0]])
+        p = named("w", [[1.0, -2.0], [0.5, 3.0]])
 
         def loss_fn():
             p.grad[...] += 2.0 * p.value
@@ -377,7 +426,7 @@ class TestGradCheck:
         assert grad_check(loss_fn, [p]) <= 1e-9
 
     def test_wrong_gradients_detected(self):
-        p = Param("w", [[1.0, -2.0]])
+        p = named("w", [[1.0, -2.0]])
 
         def loss_fn():
             p.grad[...] += 3.0 * p.value     # wrong by 1.5x
@@ -386,7 +435,7 @@ class TestGradCheck:
         assert grad_check(loss_fn, [p]) >= 0.1
 
     def test_values_restored_after_check(self):
-        p = Param("w", [[1.25, -0.75]])
+        p = named("w", [[1.25, -0.75]])
         before = p.value.copy()
 
         def loss_fn():
@@ -397,7 +446,7 @@ class TestGradCheck:
         assert np.array_equal(p.value, before)
 
     def test_nonfinite_loss_rejected(self):
-        p = Param("w", [[1.0]])
+        p = named("w", [[1.0]])
         with pytest.raises(NumericalFailure):
             grad_check(lambda: float("nan"), [p])
 
@@ -454,23 +503,26 @@ class TestCheckpoints:
         with pytest.raises(NumericalFailure):
             load_checkpoint(path)
 
-    def test_params_accepts_param_list(self, tmp_path):
-        p = Param("x", [[5.0]])
-        path = tmp_path / "c.json"
-        save_checkpoint([p], path)
-        assert load_checkpoint(path)["x"][0, 0] == 5.0
-
 
 class TestMisc:
     def test_param_requires_2d(self):
-        with pytest.raises(ShapeMismatch):
-            Param("v", [1.0, 2.0])
+        for experts in (("A", "B", "C"), ("A", "B"), ("A",)):
+            cfg = ModelConfig(acoustic_dim=5, les_dim=3, gs_dim=3, es_dim=3,
+                              d_model=4, att_dim=4, film_hidden=4,
+                              expert_hidden=4, experts=experts)
+            for p in MsfSerModel(cfg).params():
+                assert p.value.ndim == 2 and p.grad.shape == p.value.shape
 
     def test_param_zero_grad(self):
-        p = Param("w", [[1.0]])
-        p.grad[...] = 5.0
-        p.zero_grad()
-        assert np.array_equal(p.grad, np.zeros((1, 1)))
+        cfg = ModelConfig(acoustic_dim=5, les_dim=3, gs_dim=3, es_dim=3,
+                          d_model=4, att_dim=4, film_hidden=4, expert_hidden=4)
+        model = MsfSerModel(cfg)
+        for p in model.params():
+            p.grad[...] = 5.0
+        assert np.all(model.grad == 5.0)
+        model.zero_grad()
+        for p in model.params():
+            assert np.array_equal(p.grad, np.zeros_like(p.value))
 
     def test_glorot_bounds(self):
         w = glorot_uniform(seeded_rng(18), 30, 50)

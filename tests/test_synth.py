@@ -9,7 +9,7 @@ import pytest
 
 from msfser.dsp import read_wav
 from msfser.embeddings import EmbeddingStore
-from msfser.errors import TooFewUtterances
+from msfser.errors import MalformedRecord, TooFewUtterances
 from msfser.numcore import ccc, seeded_rng
 from msfser.synth import (
     SILENCE_GAP_S,
@@ -198,6 +198,15 @@ class TestLoading:
         for r in rows:
             assert r["target"].shape == (3,)
             assert np.all(np.isfinite(r["target"]))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_target_rejected(self, tmp_path, value):
+        path = tmp_path / "targets.csv"
+        path.write_text("utt_id,split,valence,arousal,dominance\n"
+                        "u0,train,0.1,0.2,0.3\n"
+                        f"u1,train,0.1,{value},0.3\n")
+        with pytest.raises(MalformedRecord, match="'u1'"):
+            read_targets_csv(path)
 
     def test_load_examples_split_filtering(self, corpus):
         root, manifest = corpus
