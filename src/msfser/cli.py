@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -44,7 +45,7 @@ from .model import (
 )
 from .numcore import load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_dataset, load_examples
-from .textgrid import read_textgrid_file, validate_textgrid
+from .textgrid import read_textgrid_file
 
 _PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch)
 
@@ -132,7 +133,6 @@ def _write_history_svg(path, history) -> None:
 def _cmd_emphasis(args) -> int:
     audio = read_wav(args.wav)
     tg = read_textgrid_file(args.grid)
-    validate_textgrid(tg)
     cfg = LemfConfig(
         frame=FrameConfig(win_ms=args.win_ms, hop_ms=args.hop_ms),
         mode=args.mode, top_k=args.k,
@@ -219,7 +219,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model.params_dict(), out / "checkpoint.json")
-    run_cfg = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
+    run_cfg = {"model": asdict(model_cfg), "train": asdict(train_cfg),
                "features": feats}
     (out / "train_config.json").write_text(
         json.dumps(run_cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -297,7 +297,6 @@ def _cmd_textgrid_check(args) -> int:
     for path in args.paths:
         try:
             tg = read_textgrid_file(path)
-            validate_textgrid(tg)
         except (TextGridError, OSError, UnicodeDecodeError) as exc:
             failures += 1
             sys.stdout.write(f"{path}: {type(exc).__name__}: {exc}\n")

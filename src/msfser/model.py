@@ -19,15 +19,16 @@ Architecture, per utterance:
 The FiLM generators are two-layer MLPs whose output layer starts at
 zero, so every expert begins as the plain pooled statistics and the
 modulation is learned.  Training minimizes sum_d (1 - CCC_d) with AdamW
-and gradient accumulation; the whole graph has hand-written backward
-passes and is verifiable by central finite differences.
+and gradient accumulation.  Each op's hand-written backward sits beside
+its forward and reads only its cache and weights; MsfSerModel.backward
+chains them, and each is verifiable by central finite differences.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .numcore import (
 TARGET_NAMES = ("valence", "arousal", "dominance")
 EXPERT_NAMES = ("A", "B", "C")
 VAR_FLOOR = 1e-9
+FILM_PARAMS = ("w1", "b1", "w2", "b2")       # film_modulate's weight order
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,12 @@ class ModelConfig:
                 f"got {self.experts}")
         if len(set(self.experts)) != len(self.experts):
             raise ValueError(f"duplicate experts in {self.experts}")
-
-    def to_dict(self) -> dict:
-        return {
-            "acoustic_dim": self.acoustic_dim, "les_dim": self.les_dim,
-            "gs_dim": self.gs_dim, "es_dim": self.es_dim,
-            "d_model": self.d_model, "att_dim": self.att_dim,
-            "film_hidden": self.film_hidden,
-            "expert_hidden": self.expert_hidden,
-            "experts": list(self.experts), "dropout": self.dropout,
-            "seed": self.seed,
-        }
+        for name in ("acoustic_dim", "les_dim", "gs_dim", "es_dim", "d_model",
+                     "att_dim", "film_hidden", "expert_hidden"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -173,6 +170,24 @@ def attentive_pool(h: np.ndarray, att_w: np.ndarray, att_v: np.ndarray):
     return pooled, (h, u, a, m1, sd, pos)
 
 
+def _pool_bwd(cache, att_w: np.ndarray, att_v: np.ndarray, dpooled: np.ndarray):
+    h, u, a, m1, sd, pos = cache
+    d = h.shape[1]
+    dm1 = dpooled[:d].copy()
+    dvar = (dpooled[d:] / (2.0 * sd)) * pos
+    dm2 = dvar
+    dm1 += -2.0 * m1 * dvar
+    dh = a * dm1[None, :] + a * (2.0 * h) * dm2[None, :]
+    da = (h @ dm1 + (h * h) @ dm2)[:, None]
+    ds = softmax_bwd(a, da, axis=0)
+    datt_v = u.T @ ds
+    du = ds @ att_v.T
+    dz = tanh_bwd(u, du)
+    datt_w = h.T @ dz
+    dh += dz @ att_w.T
+    return dh, datt_w, datt_v
+
+
 def gated_fuse(h_l: np.ndarray, h_g: np.ndarray,
                gate_w: np.ndarray, gate_b: np.ndarray):
     """Scalar-gated blend of the two semantic encodings, per sample.
@@ -184,6 +199,18 @@ def gated_fuse(h_l: np.ndarray, h_g: np.ndarray,
     g = sigmoid(linear_fwd(cat, gate_w, gate_b))
     h_sem = g * h_l + (1.0 - g) * h_g
     return h_sem, (h_l, h_g, cat, g)
+
+
+def _fuse_bwd(cache, gate_w: np.ndarray, dh_sem: np.ndarray):
+    h_l, h_g, cat, g = cache
+    dg = ((h_l - h_g) * dh_sem).sum(axis=1, keepdims=True)
+    dh_l = g * dh_sem
+    dh_g = (1.0 - g) * dh_sem
+    dcat, dgate_w, dgate_b = linear_bwd(cat, gate_w, sigmoid_bwd(g, dg))
+    d = h_l.shape[1]
+    dh_l += dcat[:, :d]
+    dh_g += dcat[:, d:]
+    return dh_l, dh_g, dgate_w, dgate_b
 
 
 def film_modulate(x: np.ndarray, cond: np.ndarray,
@@ -204,7 +231,15 @@ def film_modulate(x: np.ndarray, cond: np.ndarray,
             f"film: modulator width {mods.shape[1]} != 2 * {x.shape[1]}")
     gamma = 1.0 + mods[:, :half]
     beta = mods[:, half:]
-    return gamma * x + beta, (cond, t1, gamma)
+    return gamma * x + beta, (x, cond, t1, gamma)
+
+
+def _film_bwd(cache, w1: np.ndarray, w2: np.ndarray, dy: np.ndarray):
+    x, cond, t1, gamma = cache
+    dmods = np.concatenate([dy * x, dy], axis=1)     # [dgamma, dbeta]
+    dt1, dw2, db2 = linear_bwd(t1, w2, dmods)
+    dcond, dw1, db1 = linear_bwd(cond, w1, tanh_bwd(t1, dt1))
+    return dy * gamma, dcond, dw1, db1, dw2, db2
 
 
 def moe_combine(expert_out: np.ndarray, route_logits: np.ndarray):
@@ -223,22 +258,9 @@ def moe_combine(expert_out: np.ndarray, route_logits: np.ndarray):
     return pred, pi
 
 
-def _pool_bwd(cache, att_w: np.ndarray, att_v: np.ndarray, dpooled: np.ndarray):
-    h, u, a, m1, sd, pos = cache
-    d = h.shape[1]
-    dm1 = dpooled[:d].copy()
-    dvar = (dpooled[d:] / (2.0 * sd)) * pos
-    dm2 = dvar
-    dm1 += -2.0 * m1 * dvar
-    dh = a * dm1[None, :] + a * (2.0 * h) * dm2[None, :]
-    da = (h @ dm1 + (h * h) @ dm2)[:, None]
-    ds = softmax_bwd(a, da, axis=0)
-    datt_v = u.T @ ds
-    du = ds @ att_v.T
-    dz = tanh_bwd(u, du)
-    datt_w = h.T @ dz
-    dh += dz @ att_w.T
-    return dh, datt_w, datt_v
+def _moe_bwd(expert_out: np.ndarray, pi: np.ndarray, dpred: np.ndarray):
+    dpi = np.einsum("bd,ebd->de", dpred, expert_out)
+    return np.einsum("de,bd->ebd", pi, dpred), softmax_bwd(pi, dpi, axis=1)
 
 
 class MsfSerModel:
@@ -249,9 +271,7 @@ class MsfSerModel:
         rng = seeded_rng(config.seed)
         d, p = config.d_model, 2 * config.d_model
         values: dict[str, np.ndarray] = {}
-
-        def par(name, value):
-            values[name] = value
+        par = values.__setitem__
 
         par("enc.w", glorot_uniform(rng, config.acoustic_dim, d))
         par("enc.b", np.zeros((1, d)))
@@ -323,6 +343,40 @@ class MsfSerModel:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
+    def _add_grads(self, names, grads) -> None:
+        for name, grad in zip(names, grads):
+            self._params[name].grad[...] += grad
+
+    def _dense(self, x: np.ndarray, layer: str, i: str = "") -> np.ndarray:
+        """x @ w + b with parameters f"{layer}.w{i}" and f"{layer}.b{i}"."""
+        return linear_fwd(x, self._params[f"{layer}.w{i}"].value,
+                          self._params[f"{layer}.b{i}"].value)
+
+    def _dense_bwd(self, x: np.ndarray, layer: str, dy: np.ndarray,
+                   i: str = "") -> np.ndarray:
+        """Accumulate the weight and bias gradients of _dense; return dx."""
+        dx, dw, db = linear_bwd(x, self._params[f"{layer}.w{i}"].value, dy)
+        self._add_grads((f"{layer}.w{i}", f"{layer}.b{i}"), (dw, db))
+        return dx
+
+    def _head(self, name: str, x: np.ndarray, train: bool, rng):
+        """linear -> layer_norm -> tanh -> dropout -> linear; (out, cache)."""
+        head = f"head{name}"
+        ln_g, ln_b = (self._params[f"{head}.{k}"].value for k in ("ln_g", "ln_b"))
+        ln, ln_cache = layer_norm_fwd(self._dense(x, head, "1"), ln_g, ln_b)
+        act = tanh_fwd(ln)
+        mask = dropout_mask(rng, act.shape, self.config.dropout, train)
+        dropped = dropout_fwd(act, mask)
+        return self._dense(dropped, head, "2"), (x, ln_cache, act, mask, dropped)
+
+    def _head_bwd(self, name: str, cache, dout: np.ndarray) -> np.ndarray:
+        x, ln_cache, act, mask, dropped = cache
+        head = f"head{name}"
+        dact = dropout_bwd(mask, self._dense_bwd(dropped, head, dout, "2"))
+        dhz, *dln = layer_norm_bwd(ln_cache, tanh_bwd(act, dact))
+        self._add_grads((f"{head}.ln_g", f"{head}.ln_b"), dln)
+        return self._dense_bwd(x, head, dhz, "1")
+
     # -------------------------------------------------------- forward
 
     def _check_batch(self, batch: Batch) -> None:
@@ -352,142 +406,72 @@ class MsfSerModel:
         if train and cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
 
-        pooled_rows, pool_caches, enc_caches = [], [], []
+        pooled_rows, enc = [], []
         for fr in batch.frames:
-            z = linear_fwd(fr, v("enc.w"), v("enc.b"))
-            h = tanh_fwd(z)
-            pooled, pc = attentive_pool(h, v("att.w"), v("att.v"))
+            h = tanh_fwd(self._dense(fr, "enc"))
+            pooled, pool_cache = attentive_pool(h, v("att.w"), v("att.v"))
             pooled_rows.append(pooled)
-            pool_caches.append(pc)
-            enc_caches.append((fr, h))
+            enc.append((h, pool_cache))
         pooled = np.stack(pooled_rows)              # (B, 2d)
 
-        cache = {"batch": batch, "pooled": pooled,
-                 "pool_caches": pool_caches, "enc_caches": enc_caches,
-                 "cond": {}, "film": {}, "head": {}}
-
+        cond, sem, fuse_cache = {}, {}, None
         if "B" in cfg.experts:
-            h_l = tanh_fwd(linear_fwd(batch.les, v("les.w"), v("les.b")))
-            h_g = tanh_fwd(linear_fwd(batch.gs, v("gs.w"), v("gs.b")))
-            h_sem, sem_cache = gated_fuse(h_l, h_g, v("gate.w"), v("gate.b"))
-            cache["sem"] = sem_cache
-            cache["cond"]["B"] = h_sem
+            sem["les"] = tanh_fwd(self._dense(batch.les, "les"))
+            sem["gs"] = tanh_fwd(self._dense(batch.gs, "gs"))
+            cond["B"], fuse_cache = gated_fuse(sem["les"], sem["gs"],
+                                               v("gate.w"), v("gate.b"))
         if "C" in cfg.experts:
-            h_e = tanh_fwd(linear_fwd(batch.es, v("es.w"), v("es.b")))
-            cache["cond"]["C"] = h_e
+            sem["es"] = cond["C"] = tanh_fwd(self._dense(batch.es, "es"))
 
-        outs = []
+        outs, experts = [], []
         for name in cfg.experts:
-            x = pooled
-            if name in ("B", "C"):
-                x, film_cache = film_modulate(
-                    pooled, cache["cond"][name],
-                    v(f"film{name}.w1"), v(f"film{name}.b1"),
-                    v(f"film{name}.w2"), v(f"film{name}.b2"))
-                cache["film"][name] = film_cache
-            hz = linear_fwd(x, v(f"head{name}.w1"), v(f"head{name}.b1"))
-            ln, ln_cache = layer_norm_fwd(hz, v(f"head{name}.ln_g"),
-                                          v(f"head{name}.ln_b"))
-            act = tanh_fwd(ln)
-            mask = dropout_mask(rng, act.shape, cfg.dropout, train)
-            dropped = dropout_fwd(act, mask)
-            out = linear_fwd(dropped, v(f"head{name}.w2"), v(f"head{name}.b2"))
-            cache["head"][name] = (x, ln_cache, act, mask, dropped)
+            x, film_cache = pooled, None
+            if name in cond:
+                x, film_cache = film_modulate(pooled, cond[name], *(
+                    v(f"film{name}.{k}") for k in FILM_PARAMS))
+            out, head_cache = self._head(name, x, train, rng)
             outs.append(out)
+            experts.append((name, film_cache, head_cache))
 
         expert_out = np.stack(outs)                 # (E, B, 3)
         pred, pi = moe_combine(expert_out, v("route.logits"))
-        cache["expert_out"] = expert_out
-        cache["pi"] = pi
-        return pred, cache
+        return pred, {"batch": batch, "enc": enc, "sem": sem, "fuse": fuse_cache,
+                      "experts": experts, "expert_out": expert_out, "pi": pi}
 
     # ------------------------------------------------------- backward
 
     def backward(self, cache, dpred: np.ndarray) -> None:
         """Accumulate d(loss)/d(param) into .grad for every parameter."""
-        cfg = self.config
         v = lambda name: self._params[name].value
-        g = lambda name: self._params[name].grad
         batch: Batch = cache["batch"]
-        pooled = cache["pooled"]
-        expert_out, pi = cache["expert_out"], cache["pi"]
+        dout, dlogits = _moe_bwd(cache["expert_out"], cache["pi"], dpred)
+        self._add_grads(("route.logits",), (dlogits,))
 
-        dpi = np.einsum("bd,ebd->de", dpred, expert_out)
-        g("route.logits")[...] += softmax_bwd(pi, dpi, axis=1)
-        dout = np.einsum("de,bd->ebd", pi, dpred)
+        dpooled = np.zeros((len(batch), 2 * self.config.d_model))
+        dcond = {}
+        for (name, film_cache, head_cache), d in zip(cache["experts"], dout):
+            dx = self._head_bwd(name, head_cache, d)
+            if film_cache is not None:
+                film = f"film{name}"
+                dx, dcond[name], *dfilm = _film_bwd(
+                    film_cache, v(f"{film}.w1"), v(f"{film}.w2"), dx)
+                self._add_grads([f"{film}.{k}" for k in FILM_PARAMS], dfilm)
+            dpooled += dx
 
-        dpooled = np.zeros_like(pooled)
-        dcond = {name: None for name in cache["cond"]}
-        for idx, name in enumerate(cfg.experts):
-            x, ln_cache, act, mask, dropped = cache["head"][name]
-            ddropped, dw2, db2 = linear_bwd(dropped, v(f"head{name}.w2"),
-                                            dout[idx])
-            g(f"head{name}.w2")[...] += dw2
-            g(f"head{name}.b2")[...] += db2
-            dact = dropout_bwd(mask, ddropped)
-            dln = tanh_bwd(act, dact)
-            dhz, dlng, dlnb = layer_norm_bwd(ln_cache, dln)
-            g(f"head{name}.ln_g")[...] += dlng
-            g(f"head{name}.ln_b")[...] += dlnb
-            dx, dw1, db1 = linear_bwd(x, v(f"head{name}.w1"), dhz)
-            g(f"head{name}.w1")[...] += dw1
-            g(f"head{name}.b1")[...] += db1
+        dsem = {}
+        if "B" in dcond:
+            dsem["les"], dsem["gs"], *dgate = _fuse_bwd(cache["fuse"], v("gate.w"),
+                                                        dcond["B"])
+            self._add_grads(("gate.w", "gate.b"), dgate)
+        if "C" in dcond:
+            dsem["es"] = dcond["C"]
+        for key, h in cache["sem"].items():
+            self._dense_bwd(getattr(batch, key), key, tanh_bwd(h, dsem[key]))
 
-            if name in ("B", "C"):
-                cond, t1, gamma = cache["film"][name]
-                dgamma = dx * pooled
-                dbeta = dx
-                dpooled += dx * gamma
-                dmods = np.concatenate([dgamma, dbeta], axis=1)
-                dt1, dfw2, dfb2 = linear_bwd(t1, v(f"film{name}.w2"), dmods)
-                g(f"film{name}.w2")[...] += dfw2
-                g(f"film{name}.b2")[...] += dfb2
-                dz1 = tanh_bwd(t1, dt1)
-                dc, dfw1, dfb1 = linear_bwd(cond, v(f"film{name}.w1"), dz1)
-                g(f"film{name}.w1")[...] += dfw1
-                g(f"film{name}.b1")[...] += dfb1
-                dcond[name] = dc if dcond[name] is None else dcond[name] + dc
-            else:
-                dpooled += dx
-
-        if "B" in cfg.experts:
-            h_l, h_g, cat, gate = cache["sem"]
-            dh_sem = dcond["B"]
-            dgate = ((h_l - h_g) * dh_sem).sum(axis=1, keepdims=True)
-            dh_l = gate * dh_sem
-            dh_g = (1.0 - gate) * dh_sem
-            dzg = sigmoid_bwd(gate, dgate)
-            dcat, dgw, dgb = linear_bwd(cat, v("gate.w"), dzg)
-            g("gate.w")[...] += dgw
-            g("gate.b")[...] += dgb
-            d = h_l.shape[1]
-            dh_l += dcat[:, :d]
-            dh_g += dcat[:, d:]
-            dzl = tanh_bwd(h_l, dh_l)
-            _, dlw, dlb = linear_bwd(batch.les, v("les.w"), dzl)
-            g("les.w")[...] += dlw
-            g("les.b")[...] += dlb
-            dzgs = tanh_bwd(h_g, dh_g)
-            _, dgsw, dgsb = linear_bwd(batch.gs, v("gs.w"), dzgs)
-            g("gs.w")[...] += dgsw
-            g("gs.b")[...] += dgsb
-        if "C" in cfg.experts:
-            h_e = cache["cond"]["C"]
-            dze = tanh_bwd(h_e, dcond["C"])
-            _, dew, deb = linear_bwd(batch.es, v("es.w"), dze)
-            g("es.w")[...] += dew
-            g("es.b")[...] += deb
-
-        for i in range(len(batch)):
-            _, h = cache["enc_caches"][i]
-            dh, daw, dav = _pool_bwd(cache["pool_caches"][i], v("att.w"),
-                                     v("att.v"), dpooled[i])
-            g("att.w")[...] += daw
-            g("att.v")[...] += dav
-            dz = tanh_bwd(h, dh)
-            _, dencw, dencb = linear_bwd(batch.frames[i], v("enc.w"), dz)
-            g("enc.w")[...] += dencw
-            g("enc.b")[...] += dencb
+        for fr, (h, pool_cache), dp in zip(batch.frames, cache["enc"], dpooled):
+            dh, *datt = _pool_bwd(pool_cache, v("att.w"), v("att.v"), dp)
+            self._add_grads(("att.w", "att.v"), datt)
+            self._dense_bwd(fr, "enc", tanh_bwd(h, dh))
 
     # ------------------------------------------------- loss / predict
 
@@ -529,11 +513,6 @@ class TrainConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "batch_size": self.batch_size,
-                "accum_steps": self.accum_steps, "lr": self.lr,
-                "weight_decay": self.weight_decay, "seed": self.seed}
 
 
 def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
@@ -615,7 +594,7 @@ def evaluate(model: MsfSerModel, dataset, eval_batch: int = 64) -> dict:
 def eval_report(model: MsfSerModel, dataset, extra_config: dict | None = None) -> dict:
     """The JSON document emitted by the eval command."""
     res = evaluate(model, dataset)
-    cfg = {"model": model.config.to_dict()}
+    cfg = {"model": asdict(model.config)}
     if extra_config:
         cfg.update(extra_config)
     return {

@@ -150,6 +150,18 @@ def dropout_bwd(mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------- CCC
 
+def _ccc_moments(p: np.ndarray, t: np.ndarray):
+    """(mu_p, mu_t, dp, dt, cov, denom) of Lin's CCC, population moments."""
+    mu_p, mu_t = p.mean(), t.mean()
+    # A constant sequence has exactly zero residuals; computing them as
+    # value - mean would leave rounding dust and a not-quite-zero score.
+    dp = np.zeros_like(p) if np.all(p == p[0]) else p - mu_p
+    dt = np.zeros_like(t) if np.all(t == t[0]) else t - mu_t
+    cov = (dp * dt).mean()
+    denom = (dp * dp).mean() + (dt * dt).mean() + (mu_p - mu_t) ** 2
+    return mu_p, mu_t, dp, dt, cov, denom
+
+
 def ccc(pred: np.ndarray, target: np.ndarray) -> float:
     """Lin's concordance correlation, population moments.
 
@@ -163,14 +175,7 @@ def ccc(pred: np.ndarray, target: np.ndarray) -> float:
             f"ccc: got {pred.shape} predictions vs {target.shape} targets")
     if pred.size == 0:
         raise ShapeMismatch("ccc: empty input")
-    mu_p, mu_t = pred.mean(), target.mean()
-    # A constant sequence has exactly zero residuals; computing them as
-    # value - mean would leave rounding dust and a not-quite-zero score.
-    dp = np.zeros_like(pred) if np.all(pred == pred[0]) else pred - mu_p
-    dt = np.zeros_like(target) if np.all(target == target[0]) else target - mu_t
-    var_p, var_t = (dp * dp).mean(), (dt * dt).mean()
-    cov = (dp * dt).mean()
-    denom = var_p + var_t + (mu_p - mu_t) ** 2
+    *_, cov, denom = _ccc_moments(pred, target)
     if denom == 0.0:
         return 1.0
     return float(2.0 * cov / denom)
@@ -200,12 +205,7 @@ def ccc_loss(pred: np.ndarray, target: np.ndarray):
     loss = 0.0
     dpred = np.zeros_like(pred)
     for d in range(pred.shape[1]):
-        p, t = pred[:, d], target[:, d]
-        mu_p, mu_t = p.mean(), t.mean()
-        dp, dt = p - mu_p, t - mu_t
-        var_p, var_t = (dp * dp).mean(), (dt * dt).mean()
-        cov = (dp * dt).mean()
-        denom = var_p + var_t + (mu_p - mu_t) ** 2
+        mu_p, mu_t, dp, dt, cov, denom = _ccc_moments(pred[:, d], target[:, d])
         if denom == 0.0:
             continue
         c = 2.0 * cov / denom

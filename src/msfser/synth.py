@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +57,6 @@ class SynthConfig:
     channel_noise: float = 0.05
     target_noise: float = 0.05
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_utts": self.n_utts, "sample_rate": self.sample_rate,
-            "les_dim": self.les_dim, "gs_dim": self.gs_dim,
-            "es_dim": self.es_dim, "base_f0": self.base_f0,
-            "base_amp": self.base_amp, "words_min": self.words_min,
-            "words_max": self.words_max, "word_dur_min": self.word_dur_min,
-            "word_dur_max": self.word_dur_max,
-            "arousal_octaves": self.arousal_octaves,
-            "channel_noise": self.channel_noise,
-            "target_noise": self.target_noise, "seed": self.seed,
-        }
 
 
 def _tone(n: int, sample_rate: int, f0: float, amp: float) -> np.ndarray:
@@ -228,7 +215,7 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 
     manifest = {
         "version": MANIFEST_VERSION,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "splits": {name: sum(1 for _, s, _ in rows if s == name)
                    for name in ("train", "dev", "test")},
     }

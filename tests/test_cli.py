@@ -295,6 +295,9 @@ class TestTrainEval:
         ("--lr", "-1e-3"),
         ("--lr", "nan"),
         ("--weight-decay", "-1e-4"),
+        ("--d-model", "0"),
+        ("--d-model", "-3"),
+        ("--dropout", "1.5"),
     ])
     def test_bad_train_setting_exits_2(self, dataset, tmp_path, capsys,
                                        flag, value):

@@ -2,6 +2,7 @@
 determinism, and the training loop on a small synthetic task."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from msfser.model import (
     TrainConfig,
     UttExample,
     _nonfinite_report,
+    _film_bwd,
+    _fuse_bwd,
+    _moe_bwd,
     _pool_bwd,
     attentive_pool,
     config_hash,
@@ -202,22 +206,42 @@ class TestOpInvariants:
             moe_combine(np.zeros((2, 4, 3)), np.zeros((3, 3)))
 
 
-class TestPoolBackward:
-    def test_matches_finite_differences(self):
+# (forward, backward(cache, *inputs, dy), input shapes); each backward
+# returns one gradient per forward input, in the forward's order.
+OP_BACKWARDS = {
+    "pool": (attentive_pool,
+             lambda cache, h, w, v, dy: _pool_bwd(cache, w, v, dy),
+             [(6, 4), (4, 3), (3, 1)]),
+    "fuse": (gated_fuse,
+             lambda cache, h_l, h_g, w, b, dy: _fuse_bwd(cache, w, dy),
+             [(5, 3), (5, 3), (6, 1), (1, 1)]),
+    "film": (film_modulate,
+             lambda cache, x, cond, w1, b1, w2, b2, dy:
+                 _film_bwd(cache, w1, w2, dy),
+             [(4, 3), (4, 2), (2, 5), (1, 5), (5, 6), (1, 6)]),
+    "moe": (moe_combine,
+            lambda pi, expert_out, logits, dy: _moe_bwd(expert_out, pi, dy),
+            [(3, 5, 2), (2, 3)]),
+}
+
+
+class TestOpBackward:
+    @pytest.mark.parametrize("op", sorted(OP_BACKWARDS))
+    def test_matches_finite_differences(self, op):
+        fwd, bwd, shapes = OP_BACKWARDS[op]
         rng = seeded_rng(27)
-        h = rng.standard_normal((6, 4))
-        w = rng.standard_normal((4, 3))
-        v = rng.standard_normal((3, 1))
-        r = rng.standard_normal(8)
+        inputs = [rng.standard_normal(shape) for shape in shapes]
+        out, cache = fwd(*inputs)
+        r = rng.standard_normal(out.shape)
 
         def loss():
-            pooled, _ = attentive_pool(h, w, v)
-            return float((pooled * r).sum())
+            return float((fwd(*inputs)[0] * r).sum())
 
-        _, cache = attentive_pool(h, w, v)
-        dh, dw, dv = _pool_bwd(cache, w, v, r)
+        grads = bwd(cache, *inputs, r)
+        assert len(grads) == len(inputs)
         eps = 1e-6
-        for arr, grad in ((h, dh), (w, dw), (v, dv)):
+        for arr, grad in zip(inputs, grads):
+            assert np.shape(grad) == arr.shape
             flat = arr.reshape(-1)
             gflat = np.asarray(grad).reshape(-1)
             for i in range(flat.size):
@@ -292,9 +316,14 @@ class TestModelStructure:
         cfg = model.config
         examples = tiny_examples(3, cfg)
         pred, cache = model.forward(make_batch(examples))
+        experts = {name: (film_cache, head_cache)
+                   for name, film_cache, head_cache in cache["experts"]}
+        assert experts["A"][0] is None
+        pooled = experts["A"][1][0]         # expert A's head reads pooled
         for name in ("B", "C"):
-            x = cache["head"][name][0]
-            assert np.array_equal(x, cache["pooled"])
+            film_cache, head_cache = experts[name]
+            assert film_cache[0] is pooled
+            assert np.array_equal(head_cache[0], pooled)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -303,10 +332,20 @@ class TestModelStructure:
             tiny_config(experts=("A", "Z"))
         with pytest.raises(ValueError):
             tiny_config(experts=("A", "A"))
+        for field in ("acoustic_dim", "les_dim", "gs_dim", "es_dim", "d_model",
+                      "att_dim", "film_hidden", "expert_hidden"):
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match=field):
+                    tiny_config(**{field: bad})
+        for bad in (-0.1, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="dropout"):
+                tiny_config(dropout=bad)
+        tiny_config(dropout=0.0)
+        tiny_config(dropout=0.99)
 
     def test_config_round_trip(self):
         cfg = tiny_config(experts=("A", "C"))
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
     def test_config_hash_is_stable(self):
         h1 = config_hash({"a": 1, "b": [2, 3]})

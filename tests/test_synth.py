@@ -2,6 +2,7 @@
 structure that training is later expected to recover."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestGeneration:
         root, manifest = corpus
         on_disk = json.loads((root / "manifest.json").read_text())
         assert on_disk == manifest
-        assert on_disk["config"] == CFG.to_dict()
+        assert on_disk["config"] == asdict(CFG)
 
     def test_bitwise_deterministic(self, tmp_path):
         cfg = SynthConfig(n_utts=12, les_dim=4, gs_dim=4, es_dim=4, seed=5)
