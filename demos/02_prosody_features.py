@@ -54,9 +54,9 @@ print(f"voiced fraction: {track.voiced.mean():.2f}")
 # The model consumes one row per frame:
 #   [log(1+energy), log_f0 (0 when unvoiced), voiced flag, mel bands...]
 feats = acoustic_frames(audio, cfg, n_bands=8, f0_min=70.0, f0_max=450.0)
-print(f"\nacoustic feature matrix: {feats.frames.shape}")
-mid = feats.frames.shape[0] // 2
+print(f"\nacoustic feature matrix: {feats.shape}")
+mid = feats.shape[0] // 2
 labels = ["log1p_energy", "log_f0", "voiced"] + [f"mel_{b}" for b in range(8)]
 print("one voiced frame:")
-for name, value in zip(labels, feats.frames[mid]):
+for name, value in zip(labels, feats[mid]):
     print(f"  {name:>12} = {value:8.4f}")

@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .dsp import (
     AudioBuffer,
     FrameConfig,
-    FrameFeatureSeq,
     ProsodyTrack,
     acoustic_frames,
     estimate_f0,
@@ -75,7 +74,7 @@ __all__ = [
     "__version__",
     "AdamW", "AudioBuffer", "Batch", "CHANNELS", "EmbeddingStore",
     "EmphasisSegment", "EmphasisWeights", "ExtendedInfo", "FrameConfig",
-    "FrameFeatureSeq", "Interval", "LemfConfig", "LemfResult",
+    "Interval", "LemfConfig", "LemfResult",
     "ModelConfig", "MsfSerError", "MsfSerModel", "Param", "ProsodyTrack",
     "SynthConfig", "TextGrid", "Tier", "TrainConfig", "UttExample",
     "WordProsody", "acoustic_frames", "assemble_extended_description",

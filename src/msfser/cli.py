@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -176,10 +176,6 @@ def _parse_experts(text: str) -> tuple[str, ...]:
 _FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
 
 
-def _feature_params(args) -> dict:
-    return {key: getattr(args, key) for key in _FEATURE_KEYS}
-
-
 def _load_split(data_dir, feats: dict, split: str):
     return load_examples(
         data_dir, split=split,
@@ -193,18 +189,21 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             accum_steps=args.accum_steps, lr=args.lr,
                             weight_decay=args.weight_decay, seed=seed)
-    feats = _feature_params(args)
-    train_set = _load_split(args.data, feats, "train")
-    dev_set = _load_split(args.data, feats, "dev") if args.track_dev else None
-
-    first = train_set[0]
+    feats = {key: getattr(args, key) for key in _FEATURE_KEYS}
+    # check the model settings before featurising; the input sizes come
+    # from the data (replace runs the checks again)
     model_cfg = ModelConfig(
-        acoustic_dim=first.frames.shape[1],
-        les_dim=len(first.les), gs_dim=len(first.gs), es_dim=len(first.es),
+        acoustic_dim=1, les_dim=1, gs_dim=1, es_dim=1,
         d_model=args.d_model, att_dim=args.d_model,
         film_hidden=args.d_model, expert_hidden=args.d_model,
         experts=_parse_experts(args.experts),
         dropout=args.dropout, seed=seed)
+    train_set = _load_split(args.data, feats, "train")
+    dev_set = _load_split(args.data, feats, "dev") if args.track_dev else None
+    first = train_set[0]
+    model_cfg = replace(model_cfg, acoustic_dim=first.frames.shape[1],
+                        les_dim=len(first.les), gs_dim=len(first.gs),
+                        es_dim=len(first.es))
 
     model = MsfSerModel(model_cfg)
     log = None

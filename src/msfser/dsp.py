@@ -8,7 +8,8 @@ Talkin 1995) with parabolic peak refinement; among near-equal correlation
 peaks the shortest lag wins, which suppresses subharmonic (octave-down)
 picks.
 
-The tracker is batched: frames are grouped by their lag range (all but the
+Frames are a read-only strided view of the signal, never a copy.  The
+tracker is batched: frames are grouped by their lag range (all but the
 last few frames of a signal share the full range) and each group runs
 through one vectorised kernel in blocks of at most ``_PITCH_BLOCK`` frames,
 which bounds the working set.  The result is bitwise equal to a per-frame
@@ -113,26 +114,6 @@ class ProsodyTrack:
         return len(self.frame_times)
 
 
-@dataclass(frozen=True)
-class FrameFeatureSeq:
-    """Fixed-dimension per-frame feature vectors (T x dim)."""
-
-    frames: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames",
-                           np.asarray(self.frames, dtype=np.float64))
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.dim:
-            raise ValueError(f"frames must be (T, {self.dim}), "
-                             f"got {self.frames.shape}")
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("frame features contain non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
 def _taper(n: int, kind: str) -> np.ndarray:
     if kind == "rectangular":
         return np.ones(n)
@@ -143,20 +124,23 @@ def _taper(n: int, kind: str) -> np.ndarray:
 def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
     """Slice into overlapping frames.
 
-    Returns ``(frames, frame_times)`` where ``frames`` is (T, W) and
-    ``frame_times[i]`` is the center of frame i in seconds.  Raises
-    :class:`SignalTooShort` when the signal is shorter than one window.
+    Returns ``(frames, frame_times)`` where ``frames`` is a (T, W)
+    read-only strided view of the samples and ``frame_times[i]`` is the
+    center of frame i in seconds.  Raises ValueError when the window is
+    under 2 samples and :class:`SignalTooShort` when the signal is
+    shorter than one window.
     """
     x = audio.samples
     sr = audio.sample_rate
     w = cfg.win_samples(sr)
     h = cfg.hop_samples(sr)
+    if w < 2:
+        raise ValueError(f"win_ms={cfg.win_ms} gives a {w}-sample window at "
+                         f"{sr} Hz; need at least 2 samples")
     if len(x) < w:
         raise SignalTooShort(f"signal has {len(x)} samples, window needs {w}")
-    n_frames = (len(x) - w) // h + 1
-    idx = np.arange(w)[None, :] + h * np.arange(n_frames)[:, None]
-    frames = x[idx]
-    times = (h * np.arange(n_frames) + w / 2.0) / sr
+    frames = np.lib.stride_tricks.sliding_window_view(x, w)[::h]
+    times = (h * np.arange(len(frames)) + w / 2.0) / sr
     return frames, times
 
 
@@ -202,7 +186,7 @@ def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
     lag_min..max_lag reached ``threshold``.  Needs max_lag > lag_min + 1.
     """
     span = w + max_lag
-    seg = x[starts[:, None] + np.arange(span)]
+    seg = np.lib.stride_tricks.sliding_window_view(x, span)[starts]
     seg = seg - seg.mean(axis=1, keepdims=True)
 
     n = _fast_len(span + w)
@@ -244,7 +228,8 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
     are grouped by that range and fed to :func:`_pitch_block` in blocks.
     """
     lag_min = max(2, int(math.floor(sr / f0_max)))
-    lag_max = int(math.ceil(sr / f0_min))
+    # no lag reaches past the signal, so a tiny f0_min cannot overflow
+    lag_max = int(math.ceil(min(sr / f0_min, len(x))))
     n = len(rms)
     starts = h * np.arange(n)
     max_lags = np.minimum(lag_max, len(x) - starts - w)
@@ -286,8 +271,9 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     ``_PITCH_BLOCK`` frames.  The output is bitwise equal to running the
     search frame by frame.  The returned track carries the frame spectra.
     """
-    if f0_min >= f0_max:
-        raise ValueError(f"need f0_min < f0_max, got {f0_min} >= {f0_max}")
+    if not 0 < f0_min < f0_max < math.inf:
+        raise ValueError(f"need finite 0 < f0_min < f0_max, got "
+                         f"f0_min={f0_min}, f0_max={f0_max}")
     sr = audio.sample_rate
     if sr < 4 * f0_max:
         raise ValueError(f"sample rate {sr} too low to resolve f0_max={f0_max}")
@@ -317,26 +303,25 @@ def _mel_to_hz(m):
 def mel_filterbank(n_bands: int, n_fft_bins: int, sample_rate: int) -> np.ndarray:
     """Triangular filters (n_bands x n_fft_bins) over the one-sided spectrum."""
     nyquist = sample_rate / 2.0
-    edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(nyquist), n_bands + 2))
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(nyquist), n_bands + 2))
+    lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     bin_hz = np.linspace(0.0, nyquist, n_fft_bins)
-    fb = np.zeros((n_bands, n_fft_bins))
-    for b in range(n_bands):
-        lo, ctr, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
-        up = (bin_hz - lo) / max(ctr - lo, 1e-12)
-        down = (hi - bin_hz) / max(hi - ctr, 1e-12)
-        fb[b] = np.maximum(0.0, np.minimum(up, down))
-    return fb
+    up = (bin_hz - lo) / np.maximum(ctr - lo, 1e-12)
+    down = (hi - bin_hz) / np.maximum(hi - ctr, 1e-12)
+    return np.maximum(0.0, np.minimum(up, down))
 
 
 def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
                     n_bands: int = 16,
                     f0_min: float = 40.0, f0_max: float = 500.0,
-                    voicing_threshold: float = 0.3) -> FrameFeatureSeq:
+                    voicing_threshold: float = 0.3) -> np.ndarray:
     """Per-frame [log-energy, log-F0-or-0, voiced flag, mel bands].
 
-    dim = 3 + n_bands; frame count matches :func:`frame_signal`.  The
-    mel bands reuse the frame spectra of :func:`estimate_f0`.
+    Returns a (T, 3 + n_bands) array; T matches :func:`frame_signal`.
+    The mel bands reuse the frame spectra of :func:`estimate_f0`.
     """
+    if n_bands < 0:
+        raise ValueError(f"n_bands must be >= 0, got {n_bands}")
     track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max,
                         voicing_threshold=voicing_threshold)
     mag = track.spectrum
@@ -348,7 +333,7 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
     feats[:, 1] = np.where(track.voiced, track.log_f0, 0.0)
     feats[:, 2] = track.voiced.astype(np.float64)
     feats[:, 3:] = mel
-    return FrameFeatureSeq(frames=feats, dim=3 + n_bands)
+    return feats
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,8 @@ def select_emphasis_indices(scores, mode: str = "adjacent",
         start = min(max(m - 1, 0), n - 3)
         return (start, start + 1, start + 2)
     if mode == "topk":
+        if k < 1:
+            raise ValueError(f"topk mode needs k >= 1, got k={k}")
         order = np.argsort(-scores, kind="stable")
         return tuple(sorted(int(i) for i in order[:min(k, n)]))
     raise ValueError(f"unknown segment mode {mode!r}")
@@ -225,20 +227,18 @@ def analyze_words(track: ProsodyTrack, words, phones_per_word,
     z_energy = zscore_normalize(energy_col)
     z_duration = zscore_normalize(duration_col)
 
-    out = []
-    for i, w in enumerate(words):
-        score = (weights.alpha * z_pitch[i] + weights.beta * z_energy[i]
-                 + weights.gamma * z_duration[i])
-        out.append(WordProsody(
+    scores = (weights.alpha * z_pitch + weights.beta * z_energy
+              + weights.gamma * z_duration)
+    return tuple(
+        WordProsody(
             word=w.label, interval=w,
             f_pitch=float(pitch_col[i]), f_energy=float(energy_col[i]),
             f_duration=float(duration_col[i]),
             z_pitch=float(z_pitch[i]), z_energy=float(z_energy[i]),
             z_duration=float(z_duration[i]),
-            score=float(score),
-            pitch_defined=pitches[i] is not None,
-        ))
-    return tuple(out)
+            score=float(scores[i]),
+            pitch_defined=pitches[i] is not None)
+        for i, w in enumerate(words))
 
 
 def run_lemf(audio: AudioBuffer, tg: TextGrid,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -509,10 +510,11 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.accum_steps < 1:
             raise ValueError(f"accum_steps must be >= 1, got {self.accum_steps}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,

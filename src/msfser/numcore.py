@@ -151,43 +151,45 @@ def dropout_bwd(mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------- CCC
 
 def _ccc_moments(p: np.ndarray, t: np.ndarray):
-    """(mu_p, mu_t, dp, dt, cov, denom) of Lin's CCC, population moments."""
-    mu_p, mu_t = p.mean(), t.mean()
-    # A constant sequence has exactly zero residuals; computing them as
-    # value - mean would leave rounding dust and a not-quite-zero score.
-    dp = np.zeros_like(p) if np.all(p == p[0]) else p - mu_p
-    dt = np.zeros_like(t) if np.all(t == t[0]) else t - mu_t
-    cov = (dp * dt).mean()
-    denom = (dp * dp).mean() + (dt * dt).mean() + (mu_p - mu_t) ** 2
-    return mu_p, mu_t, dp, dt, cov, denom
+    """(gap, dp, dt, cov, denom) of Lin's CCC for each column of (N, D) inputs.
 
-
-def ccc(pred: np.ndarray, target: np.ndarray) -> float:
-    """Lin's concordance correlation, population moments.
-
-    Two identical constant sequences are in perfect agreement (1.0); the
-    degenerate zero denominator only happens in exactly that case.
+    gap = mu_p - mu_t; dp, dt are (D, N) residuals; population moments.
+    Each column is reduced as a contiguous row, as a 1-D reduction would.
     """
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    target = np.asarray(target, dtype=np.float64).ravel()
-    if pred.shape != target.shape:
-        raise ShapeMismatch(
-            f"ccc: got {pred.shape} predictions vs {target.shape} targets")
-    if pred.size == 0:
-        raise ShapeMismatch("ccc: empty input")
-    *_, cov, denom = _ccc_moments(pred, target)
-    if denom == 0.0:
-        return 1.0
-    return float(2.0 * cov / denom)
+    p, t = np.ascontiguousarray(p.T), np.ascontiguousarray(t.T)
+    mu_p = p.mean(axis=1, keepdims=True)
+    mu_t = t.mean(axis=1, keepdims=True)
+    # A constant column has exactly zero residuals; computing them as
+    # value - mean would leave rounding dust and a not-quite-zero score.
+    dp = np.where(np.all(p == p[:, :1], axis=1, keepdims=True), 0.0, p - mu_p)
+    dt = np.where(np.all(t == t[:, :1], axis=1, keepdims=True), 0.0, t - mu_t)
+    gap = (mu_p - mu_t)[:, 0]
+    cov = (dp * dt).mean(axis=1)
+    denom = (dp * dp).mean(axis=1) + (dt * dt).mean(axis=1) + gap * gap
+    return gap, dp, dt, cov, denom
 
 
 def ccc_columns(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Lin's concordance correlation of each column, population moments.
+
+    Two identical constant columns are in perfect agreement (1.0); the
+    degenerate zero denominator only happens in exactly that case.
+    """
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if pred.shape != target.shape:
-        raise ShapeMismatch(
-            f"ccc_columns: shape {pred.shape} vs {target.shape}")
-    return np.array([ccc(pred[:, d], target[:, d]) for d in range(pred.shape[1])])
+        raise ShapeMismatch(f"ccc: shape {pred.shape} vs {target.shape}")
+    if len(pred) == 0:
+        raise ShapeMismatch("ccc: empty input")
+    *_, cov, denom = _ccc_moments(pred, target)
+    ok = denom != 0.0
+    return np.where(ok, 2.0 * cov / np.where(ok, denom, 1.0), 1.0)
+
+
+def ccc(pred: np.ndarray, target: np.ndarray) -> float:
+    """Lin's concordance correlation of two sequences; see :func:`ccc_columns`."""
+    column = lambda a: np.asarray(a, dtype=np.float64).reshape(-1, 1)
+    return float(ccc_columns(column(pred), column(target))[0])
 
 
 def ccc_loss(pred: np.ndarray, target: np.ndarray):
@@ -202,18 +204,15 @@ def ccc_loss(pred: np.ndarray, target: np.ndarray):
         raise ShapeMismatch(
             f"ccc_loss: need matching 2-D arrays, got {pred.shape} vs {target.shape}")
     n = pred.shape[0]
-    loss = 0.0
+    gap, dp, dt, cov, denom = _ccc_moments(pred, target)
+    ok = denom != 0.0
+    denom, cov, gap = denom[ok, None], cov[ok, None], gap[ok, None]
+    loss = np.sum(1.0 - 2.0 * cov / denom)
+    dcov = dt[ok] / n
+    ddenom = 2.0 * dp[ok] / n + 2.0 * gap / n
+    dc = (2.0 * dcov * denom - 2.0 * cov * ddenom) / (denom * denom)
     dpred = np.zeros_like(pred)
-    for d in range(pred.shape[1]):
-        mu_p, mu_t, dp, dt, cov, denom = _ccc_moments(pred[:, d], target[:, d])
-        if denom == 0.0:
-            continue
-        c = 2.0 * cov / denom
-        loss += 1.0 - c
-        dcov = dt / n
-        ddenom = 2.0 * dp / n + 2.0 * (mu_p - mu_t) / n
-        dc = (2.0 * dcov * denom - 2.0 * cov * ddenom) / (denom * denom)
-        dpred[:, d] = -dc
+    dpred[:, ok] = -dc.T
     return float(loss), dpred
 
 

@@ -58,6 +58,14 @@ class SynthConfig:
     target_noise: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("sample_rate", "les_dim", "gs_dim", "es_dim"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.words_min > self.words_max:
+            raise ValueError(f"need words_min <= words_max, got "
+                             f"{self.words_min} > {self.words_max}")
+
 
 def _tone(n: int, sample_rate: int, f0: float, amp: float) -> np.ndarray:
     """Two-harmonic burst with raised-cosine attack and release."""
@@ -227,9 +235,10 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 def read_targets_csv(path) -> list[dict]:
     """Rows of {utt_id, split, target (3,)} in file order.
 
-    A non-finite valence, arousal or dominance raises MalformedRecord.
+    A row with a missing column, a repeated utt_id, or a non-finite
+    valence, arousal or dominance raises MalformedRecord.
     """
-    rows = []
+    rows, seen = [], set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         need = {"utt_id", "split", "valence", "arousal", "dominance"}
@@ -237,13 +246,17 @@ def read_targets_csv(path) -> list[dict]:
             raise MalformedRecord(
                 f"{path}: targets CSV must have columns {sorted(need)}")
         for rec in reader:
+            utt_id = rec["utt_id"]
+            if utt_id in seen or any(rec[key] is None for key in need):
+                what = "is listed twice" if utt_id in seen else "lacks columns"
+                raise MalformedRecord(f"{path}: utterance {utt_id!r} {what}")
+            seen.add(utt_id)
             target = np.array([float(rec["valence"]), float(rec["arousal"]),
                                float(rec["dominance"])])
             if not np.all(np.isfinite(target)):
-                raise MalformedRecord(
-                    f"{path}: utterance {rec['utt_id']!r} has a non-finite "
-                    f"target {target.tolist()}")
-            rows.append({"utt_id": rec["utt_id"], "split": rec["split"],
+                raise MalformedRecord(f"{path}: utterance {utt_id!r} has a "
+                                      f"non-finite target {target.tolist()}")
+            rows.append({"utt_id": utt_id, "split": rec["split"],
                          "target": target})
     return rows
 
@@ -265,10 +278,10 @@ def load_examples(data_dir, split: str | None = None,
     for rec in rows:
         utt_id = rec["utt_id"]
         audio = read_wav(root / "wavs" / f"{utt_id}.wav")
-        feats = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
-                                f0_min=f0_min, f0_max=f0_max)
+        frames = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
+                                 f0_min=f0_min, f0_max=f0_max)
         examples.append(UttExample(
-            utt_id=utt_id, frames=feats.frames,
+            utt_id=utt_id, frames=frames,
             les=store.get(utt_id, "les"), gs=store.get(utt_id, "gs"),
             es=store.get(utt_id, "es"), target=rec["target"]))
     return examples

@@ -125,6 +125,25 @@ class TestEmphasis:
         assert doc["segment"]["mode"] == "topk"
         assert len(doc["segment"]["indices"]) == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--win-ms", "0.01", "--hop-ms", "0.01"], "win_ms"),
+        (["--f0-min", "0"], "f0_min"),
+        (["--f0-min", "-5"], "f0_min"),
+        (["--f0-max", "inf"], "f0_max"),
+        (["--mode", "topk", "--k", "0"], "k=0"),
+        (["--mode", "topk", "--k", "-2"], "k=-2"),
+    ])
+    def test_bad_setting_exits_2(self, emphasis_files, tmp_path, capsys,
+                                 flags, field):
+        wav, grid, _ = emphasis_files
+        out = tmp_path / "emph.json"
+        code = main(["emphasis", "--wav", str(wav), "--grid", str(grid),
+                     "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_missing_wav_exits_2(self, emphasis_files, capsys):
         _, grid, _ = emphasis_files
         assert main(["emphasis", "--wav", "/nonexistent.wav",
@@ -161,6 +180,17 @@ class TestSynth:
     def test_invalid_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MSFSER_SEED", "banana")
         assert main(["synth", "--out", str(tmp_path / "x"), "--n", "10"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sample-rate", "0"), ("--les-dim", "0"), ("--es-dim", "-2"),
+    ])
+    def test_bad_setting_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        code = main(["synth", "--out", str(out), "--n", "10", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestTrainEval:
@@ -269,6 +299,25 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("row, utt_id", [
+        ("utt_0099,train,0.1", "'utt_0099'"),            # short row
+        ("utt_0000,dev,0.1,0.2,0.3", "'utt_0000'"),      # repeated id
+    ])
+    def test_malformed_target_row_exits_2(self, dataset, tmp_path, capsys,
+                                          row, utt_id):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        with open(data / "targets.csv", "a") as fh:
+            fh.write(row + "\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "targets.csv" in err
+        assert utt_id in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_nonfinite_target_exits_2(self, dataset, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
@@ -298,6 +347,10 @@ class TestTrainEval:
         ("--d-model", "0"),
         ("--d-model", "-3"),
         ("--dropout", "1.5"),
+        ("--n-bands", "-1"),
+        ("--lr", "inf"),
+        ("--weight-decay", "inf"),
+        ("--experts", "5"),
     ])
     def test_bad_train_setting_exits_2(self, dataset, tmp_path, capsys,
                                        flag, value):
@@ -309,6 +362,16 @@ class TestTrainEval:
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_model_settings_checked_before_featurising(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def no_features(*args, **kwargs):
+            raise AssertionError("featurised before checking the settings")
+        monkeypatch.setattr("msfser.cli._load_split", no_features)
+        code = main(["train", "--data", str(dataset), "--out",
+                     str(tmp_path / "run"), "--quiet", "--experts", "5"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "experts" in err
 
 
 class TestEmbed:

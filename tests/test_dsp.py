@@ -87,9 +87,26 @@ class TestFraming:
         assert times[0] == 10.0 / 1000.0
         assert times[3] == (30 + 10.0) / 1000.0
 
+    def test_frames_are_a_readonly_view_equal_to_a_gather(self):
+        audio = AudioBuffer(np.random.default_rng(7).standard_normal(3001), SR)
+        for win_ms, hop_ms in ((20.0, 5.0), (25.0, 10.0), (8.0, 8.0)):
+            cfg = FrameConfig(win_ms=win_ms, hop_ms=hop_ms)
+            frames, _ = frame_signal(audio, cfg)
+            w, h = cfg.win_samples(SR), cfg.hop_samples(SR)
+            idx = np.arange(w)[None, :] + h * np.arange(len(frames))[:, None]
+            assert frames.tobytes() == audio.samples[idx].tobytes()
+            assert np.shares_memory(frames, audio.samples)
+            assert not frames.flags.writeable
+
     def test_too_short_signal(self):
         with pytest.raises(SignalTooShort):
             frame_signal(AudioBuffer(np.zeros(100), SR), FrameConfig())
+
+    def test_window_under_two_samples(self):
+        audio = AudioBuffer(np.zeros(100), SR)
+        for win_ms in (0.01, 0.07):     # 0 and 1 samples at 16 kHz
+            with pytest.raises(ValueError, match="win_ms"):
+                frame_signal(audio, FrameConfig(win_ms=win_ms, hop_ms=win_ms))
 
     def test_frame_config_validation(self):
         with pytest.raises(ValueError):
@@ -187,8 +204,13 @@ class TestF0:
         assert not track.voiced[outside].any()
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            estimate_f0(tone(200.0), FrameConfig(), f0_min=300.0, f0_max=200.0)
+        for f0_min, f0_max in ((300.0, 200.0), (0.0, 400.0), (-5.0, 400.0),
+                               (float("nan"), 400.0), (70.0, float("inf"))):
+            with pytest.raises(ValueError, match="f0_min"):
+                estimate_f0(tone(200.0), FrameConfig(), f0_min=f0_min,
+                            f0_max=f0_max)
+        # the smallest positive f0_min: the lag range stops at the signal end
+        assert estimate_f0(tone(200.0), FrameConfig(), f0_min=5e-324).voiced.any()
         with pytest.raises(ValueError):
             estimate_f0(AudioBuffer(np.zeros(4000), 1000), FrameConfig(),
                         f0_max=400.0)
@@ -232,7 +254,7 @@ class TestMel:
         centers = mel_band_centers(8, SR)
         target = 2                        # aim at band 2's center
         audio = tone(centers[target], dur=0.1, harmonic=0.0)
-        bands = acoustic_frames(audio, FrameConfig(), n_bands=8).frames[0, 3:]
+        bands = acoustic_frames(audio, FrameConfig(), n_bands=8)[0, 3:]
         assert bands.shape == (8,)
         assert np.all(bands >= 0.0)
         assert abs(int(np.argmax(bands)) - target) <= 1
@@ -246,18 +268,22 @@ class TestMel:
             frames, _ = frame_signal(audio, cfg)
             want = np.array([mel_band_energies(f, SR, 12, window)
                              for f in frames])
-            assert np.allclose(feats.frames[:, 3:], want, rtol=1e-12, atol=0)
+            assert np.allclose(feats[:, 3:], want, rtol=1e-12, atol=0)
+
+    def test_negative_band_count_rejected(self):
+        with pytest.raises(ValueError, match="n_bands"):
+            acoustic_frames(tone(200.0), FrameConfig(), n_bands=-1)
+        assert acoustic_frames(tone(200.0), FrameConfig(), n_bands=0).shape[1] == 3
 
     def test_acoustic_frames_layout(self):
         audio = tone(200.0, dur=0.3)
         feats = acoustic_frames(audio, FrameConfig(), n_bands=8)
-        assert feats.dim == 11
-        assert feats.frames.shape[1] == 11
-        voiced_col = feats.frames[:, 2]
+        assert feats.shape == (len(frame_signal(audio, FrameConfig())[0]), 11)
+        voiced_col = feats[:, 2]
         assert set(np.unique(voiced_col)) <= {0.0, 1.0}
         # log-F0 column is zeroed exactly where unvoiced
-        assert np.all(feats.frames[voiced_col == 0.0, 1] == 0.0)
-        assert np.all(feats.frames[voiced_col == 1.0, 1] > 0.0)
+        assert np.all(feats[voiced_col == 0.0, 1] == 0.0)
+        assert np.all(feats[voiced_col == 1.0, 1] > 0.0)
 
 
 def wav_chunk(chunk_id: bytes, payload: bytes) -> bytes:

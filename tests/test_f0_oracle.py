@@ -178,7 +178,7 @@ class TestAgainstScalarOracle:
             got = acoustic_frames(audio, FrameConfig(), n_bands=8,
                                   f0_min=70.0, f0_max=450.0)
             want = oracle_acoustic_frames(audio, FrameConfig(), 8, 70.0, 450.0)
-            assert got.frames.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
 
     def test_short_lag_range_tail_frames(self):
         # w=320, h=80, lag range 35..229: the last frame has 20 samples of
@@ -250,7 +250,7 @@ def test_batched_features_bitwise_equal_scalar_oracle(case):
     want = scalar_estimate_f0(audio, cfg, f0_min, f0_max)
     assert_tracks_bitwise_equal(got, want)
     feats = acoustic_frames(audio, cfg, n_bands=8, f0_min=f0_min, f0_max=f0_max)
-    assert feats.frames.tobytes() == oracle_acoustic_frames(
+    assert feats.tobytes() == oracle_acoustic_frames(
         audio, cfg, 8, f0_min, f0_max, track=want).tobytes()
     tail = (max_lags > lag_min + 1) & (max_lags < lag_max)
     if tail.any():

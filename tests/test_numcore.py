@@ -235,6 +235,49 @@ def ccc_oracle(p, t):
     return 1.0 if denom == 0.0 else 2.0 * cov / denom
 
 
+def per_column_ccc_loss(pred, target):
+    """The CCC loss one column at a time: the oracle for ccc_loss.
+
+    Same moments, constant-column rule and gradient as ccc_loss, but
+    each column is a strided 1-D slice and the mean gap is squared with
+    ``** 2`` (numpy's scalar power, which may differ from gap * gap in
+    the last bit).
+    """
+    n = pred.shape[0]
+    loss = 0.0
+    dpred = np.zeros_like(pred)
+    for d in range(pred.shape[1]):
+        p, t = pred[:, d], target[:, d]
+        mu_p, mu_t = p.mean(), t.mean()
+        dp = np.zeros_like(p) if np.all(p == p[0]) else p - mu_p
+        dt = np.zeros_like(t) if np.all(t == t[0]) else t - mu_t
+        cov = (dp * dt).mean()
+        denom = (dp * dp).mean() + (dt * dt).mean() + (mu_p - mu_t) ** 2
+        if denom == 0.0:
+            continue
+        loss += 1.0 - 2.0 * cov / denom
+        dcov = dt / n
+        ddenom = 2.0 * dp / n + 2.0 * (mu_p - mu_t) / n
+        dpred[:, d] = -(2.0 * dcov * denom - 2.0 * cov * ddenom) / (denom * denom)
+    return loss, dpred
+
+
+def ccc_draws(seed, count):
+    """Seeded (pred, target) pairs; some columns are constant or both equal."""
+    rng = seeded_rng(seed)
+    for _ in range(count):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        p = rng.standard_normal((n, d)) * rng.uniform(0.01, 10.0)
+        t = rng.standard_normal((n, d)) + rng.uniform(-2.0, 2.0)
+        if rng.random() < 0.2:
+            p[:, 0] = p[0, 0]
+        if rng.random() < 0.2:
+            t[:, -1] = 1.5
+        if rng.random() < 0.1:
+            p[:, 0] = t[:, 0] = 1.5
+        yield p, t
+
+
 class TestCcc:
     def test_worked_example(self):
         # pred [1,2,3] vs target [2,4,6]: 2*cov = 8/3, denom = 22/3
@@ -279,12 +322,10 @@ class TestCcc:
         assert abs(ccc(p, t)) <= 1.0 + 1e-9
 
     def test_columns(self):
-        rng = seeded_rng(12)
-        p = rng.standard_normal((9, 3))
-        t = rng.standard_normal((9, 3))
-        cols = ccc_columns(p, t)
-        for d in range(3):
-            assert cols[d] == ccc(p[:, d], t[:, d])
+        for p, t in ccc_draws(12, 200):
+            cols = ccc_columns(p, t)
+            for d in range(p.shape[1]):
+                assert cols[d] == ccc(p[:, d], t[:, d])
 
 
 class TestCccLoss:
@@ -317,6 +358,25 @@ class TestCccLoss:
         loss, grad = ccc_loss(np.zeros((4, 1)), t)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros((4, 1)))
+
+    def test_degenerate_column_among_others(self):
+        rng = seeded_rng(16)
+        p, t = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        p[:, 1] = t[:, 1] = 0.7
+        loss, grad = ccc_loss(p, t)
+        assert np.array_equal(grad[:, 1], np.zeros(6))
+        assert ccc_columns(p, t)[1] == 1.0
+        keep = [0, 2]
+        want_loss, want_grad = ccc_loss(p[:, keep], t[:, keep])
+        assert loss == want_loss
+        assert np.array_equal(grad[:, keep], want_grad)
+
+    def test_matches_per_column_oracle(self):
+        for p, t in ccc_draws(17, 2000):
+            loss, grad = ccc_loss(p, t)
+            want_loss, want_grad = per_column_ccc_loss(p, t)
+            assert abs(loss - want_loss) <= 1e-14
+            assert np.all(np.abs(grad - want_grad) <= 1e-14 * np.abs(want_grad))
 
 
 def adamw_oracle(w0, grads, lr, b1, b2, eps, wd):

@@ -83,6 +83,14 @@ class TestGeneration:
         generate_dataset(b, cfg2)
         assert (a / "targets.csv").read_bytes() != (b / "targets.csv").read_bytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate", 0), ("sample_rate", -8000), ("les_dim", 0),
+        ("gs_dim", -1), ("es_dim", 0), ("words_min", 9),
+    ])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: value})
+
     def test_too_few_utterances(self, tmp_path):
         with pytest.raises(TooFewUtterances):
             generate_dataset(tmp_path / "x", SynthConfig(n_utts=5))
@@ -207,6 +215,23 @@ class TestLoading:
                         "u0,train,0.1,0.2,0.3\n"
                         f"u1,train,0.1,{value},0.3\n")
         with pytest.raises(MalformedRecord, match="'u1'"):
+            read_targets_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_text("utt_id,split,valence,arousal,dominance\n"
+                        "u0,train,0.1,0.2,0.3\n"
+                        "u1,train,0.1\n")
+        with pytest.raises(MalformedRecord, match="targets.csv.*'u1'"):
+            read_targets_csv(path)
+
+    def test_repeated_utterance_rejected(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_text("utt_id,split,valence,arousal,dominance\n"
+                        "u0,train,0.1,0.2,0.3\n"
+                        "u1,dev,0.1,0.2,0.3\n"
+                        "u0,test,0.4,0.5,0.6\n")
+        with pytest.raises(MalformedRecord, match="targets.csv.*'u0'"):
             read_targets_csv(path)
 
     def test_load_examples_split_filtering(self, corpus):
