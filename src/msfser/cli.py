@@ -43,8 +43,8 @@ from .model import (
     eval_report,
     train_model,
 )
-from .numcore import load_checkpoint, save_checkpoint
-from .synth import SynthConfig, generate_dataset, load_examples
+from .numcore import finite_json, load_checkpoint, save_checkpoint
+from .synth import F0_MAX, SynthConfig, generate_dataset, load_examples
 from .textgrid import read_textgrid_file
 
 _PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch)
@@ -142,7 +142,7 @@ def _cmd_emphasis(args) -> int:
     )
     result = run_lemf(audio, tg, cfg)
     doc = words_to_json(Path(args.wav).stem, result)
-    payload = json.dumps(doc, indent=2) + "\n"
+    payload = finite_json(doc, args.out or "stdout", indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
@@ -162,7 +162,7 @@ def _cmd_synth(args) -> int:
                       sample_rate=args.sample_rate, les_dim=args.les_dim,
                       gs_dim=args.gs_dim, es_dim=args.es_dim)
     manifest = generate_dataset(args.out, cfg)
-    sys.stdout.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(finite_json(manifest, "stdout", indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -220,16 +220,17 @@ def _cmd_train(args) -> int:
     save_checkpoint(model.params_dict(), out / "checkpoint.json")
     run_cfg = {"model": asdict(model_cfg), "train": asdict(train_cfg),
                "features": feats}
-    (out / "train_config.json").write_text(
-        json.dumps(run_cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out / "history.json").write_text(
-        json.dumps(history, indent=1) + "\n", encoding="utf-8")
+    cfg_path, history_path = out / "train_config.json", out / "history.json"
+    cfg_path.write_text(finite_json(run_cfg, cfg_path, indent=2, sort_keys=True)
+                        + "\n", encoding="utf-8")
+    history_path.write_text(finite_json(history, history_path, indent=1) + "\n",
+                            encoding="utf-8")
     if args.svg:
         _write_history_svg(args.svg, history)
-    sys.stdout.write(json.dumps({
+    sys.stdout.write(finite_json({
         "out": str(out), "epochs": len(history),
         "final_train_loss": history[-1]["train_loss"],
-        "n_params": model.n_params}) + "\n")
+        "n_params": model.n_params}, "stdout") + "\n")
     return 0
 
 
@@ -260,7 +261,8 @@ def _cmd_eval(args) -> int:
                          extra_config={"train": run_cfg["train"],
                                        "features": run_cfg["features"],
                                        "split": args.split})
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = finite_json(report, args.out or "stdout", indent=2,
+                          sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     sys.stdout.write(payload)
@@ -286,8 +288,8 @@ def _cmd_embed(args) -> int:
                       toy_embedding(text, args.dim, args.channel))
             n += 1
     store.save_jsonl(args.out)
-    sys.stdout.write(json.dumps({"written": n, "channel": args.channel,
-                                 "dim": args.dim, "out": args.out}) + "\n")
+    sys.stdout.write(finite_json({"written": n, "channel": args.channel,
+                                  "dim": args.dim, "out": args.out}, "stdout") + "\n")
     return 0
 
 
@@ -322,7 +324,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
         p.add_argument("--win-ms", type=float, default=20.0)
         p.add_argument("--hop-ms", type=float, default=5.0)
         p.add_argument("--f0-min", type=float, default=70.0)
-        p.add_argument("--f0-max", type=float, default=450.0)
+        p.add_argument("--f0-max", type=float, default=F0_MAX)
         if n_bands:
             p.add_argument("--n-bands", type=int, default=8)
 

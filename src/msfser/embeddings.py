@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatch, DuplicateKey, MalformedRecord, MissingEmbedding
+from .numcore import finite_json
 
 CHANNELS = ("les", "gs", "es")
 
@@ -122,9 +123,9 @@ class EmbeddingStore:
         lines = []
         for (utt_id, channel) in sorted(self._vectors):
             vec = self._vectors[(utt_id, channel)]
-            lines.append(json.dumps(
+            lines.append(finite_json(
                 {"id": utt_id, "channel": channel, "vector": vec.tolist()},
-                separators=(",", ":")))
+                path, separators=(",", ":")))
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                               encoding="utf-8")
 

@@ -22,6 +22,12 @@ modulation is learned.  Training minimizes sum_d (1 - CCC_d) with AdamW
 and gradient accumulation.  Each op's hand-written backward sits beside
 its forward and reads only its cache and weights; MsfSerModel.backward
 chains them, and each is verifiable by central finite differences.
+
+The encoder and attentive pooling run once per utterance, so their
+backward is the hot loop: it adds each utterance's att.* and enc.*
+gradients straight into the Param.grad views, takes the encoder's tanh
+backward from the h*h that pooling cached, and never forms the
+encoder's input gradient, which nothing reads.
 """
 
 from __future__ import annotations
@@ -157,36 +163,36 @@ def attentive_pool(h: np.ndarray, att_w: np.ndarray, att_v: np.ndarray):
 
     h is (T, d); the result is (2d,) = [weighted mean; weighted std],
     with the weighted variance floored at 0 before the +1e-9 stabilizer.
-    Returns (pooled, cache).
+    The attention weights a are a (T,) vector and each moment is one
+    matrix-vector product.  Returns (pooled, cache); the cache starts
+    with h and h*h, which the encoder's backward reads too.
     """
-    u = tanh_fwd(h @ att_w)                     # (T, att_dim)
-    s = u @ att_v                               # (T, 1)
-    a = softmax(s, axis=0)
-    m1 = (a * h).sum(axis=0)                    # (d,)
-    m2 = (a * h * h).sum(axis=0)
-    raw = m2 - m1 * m1
+    u = h @ att_w                               # (T, att_dim)
+    np.tanh(u, out=u)
+    a = softmax(u @ att_v[:, 0], axis=0)        # (T,)
+    hh = h * h
+    m1 = a @ h                                  # (d,)
+    raw = a @ hh - m1 * m1
     pos = raw > 0.0
     sd = np.sqrt(np.where(pos, raw, 0.0) + VAR_FLOOR)
     pooled = np.concatenate([m1, sd])
-    return pooled, (h, u, a, m1, sd, pos)
+    return pooled, (h, hh, u, a, m1, sd, pos)
 
 
 def _pool_bwd(cache, att_w: np.ndarray, att_v: np.ndarray, dpooled: np.ndarray):
-    h, u, a, m1, sd, pos = cache
+    h, hh, u, a, m1, sd, pos = cache
     d = h.shape[1]
-    dm1 = dpooled[:d].copy()
-    dvar = (dpooled[d:] / (2.0 * sd)) * pos
-    dm2 = dvar
-    dm1 += -2.0 * m1 * dvar
-    dh = a * dm1[None, :] + a * (2.0 * h) * dm2[None, :]
-    da = (h @ dm1 + (h * h) @ dm2)[:, None]
-    ds = softmax_bwd(a, da, axis=0)
-    datt_v = u.T @ ds
-    du = ds @ att_v.T
-    dz = tanh_bwd(u, du)
-    datt_w = h.T @ dz
-    dh += dz @ att_w.T
-    return dh, datt_w, datt_v
+    dm2 = (dpooled[d:] / (2.0 * sd)) * pos      # d(var) = d(m2)
+    dm1 = dpooled[:d] - 2.0 * m1 * dm2
+    ds = softmax_bwd(a, h @ dm1 + hh @ dm2, axis=0)
+    datt_v = (ds @ u)[:, None]
+    dz = u * u                                  # tanh backward, in place:
+    np.subtract(1.0, dz, out=dz)                # dz = (1 - u^2) * ds v^T
+    dz *= ds[:, None]
+    dz *= att_v[:, 0]
+    dh = dz @ att_w.T
+    dh += a[:, None] * (dm1 + h * (2.0 * dm2))
+    return dh, h.T @ dz, datt_v
 
 
 def gated_fuse(h_l: np.ndarray, h_g: np.ndarray,
@@ -407,12 +413,15 @@ class MsfSerModel:
         if train and cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
 
+        enc_w, enc_b, att_w, att_v = map(v, ("enc.w", "enc.b", "att.w", "att.v"))
         pooled_rows, enc = [], []
         for fr in batch.frames:
-            h = tanh_fwd(self._dense(fr, "enc"))
-            pooled, pool_cache = attentive_pool(h, v("att.w"), v("att.v"))
+            h = fr @ enc_w
+            h += enc_b
+            np.tanh(h, out=h)
+            pooled, pool_cache = attentive_pool(h, att_w, att_v)
             pooled_rows.append(pooled)
-            enc.append((h, pool_cache))
+            enc.append(pool_cache)
         pooled = np.stack(pooled_rows)              # (B, 2d)
 
         cond, sem, fuse_cache = {}, {}, None
@@ -469,10 +478,17 @@ class MsfSerModel:
         for key, h in cache["sem"].items():
             self._dense_bwd(getattr(batch, key), key, tanh_bwd(h, dsem[key]))
 
-        for fr, (h, pool_cache), dp in zip(batch.frames, cache["enc"], dpooled):
-            dh, *datt = _pool_bwd(pool_cache, v("att.w"), v("att.v"), dp)
-            self._add_grads(("att.w", "att.v"), datt)
-            self._dense_bwd(fr, "enc", tanh_bwd(h, dh))
+        # The encoder's input gradient is never needed, so it is not formed.
+        att_w, att_v = v("att.w"), v("att.v")
+        g_att_w, g_att_v, g_enc_w, g_enc_b = (self._params[name].grad for name in (
+            "att.w", "att.v", "enc.w", "enc.b"))
+        for fr, pool_cache, dp in zip(batch.frames, cache["enc"], dpooled):
+            dz, datt_w, datt_v = _pool_bwd(pool_cache, att_w, att_v, dp)
+            g_att_w += datt_w
+            g_att_v += datt_v
+            dz *= 1.0 - pool_cache[1]               # tanh backward; [1] is h*h
+            g_enc_w += fr.T @ dz
+            g_enc_b += np.ones(len(dz)) @ dz        # column sums; .sum(0) is slower
 
     # ------------------------------------------------- loss / predict
 

@@ -3,9 +3,10 @@
 Everything the regression model needs lives here: affine maps, pointwise
 nonlinearities, row softmax, layer normalization, inverted dropout, the
 concordance correlation coefficient (CCC) and its loss, AdamW, central
-finite-difference gradient checking, and a JSON checkpoint format.  All
-arrays are float64 and gradients are exact analytic expressions, so the
-model is verifiable against finite differences to tight tolerances.
+finite-difference gradient checking, a JSON checkpoint format, and the
+JSON encoder every artifact goes through, which refuses NaN and infinity.
+All arrays are float64 and gradients are exact analytic expressions, so
+the model is verifiable against finite differences to tight tolerances.
 
 Conventions: data is row-major, one sample per row.  Parameters are 2-D
 (biases are shaped (1, n)) named views into one flat vector of values
@@ -89,13 +90,12 @@ def tanh_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
+    ex = np.exp(x - x.max(axis=axis, keepdims=True))
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
 def softmax_bwd(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = np.sum(dy * y, axis=axis, keepdims=True)
+    inner = (dy * y).sum(axis=axis, keepdims=True)
     return y * (dy - inner)
 
 
@@ -204,6 +204,8 @@ def ccc_loss(pred: np.ndarray, target: np.ndarray):
         raise ShapeMismatch(
             f"ccc_loss: need matching 2-D arrays, got {pred.shape} vs {target.shape}")
     n = pred.shape[0]
+    if n == 0:
+        raise ShapeMismatch("ccc: empty input")
     gap, dp, dt, cov, denom = _ccc_moments(pred, target)
     ok = denom != 0.0
     denom, cov, gap = denom[ok, None], cov[ok, None], gap[ok, None]
@@ -282,6 +284,18 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
 
 # ------------------------------------------------------------ checkpoints
 
+def finite_json(obj, where, **kwargs) -> str:
+    """json.dumps(obj, **kwargs) for an artifact or report named by where.
+
+    A NaN or infinity anywhere in obj raises NumericalFailure naming
+    where; finite values encode exactly as json.dumps encodes them.
+    """
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalFailure(f"{where}: {exc}") from exc
+
+
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
     """Write named parameter values as versioned JSON (bitwise round-trip)."""
     blob = {"version": CHECKPOINT_VERSION, "params": {}}
@@ -294,7 +308,7 @@ def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
             "cols": arr.shape[1],
             "data": arr.reshape(-1).tolist(),
         }
-    Path(path).write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n",
+    Path(path).write_text(finite_json(blob, path, indent=1, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 

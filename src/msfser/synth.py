@@ -21,7 +21,6 @@ All randomness flows from one PCG64 seed; outputs are byte-stable.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -32,12 +31,13 @@ from .dsp import AudioBuffer, FrameConfig, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore
 from .errors import MalformedRecord, TooFewUtterances
 from .model import UttExample
-from .numcore import seeded_rng
+from .numcore import finite_json, seeded_rng
 from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
 
 SILENCE_GAP_S = 0.05
 SYLLABLES = ("ba", "da", "ga", "ka", "ma", "na", "pa", "ta")
 MANIFEST_VERSION = "msf-ser-synth-v1"
+F0_MAX = 450.0          # the default upper pitch bound for featurising a corpus
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sample_rate", "les_dim", "gs_dim", "es_dim"):
+        for name in ("les_dim", "gs_dim", "es_dim"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.sample_rate >= 4 * F0_MAX:
+            # the rule estimate_f0 applies when the corpus is featurised
+            raise ValueError(f"sample_rate must be >= {4 * F0_MAX:g} to resolve "
+                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}")
         if self.words_min > self.words_max:
             raise ValueError(f"need words_min <= words_max, got "
                              f"{self.words_min} > {self.words_max}")
@@ -227,8 +231,9 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
         "splits": {name: sum(1 for _, s, _ in rows if s == name)
                    for name in ("train", "dev", "test")},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(finite_json(manifest, manifest_path, indent=1,
+                                         sort_keys=True) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -264,7 +269,7 @@ def read_targets_csv(path) -> list[dict]:
 def load_examples(data_dir, split: str | None = None,
                   frame_cfg: FrameConfig = FrameConfig(),
                   n_bands: int = 8, f0_min: float = 70.0,
-                  f0_max: float = 450.0) -> list[UttExample]:
+                  f0_max: float = F0_MAX) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory."""
     root = Path(data_dir)
     store = EmbeddingStore.load_jsonl(root / "embeddings.jsonl")

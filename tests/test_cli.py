@@ -183,6 +183,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--sample-rate", "0"), ("--les-dim", "0"), ("--es-dim", "-2"),
+        ("--sample-rate", "100"),
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -372,6 +373,38 @@ class TestTrainEval:
                      str(tmp_path / "run"), "--quiet", "--experts", "5"])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and "experts" in err
+
+
+class TestNonFiniteArtifacts:
+    """A NaN bound for a JSON artifact fails with exit 3 naming the file."""
+
+    @pytest.mark.parametrize("command, patch, value, target", [
+        ("eval", "eval_report", {"ccc_avg": float("nan")}, "report.json"),
+        ("train", "train_model", [{"epoch": 1, "train_loss": float("inf")}],
+         "history.json"),
+        ("emphasis", "words_to_json", {"words": [float("-inf")]}, "doc.json"),
+    ])
+    def test_exits_3_and_names_the_file(self, dataset, trained, emphasis_files,
+                                        tmp_path, monkeypatch, capsys,
+                                        command, patch, value, target):
+        monkeypatch.setattr(f"msfser.cli.{patch}", lambda *a, **k: value)
+        wav, grid, _ = emphasis_files
+        out = tmp_path / "out"
+        argv = {
+            "eval": ["eval", "--data", str(dataset), "--model", str(trained),
+                     "--out", str(tmp_path / "report.json")],
+            "train": ["train", "--data", str(dataset), "--out", str(out),
+                      "--epochs", "1", "--batch-size", "8", "--d-model", "4",
+                      "--experts", "A", "--quiet"],
+            "emphasis": ["emphasis", "--wav", str(wav), "--grid", str(grid),
+                         "--out", str(tmp_path / "doc.json")],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and target in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / target).exists()
+        assert not (out / target).exists()
 
 
 class TestEmbed:

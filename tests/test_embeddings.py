@@ -11,6 +11,7 @@ from msfser.errors import (
     DuplicateKey,
     MalformedRecord,
     MissingEmbedding,
+    NumericalFailure,
 )
 
 
@@ -156,6 +157,15 @@ class TestJsonl:
         store.save_jsonl(path)
         rec = json.loads(path.read_text().strip())
         assert rec == {"id": "u1", "channel": "gs", "vector": [0.5, -1.5]}
+
+    def test_nonfinite_vector_is_not_written(self, tmp_path):
+        store = EmbeddingStore()
+        store.put("u1", "gs", [0.5, -1.5])
+        store._vectors[("u1", "gs")][1] = np.inf      # put() refuses it
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(NumericalFailure, match="bad.jsonl"):
+            store.save_jsonl(path)
+        assert not path.exists()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "e.jsonl"

@@ -195,6 +195,15 @@ class TestOpInvariants:
         assert np.allclose(pooled[:3], 2.0, atol=1e-15)
         assert np.allclose(pooled[3:], math.sqrt(1e-9), atol=1e-18)
 
+    def test_one_frame_takes_the_floored_branch(self):
+        rng = seeded_rng(26)
+        h = rng.standard_normal((1, 4))
+        pooled, cache = attentive_pool(h, rng.standard_normal((4, 3)),
+                                       rng.standard_normal((3, 1)))
+        assert not cache[-1].any()                      # pos
+        assert np.array_equal(pooled[:4], h[0])
+        assert np.all(pooled[4:] == math.sqrt(1e-9))
+
     def test_film_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             film_modulate(np.zeros((2, 4)), np.zeros((2, 3)),
@@ -206,12 +215,19 @@ class TestOpInvariants:
             moe_combine(np.zeros((2, 4, 3)), np.zeros((3, 3)))
 
 
+def _pool(shapes):
+    return (attentive_pool,
+            lambda cache, h, w, v, dy: _pool_bwd(cache, w, v, dy), shapes)
+
+
 # (forward, backward(cache, *inputs, dy), input shapes); each backward
 # returns one gradient per forward input, in the forward's order.
 OP_BACKWARDS = {
-    "pool": (attentive_pool,
-             lambda cache, h, w, v, dy: _pool_bwd(cache, w, v, dy),
-             [(6, 4), (4, 3), (3, 1)]),
+    "pool": _pool([(6, 4), (4, 3), (3, 1)]),
+    # one frame: the weighted variance is exactly 0, so the floored branch
+    "pool_one_frame": _pool([(1, 4), (4, 3), (3, 1)]),
+    "pool_d1": _pool([(6, 1), (1, 3), (3, 1)]),
+    "pool_att1": _pool([(6, 4), (4, 1), (1, 1)]),
     "fuse": (gated_fuse,
              lambda cache, h_l, h_g, w, b, dy: _fuse_bwd(cache, w, dy),
              [(5, 3), (5, 3), (6, 1), (1, 1)]),
@@ -254,6 +270,21 @@ class TestOpBackward:
                 num = (up - down) / (2 * eps)
                 assert abs(gflat[i] - num) / max(abs(num), abs(gflat[i]),
                                                  1e-8) <= 1e-6
+
+    @pytest.mark.parametrize("op", sorted(k for k in OP_BACKWARDS
+                                          if k.startswith("pool")))
+    def test_pool_ops_write_no_input_or_cache(self, op):
+        fwd, bwd, shapes = OP_BACKWARDS[op]
+        rng = seeded_rng(28)
+        inputs = [rng.standard_normal(shape) for shape in shapes]
+        given = [a.copy() for a in inputs]
+        out, cache = fwd(*inputs)
+        dy = rng.standard_normal(out.shape)
+        seen = [a.copy() for a in (*given, *cache, dy)]
+        bwd(cache, *inputs, dy)
+        bwd(cache, *inputs, dy)
+        for a, b in zip((*inputs, *cache, dy), seen):
+            assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------- model fixtures
@@ -425,6 +456,20 @@ class TestModelGradients:
         for p in model.params():   # move off the zero-init saddle points
             p.value += 0.05 * rng.standard_normal(p.value.shape)
         batch = make_batch(tiny_examples(3, model.config, seed=1))
+
+        def loss_fn():
+            return model.loss_and_grad(batch, train=False)
+
+        assert grad_check(loss_fn, model.params()) <= 1e-4
+
+    def test_gradient_check_with_a_one_frame_utterance(self):
+        model = MsfSerModel(tiny_config())
+        rng = seeded_rng(31)
+        for p in model.params():
+            p.value += 0.05 * rng.standard_normal(p.value.shape)
+        examples = tiny_examples(3, model.config, seed=2)
+        examples[1].frames = examples[1].frames[:1]
+        batch = make_batch(examples)
 
         def loss_fn():
             return model.loss_and_grad(batch, train=False)

@@ -19,6 +19,7 @@ from msfser.numcore import (
     dropout_bwd,
     dropout_fwd,
     dropout_mask,
+    finite_json,
     glorot_uniform,
     grad_check,
     layer_norm_bwd,
@@ -353,6 +354,10 @@ class TestCccLoss:
         loss, grad = ccc_loss(t.copy(), t)
         assert loss == 0.0
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ShapeMismatch, match="empty input"):
+            ccc_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+
     def test_degenerate_column_contributes_nothing(self):
         t = np.zeros((4, 1))
         loss, grad = ccc_loss(np.zeros((4, 1)), t)
@@ -543,6 +548,12 @@ class TestCheckpoints:
         assert blob["version"] == "msf-ser-ckpt-v1"
         assert blob["params"]["w"] == {"rows": 1, "cols": 1, "data": [1.0]}
 
+    def test_nonfinite_value_is_refused(self, tmp_path):
+        path = tmp_path / "c.json"
+        with pytest.raises(NumericalFailure, match="c.json"):
+            save_checkpoint({"w": np.array([[1.0, np.nan]])}, path)
+        assert not path.exists()
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"version": "msf-ser-ckpt-v0", "params": {}}')
@@ -562,6 +573,20 @@ class TestCheckpoints:
             "params": {"w": {"rows": 2, "cols": 2, "data": [1.0, 2.0]}}}))
         with pytest.raises(NumericalFailure):
             load_checkpoint(path)
+
+
+class TestFiniteJson:
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"indent": 1, "sort_keys": True}, {"separators": (",", ":")}])
+    def test_finite_values_encode_as_json_dumps(self, kwargs):
+        doc = {"b": [0.1, -0.0, 1e-300, 1.7976931348623157e308],
+               "a": {"x": 3, "y": None, "z": "s"}}
+        assert finite_json(doc, "doc", **kwargs) == json.dumps(doc, **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_value_names_the_target(self, bad):
+        with pytest.raises(NumericalFailure, match="report.json"):
+            finite_json({"a": [1.0, {"b": bad}]}, "out/report.json")
 
 
 class TestMisc:

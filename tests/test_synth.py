@@ -10,7 +10,7 @@ import pytest
 
 from msfser.dsp import read_wav
 from msfser.embeddings import EmbeddingStore
-from msfser.errors import MalformedRecord, TooFewUtterances
+from msfser.errors import MalformedRecord, NumericalFailure, TooFewUtterances
 from msfser.numcore import ccc, seeded_rng
 from msfser.synth import (
     SILENCE_GAP_S,
@@ -84,12 +84,25 @@ class TestGeneration:
         assert (a / "targets.csv").read_bytes() != (b / "targets.csv").read_bytes()
 
     @pytest.mark.parametrize("field, value", [
-        ("sample_rate", 0), ("sample_rate", -8000), ("les_dim", 0),
+        ("sample_rate", 0), ("sample_rate", -8000), ("sample_rate", 1799),
+        ("les_dim", 0),
         ("gs_dim", -1), ("es_dim", 0), ("words_min", 9),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             SynthConfig(**{field: value})
+
+    def test_lowest_resolvable_sample_rate_loads(self, tmp_path):
+        generate_dataset(tmp_path, SynthConfig(n_utts=10, sample_rate=1800,
+                                               les_dim=2, gs_dim=2, es_dim=2))
+        assert load_examples(tmp_path, split="test")
+
+    def test_nonfinite_manifest_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("msfser.synth.MANIFEST_VERSION", float("nan"))
+        with pytest.raises(NumericalFailure, match="manifest.json"):
+            generate_dataset(tmp_path, SynthConfig(n_utts=10, les_dim=2,
+                                                   gs_dim=2, es_dim=2))
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_too_few_utterances(self, tmp_path):
         with pytest.raises(TooFewUtterances):
