@@ -29,7 +29,6 @@ from .embeddings import CHANNELS, EmbeddingStore, hash_token, toy_embedding
 from .errors import MsfSerError
 from .lemf import (
     EmphasisSegment,
-    EmphasisWeights,
     ExtendedInfo,
     LemfConfig,
     LemfResult,
@@ -73,7 +72,7 @@ from .textgrid import (
 __all__ = [
     "__version__",
     "AdamW", "AudioBuffer", "Batch", "CHANNELS", "EmbeddingStore",
-    "EmphasisSegment", "EmphasisWeights", "ExtendedInfo", "FrameConfig",
+    "EmphasisSegment", "ExtendedInfo", "FrameConfig",
     "Interval", "LemfConfig", "LemfResult",
     "ModelConfig", "MsfSerError", "MsfSerModel", "Param", "ProsodyTrack",
     "SynthConfig", "TextGrid", "Tier", "TrainConfig", "UttExample",

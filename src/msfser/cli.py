@@ -10,8 +10,9 @@ Subcommands:
   textgrid-check  parse and validate TextGrid files
 
 Exit codes: 0 success, 2 bad usage or unreadable/invalid input, 3 a
-processing failure (numerical trouble, shape conflicts).  Defaults can
-be supplied as a flat JSON object via --config; explicit flags win.
+processing failure (numerical trouble, shape conflicts, out of memory).
+Defaults can be supplied as a flat JSON object via --config; explicit
+flags win.
 The seed falls back to the MSFSER_SEED environment variable, then 0.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .dsp import FrameConfig, prosody_to_csv, read_wav
+from .dsp import F0_MAX, F0_MIN, N_BANDS, FrameConfig, prosody_to_csv, read_wav
 from .embeddings import CHANNELS, EmbeddingStore, toy_embedding
 from .errors import (
     EmptyInput,
@@ -44,10 +45,10 @@ from .model import (
     train_model,
 )
 from .numcore import finite_json, load_checkpoint, save_checkpoint
-from .synth import F0_MAX, SynthConfig, generate_dataset, load_examples
+from .synth import SynthConfig, generate_dataset, load_examples
 from .textgrid import read_textgrid_file
 
-_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch)
+_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError)
 
 
 def _resolve_seed(value) -> int:
@@ -270,6 +271,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if args.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {args.dim}")
     if args.append and Path(args.out).exists():
         store = EmbeddingStore.load_jsonl(args.out)
     else:
@@ -323,10 +326,10 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     def add_frame_args(p, n_bands=False):
         p.add_argument("--win-ms", type=float, default=20.0)
         p.add_argument("--hop-ms", type=float, default=5.0)
-        p.add_argument("--f0-min", type=float, default=70.0)
+        p.add_argument("--f0-min", type=float, default=F0_MIN)
         p.add_argument("--f0-max", type=float, default=F0_MAX)
         if n_bands:
-            p.add_argument("--n-bands", type=int, default=8)
+            p.add_argument("--n-bands", type=int, default=N_BANDS)
 
     p = sub.add_parser("emphasis", help="score word emphasis in one utterance")
     p.add_argument("--wav", required=True)
@@ -451,7 +454,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _PROCESS_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a MemoryError may carry no message
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 3
     except (MsfSerError, OSError, UnicodeDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

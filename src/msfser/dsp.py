@@ -33,6 +33,10 @@ from .errors import SignalTooShort
 
 SILENCE_RMS_FLOOR = 1e-4
 
+F0_MIN, F0_MAX = 70.0, 450.0        # pitch search range in Hz
+VOICING_THRESHOLD = 0.3             # least NCCF peak of a voiced frame
+N_BANDS = 8                         # mel bands per acoustic frame
+
 # Peaks within this fraction of the best correlation count as equivalent;
 # the earliest such lag is taken as the period.
 _PEAK_EQUIV = 0.97
@@ -72,9 +76,9 @@ class FrameConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if not 0 < self.hop_ms <= self.win_ms:
-            raise ValueError(f"need 0 < hop_ms <= win_ms, got "
-                             f"hop={self.hop_ms}, win={self.win_ms}")
+        if not 0 < self.hop_ms <= self.win_ms < math.inf:
+            raise ValueError(f"need finite 0 < hop_ms <= win_ms, got "
+                             f"hop_ms={self.hop_ms}, win_ms={self.win_ms}")
         if self.window not in ("hann", "rectangular"):
             raise ValueError(f"unknown window {self.window!r}")
 
@@ -132,13 +136,15 @@ def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
     """
     x = audio.samples
     sr = audio.sample_rate
+    # compare before rounding: a huge finite win_ms scales to inf samples
+    if cfg.win_ms * sr / 1000.0 >= len(x) + 1 or cfg.win_samples(sr) > len(x):
+        raise SignalTooShort(f"signal has {len(x)} samples, fewer than "
+                             f"win_ms={cfg.win_ms} spans at {sr} Hz")
     w = cfg.win_samples(sr)
     h = cfg.hop_samples(sr)
     if w < 2:
         raise ValueError(f"win_ms={cfg.win_ms} gives a {w}-sample window at "
                          f"{sr} Hz; need at least 2 samples")
-    if len(x) < w:
-        raise SignalTooShort(f"signal has {len(x)} samples, window needs {w}")
     frames = np.lib.stride_tricks.sliding_window_view(x, w)[::h]
     times = (h * np.arange(len(frames)) + w / 2.0) / sr
     return frames, times
@@ -177,13 +183,13 @@ def _fast_len(n: int) -> int:
 
 
 def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
-                 lag_min: int, threshold: float):
+                 lag_min: int):
     """NCCF pitch search for frames that share the lag range 0..max_lag.
 
     Row k correlates the mean-removed segment x[s:s + w + max_lag]
     (s = starts[k]) against its first w samples.  Returns the refined lag,
     the refined correlation, and whether an interior peak in
-    lag_min..max_lag reached ``threshold``.  Needs max_lag > lag_min + 1.
+    lag_min..max_lag reached ``VOICING_THRESHOLD``.  Needs max_lag > lag_min + 1.
     """
     span = w + max_lag
     seg = np.lib.stride_tricks.sliding_window_view(x, span)[starts]
@@ -205,7 +211,7 @@ def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
     mid = win[:, 1:-1]
     is_peak = (mid > win[:, :-2]) & (mid >= win[:, 2:])
     best = np.where(is_peak, mid, -np.inf).max(axis=1)
-    found = is_peak.any(axis=1) & (best >= threshold)
+    found = is_peak.any(axis=1) & (best >= VOICING_THRESHOLD)
     lag = lag_min + 1 + np.argmax(is_peak & (mid >= _PEAK_EQUIV * best[:, None]),
                                   axis=1)
 
@@ -221,7 +227,7 @@ def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
 
 
 def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
-           f0_min: float, f0_max: float, threshold: float):
+           f0_min: float, f0_max: float):
     """(voiced, log_f0) for the frames starting at 0, h, 2h, ...
 
     Frames above the silence floor whose lag range holds an interior lag
@@ -243,10 +249,10 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
         for b in range(0, len(group), _PITCH_BLOCK):
             idx = group[b:b + _PITCH_BLOCK]
             ref_lag[idx], ref_val[idx], found[idx] = _pitch_block(
-                x, starts[idx], w, int(max_lag), lag_min, threshold)
+                x, starts[idx], w, int(max_lag), lag_min)
 
     f0 = sr / ref_lag
-    voiced = (found & (ref_val >= threshold)
+    voiced = (found & (ref_val >= VOICING_THRESHOLD)
               & (f0_min * 0.9 <= f0) & (f0 <= f0_max * 1.1))
     log_f0 = np.zeros(n)
     # math.log, not np.log: the two need not agree in the last bit
@@ -255,12 +261,11 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
 
 
 def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
-                f0_min: float = 40.0, f0_max: float = 500.0,
-                voicing_threshold: float = 0.3) -> ProsodyTrack:
+                f0_min: float = F0_MIN, f0_max: float = F0_MAX) -> ProsodyTrack:
     """Per-frame F0 with voicing decision; energy filled via the STFT norm.
 
     A frame is voiced when its best normalized-autocorrelation peak in the
-    candidate lag range reaches ``voicing_threshold`` and the frame RMS is
+    candidate lag range reaches ``VOICING_THRESHOLD`` and the frame RMS is
     above the silence floor.  F0 comes from the chosen lag after parabolic
     refinement; ``log_f0`` is the natural log of Hz.
 
@@ -282,8 +287,7 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     mag = _magnitudes(frames, cfg.window)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     voiced, log_f0 = _pitch(audio.samples, sr, cfg.win_samples(sr),
-                            cfg.hop_samples(sr), rms, f0_min, f0_max,
-                            voicing_threshold)
+                            cfg.hop_samples(sr), rms, f0_min, f0_max)
     return ProsodyTrack(frame_times=times, log_f0=log_f0, voiced=voiced,
                         energy=_energies(mag), spectrum=mag)
 
@@ -312,9 +316,8 @@ def mel_filterbank(n_bands: int, n_fft_bins: int, sample_rate: int) -> np.ndarra
 
 
 def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
-                    n_bands: int = 16,
-                    f0_min: float = 40.0, f0_max: float = 500.0,
-                    voicing_threshold: float = 0.3) -> np.ndarray:
+                    n_bands: int = N_BANDS,
+                    f0_min: float = F0_MIN, f0_max: float = F0_MAX) -> np.ndarray:
     """Per-frame [log-energy, log-F0-or-0, voiced flag, mel bands].
 
     Returns a (T, 3 + n_bands) array; T matches :func:`frame_signal`.
@@ -322,8 +325,7 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
     """
     if n_bands < 0:
         raise ValueError(f"n_bands must be >= 0, got {n_bands}")
-    track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max,
-                        voicing_threshold=voicing_threshold)
+    track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max)
     mag = track.spectrum
     fb = mel_filterbank(n_bands, mag.shape[1], audio.sample_rate)
     mel = np.log1p(mag @ fb.T)

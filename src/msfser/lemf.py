@@ -4,10 +4,10 @@ Pipeline: frame features are aggregated per aligned word (max log-F0 over
 voiced frames, mean frame energy, mean phoneme duration), standardized
 per sentence, and fused into an emphasis score
 
-    s(w) = alpha * z_pitch(w) + beta * z_energy(w) + gamma * z_duration(w)
+    s(w) = ALPHA * z_pitch(w) + BETA * z_energy(w) + GAMMA * z_duration(w)
 
-with default weights (1.0, 1.2, 0.8).  The top-scoring word plus its two
-neighbours forms the emphasis segment (a top-k mode is also available).
+with the fixed constant weights (1.0, 1.2, 0.8).  The top-scoring word plus
+its two neighbours forms the emphasis segment (a top-k mode is also available).
 Degenerate sentences are handled by explicit rules rather than NaNs: a
 constant feature column z-scores to zeros, a word without voiced frames
 takes the sentence-mean pitch (so its pitch z-score is 0), and a word
@@ -20,24 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import AudioBuffer, FrameConfig, ProsodyTrack, estimate_f0
+from .dsp import F0_MAX, F0_MIN, AudioBuffer, FrameConfig, ProsodyTrack, estimate_f0
 from .errors import EmptyInput
-from .textgrid import (
-    DEFAULT_SILENCE_LABELS,
-    Interval,
-    TextGrid,
-    phones_for_word,
-    word_intervals,
-)
+from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
 
 ZSCORE_SIGMA_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class EmphasisWeights:
-    alpha: float = 1.0
-    beta: float = 1.2
-    gamma: float = 0.8
+ALPHA, BETA, GAMMA = 1.0, 1.2, 0.8      # pitch, energy, duration weights
 
 
 @dataclass(frozen=True)
@@ -79,15 +67,12 @@ class ExtendedInfo:
 @dataclass(frozen=True)
 class LemfConfig:
     frame: FrameConfig = field(default_factory=FrameConfig)
-    weights: EmphasisWeights = field(default_factory=EmphasisWeights)
     mode: str = "adjacent"          # "adjacent" | "topk"
     top_k: int = 3
     word_tier: str = "words"
     phone_tier: str | None = "phones"
-    f0_min: float = 40.0
-    f0_max: float = 500.0
-    voicing_threshold: float = 0.3
-    silence_labels: frozenset = DEFAULT_SILENCE_LABELS
+    f0_min: float = F0_MIN
+    f0_max: float = F0_MAX
 
 
 @dataclass(frozen=True)
@@ -207,9 +192,8 @@ def assemble_extended_description(info: ExtendedInfo) -> str:
     return " ".join(sentences)
 
 
-def analyze_words(track: ProsodyTrack, words, phones_per_word,
-                  weights: EmphasisWeights = EmphasisWeights()
-                  ) -> tuple[WordProsody, ...]:
+def analyze_words(track: ProsodyTrack, words,
+                  phones_per_word) -> tuple[WordProsody, ...]:
     """Aggregate, standardize, and score a sentence of aligned words."""
     if not words:
         raise EmptyInput("sentence has no words")
@@ -227,8 +211,7 @@ def analyze_words(track: ProsodyTrack, words, phones_per_word,
     z_energy = zscore_normalize(energy_col)
     z_duration = zscore_normalize(duration_col)
 
-    scores = (weights.alpha * z_pitch + weights.beta * z_energy
-              + weights.gamma * z_duration)
+    scores = ALPHA * z_pitch + BETA * z_energy + GAMMA * z_duration
     return tuple(
         WordProsody(
             word=w.label, interval=w,
@@ -244,19 +227,16 @@ def analyze_words(track: ProsodyTrack, words, phones_per_word,
 def run_lemf(audio: AudioBuffer, tg: TextGrid,
              cfg: LemfConfig = LemfConfig()) -> LemfResult:
     """Full emphasis pipeline for one utterance."""
-    track = estimate_f0(audio, cfg.frame, f0_min=cfg.f0_min,
-                        f0_max=cfg.f0_max,
-                        voicing_threshold=cfg.voicing_threshold)
-    words = word_intervals(tg, cfg.word_tier, cfg.silence_labels)
+    track = estimate_f0(audio, cfg.frame, f0_min=cfg.f0_min, f0_max=cfg.f0_max)
+    words = word_intervals(tg, cfg.word_tier)
     if not words:
         raise EmptyInput(f"tier {cfg.word_tier!r} has no word intervals")
     if cfg.phone_tier is not None:
-        phones_per_word = [phones_for_word(tg, cfg.phone_tier, w,
-                                           cfg.silence_labels)
+        phones_per_word = [phones_for_word(tg, cfg.phone_tier, w)
                            for w in words]
     else:
         phones_per_word = [() for _ in words]
-    scored = analyze_words(track, words, phones_per_word, cfg.weights)
+    scored = analyze_words(track, words, phones_per_word)
     segment = select_emphasis_segment(scored, mode=cfg.mode, k=cfg.top_k)
     return LemfResult(words=scored, segment=segment, track=track)
 

@@ -101,12 +101,11 @@ def softmax_bwd(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
 
 # ------------------------------------------------------------ layer norm
 
-def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                   eps: float = LAYER_NORM_EPS):
+def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Per-row normalization; returns (y, cache) for the backward pass."""
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x - mu) * inv
     y = gamma * xhat + beta
     return y, (xhat, inv, gamma)

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import AudioBuffer, FrameConfig, acoustic_frames, read_wav, write_wav
+from .dsp import (F0_MAX, F0_MIN, N_BANDS, AudioBuffer, FrameConfig,
+                  acoustic_frames, read_wav, write_wav)
 from .embeddings import EmbeddingStore
 from .errors import MalformedRecord, TooFewUtterances
 from .model import UttExample
@@ -37,7 +38,11 @@ from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
 SILENCE_GAP_S = 0.05
 SYLLABLES = ("ba", "da", "ga", "ka", "ma", "na", "pa", "ta")
 MANIFEST_VERSION = "msf-ser-synth-v1"
-F0_MAX = 450.0          # the default upper pitch bound for featurising a corpus
+BASE_F0, BASE_AMP = 160.0, 0.08             # corpus voice at arousal 0
+AROUSAL_OCTAVES = 0.4                       # pitch swing at |arousal| = 1
+WORDS_MIN, WORDS_MAX = 4, 8                 # words per utterance, inclusive
+WORD_DUR_MIN, WORD_DUR_MAX = 0.15, 0.28     # seconds
+CHANNEL_NOISE, TARGET_NOISE = 0.05, 0.05
 
 
 @dataclass(frozen=True)
@@ -47,15 +52,6 @@ class SynthConfig:
     les_dim: int = 16
     gs_dim: int = 16
     es_dim: int = 16
-    base_f0: float = 160.0
-    base_amp: float = 0.08
-    words_min: int = 4
-    words_max: int = 8
-    word_dur_min: float = 0.15
-    word_dur_max: float = 0.28
-    arousal_octaves: float = 0.4      # pitch swing at |arousal| = 1
-    channel_noise: float = 0.05
-    target_noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -66,9 +62,6 @@ class SynthConfig:
             # the rule estimate_f0 applies when the corpus is featurised
             raise ValueError(f"sample_rate must be >= {4 * F0_MAX:g} to resolve "
                              f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}")
-        if self.words_min > self.words_max:
-            raise ValueError(f"need words_min <= words_max, got "
-                             f"{self.words_min} > {self.words_max}")
 
 
 def _tone(n: int, sample_rate: int, f0: float, amp: float) -> np.ndarray:
@@ -125,15 +118,13 @@ def _assemble(words: list[tuple[str, float, float, float]],
     return AudioBuffer(samples=samples, sample_rate=sample_rate), tg
 
 
-def make_emphasis_case(rng: np.random.Generator, sample_rate: int = 16000,
-                       n_words: int | None = None,
-                       plant_index: int | None = None,
-                       base_f0: float = 180.0, base_amp: float = 0.08
+def make_emphasis_case(rng: np.random.Generator, n_words: int | None = None,
+                       plant_index: int | None = None
                        ) -> tuple[AudioBuffer, TextGrid, int]:
-    """One utterance of near-uniform words with a single boosted word.
+    """One 16 kHz utterance of near-uniform words with a single boosted word.
 
-    The planted word is +6 dB louder, 4 semitones higher, and 1.5x
-    longer than its neighbours.
+    The words sit around 180 Hz and amplitude 0.08; the planted word is
+    +6 dB louder, 4 semitones higher, and 1.5x longer than its neighbours.
     """
     if n_words is None:
         n_words = int(rng.integers(5, 10))
@@ -143,14 +134,14 @@ def make_emphasis_case(rng: np.random.Generator, sample_rate: int = 16000,
     for i in range(n_words):
         label = SYLLABLES[int(rng.integers(0, len(SYLLABLES)))]
         dur = float(rng.uniform(0.16, 0.22))
-        f0 = base_f0 * 2.0 ** (rng.uniform(-1.0, 1.0) / 24.0)
-        amp = base_amp * float(rng.uniform(0.9, 1.1))
+        f0 = 180.0 * 2.0 ** (rng.uniform(-1.0, 1.0) / 24.0)
+        amp = 0.08 * float(rng.uniform(0.9, 1.1))
         if i == plant_index:
             dur *= 1.5
             f0 *= 2.0 ** (4.0 / 12.0)
             amp *= 10.0 ** (6.0 / 20.0)
         words.append((label, dur, f0, amp))
-    audio, tg = _assemble(words, sample_rate)
+    audio, tg = _assemble(words, 16000)
     return audio, tg, plant_index
 
 
@@ -158,13 +149,13 @@ def synth_utterance(rng: np.random.Generator, cfg: SynthConfig,
                     latents: np.ndarray) -> tuple[AudioBuffer, TextGrid]:
     """Audio + alignment whose prosody encodes the arousal latent."""
     _, arousal, _ = latents
-    f0 = cfg.base_f0 * 2.0 ** (cfg.arousal_octaves * arousal)
-    amp = cfg.base_amp * 2.0 ** arousal
-    n_words = int(rng.integers(cfg.words_min, cfg.words_max + 1))
+    f0 = BASE_F0 * 2.0 ** (AROUSAL_OCTAVES * arousal)
+    amp = BASE_AMP * 2.0 ** arousal
+    n_words = int(rng.integers(WORDS_MIN, WORDS_MAX + 1))
     words = []
     for _ in range(n_words):
         label = SYLLABLES[int(rng.integers(0, len(SYLLABLES)))]
-        dur = float(rng.uniform(cfg.word_dur_min, cfg.word_dur_max))
+        dur = float(rng.uniform(WORD_DUR_MIN, WORD_DUR_MAX))
         jitter = 2.0 ** (rng.uniform(-0.08, 0.08))
         words.append((label, dur, f0 * jitter, amp * float(rng.uniform(0.9, 1.1))))
     return _assemble(words, cfg.sample_rate)
@@ -212,10 +203,10 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
         (out / "grids" / f"{utt_id}.TextGrid").write_text(
             serialize_textgrid(tg), encoding="utf-8")
         v, _, d = latents
-        store.put(utt_id, "les", _channel_vector(rng, u_les, v, cfg.channel_noise))
-        store.put(utt_id, "gs", _channel_vector(rng, u_gs, v, cfg.channel_noise))
-        store.put(utt_id, "es", _channel_vector(rng, u_es, d, cfg.channel_noise))
-        target = latents + cfg.target_noise * rng.standard_normal(3)
+        store.put(utt_id, "les", _channel_vector(rng, u_les, v, CHANNEL_NOISE))
+        store.put(utt_id, "gs", _channel_vector(rng, u_gs, v, CHANNEL_NOISE))
+        store.put(utt_id, "es", _channel_vector(rng, u_es, d, CHANNEL_NOISE))
+        target = latents + TARGET_NOISE * rng.standard_normal(3)
         rows.append((utt_id, split_of[i], target))
 
     store.save_jsonl(out / "embeddings.jsonl")
@@ -268,7 +259,7 @@ def read_targets_csv(path) -> list[dict]:
 
 def load_examples(data_dir, split: str | None = None,
                   frame_cfg: FrameConfig = FrameConfig(),
-                  n_bands: int = 8, f0_min: float = 70.0,
+                  n_bands: int = N_BANDS, f0_min: float = F0_MIN,
                   f0_max: float = F0_MAX) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory."""
     root = Path(data_dir)

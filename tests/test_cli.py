@@ -1,6 +1,12 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import contextlib
+import dataclasses
+import inspect
+import io
 import json
+import math
+import re
 import shutil
 import struct
 import subprocess
@@ -9,12 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from msfser.cli import main
-from msfser.dsp import write_wav
+from msfser.cli import build_parser, main
+from msfser.dsp import F0_MAX, F0_MIN, N_BANDS, acoustic_frames, estimate_f0, write_wav
 from msfser.embeddings import EmbeddingStore, toy_embedding
+from msfser.lemf import LemfConfig
 from msfser.numcore import load_checkpoint, seeded_rng
-from msfser.synth import make_emphasis_case
+from msfser.synth import SynthConfig, load_examples, make_emphasis_case
 from msfser.textgrid import serialize_textgrid
 
 GOOD_GRID = """File type = "ooTextFile"
@@ -132,6 +141,8 @@ class TestEmphasis:
         (["--f0-max", "inf"], "f0_max"),
         (["--mode", "topk", "--k", "0"], "k=0"),
         (["--mode", "topk", "--k", "-2"], "k=-2"),
+        (["--win-ms", "inf"], "win_ms"),
+        (["--win-ms", "1e308"], "win_ms"),
     ])
     def test_bad_setting_exits_2(self, emphasis_files, tmp_path, capsys,
                                  flags, field):
@@ -262,6 +273,8 @@ class TestTrainEval:
             del blob["features"]["n_bands"]
         elif how == "text_feature":
             blob["features"]["win_ms"] = "20"
+        elif how == "huge_win_ms":
+            blob["features"]["win_ms"] = 1e308
         return blob
 
     @pytest.mark.parametrize("target, how, code", [
@@ -281,6 +294,7 @@ class TestTrainEval:
         ("train_config.json", "text_d_model", 2),
         ("train_config.json", "no_features_key", 2),
         ("train_config.json", "text_feature", 2),
+        ("train_config.json", "huge_win_ms", 2),
     ])
     def test_eval_corrupt_model_exits_cleanly(self, trained, dataset, tmp_path,
                                               capsys, target, how, code):
@@ -299,6 +313,8 @@ class TestTrainEval:
                      "--model", str(model)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        if how == "huge_win_ms":
+            assert "win_ms=1e+308" in err
 
     @pytest.mark.parametrize("row, utt_id", [
         ("utt_0099,train,0.1", "'utt_0099'"),            # short row
@@ -349,6 +365,8 @@ class TestTrainEval:
         ("--d-model", "-3"),
         ("--dropout", "1.5"),
         ("--n-bands", "-1"),
+        ("--win-ms", "inf"),
+        ("--win-ms", "1e308"),
         ("--lr", "inf"),
         ("--weight-decay", "inf"),
         ("--experts", "5"),
@@ -407,6 +425,25 @@ class TestNonFiniteArtifacts:
         assert not (out / target).exists()
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, patch", [
+        ("synth", "generate_dataset"),
+        ("emphasis", "run_lemf"),
+    ])
+    def test_memory_error_exits_3(self, emphasis_files, tmp_path, monkeypatch,
+                                  capsys, command, patch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(f"msfser.cli.{patch}", out_of_memory)
+        wav, grid, _ = emphasis_files
+        argv = {"synth": ["synth", "--out", str(tmp_path / "data")],
+                "emphasis": ["emphasis", "--wav", str(wav),
+                             "--grid", str(grid)]}[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError\n"
+
+
 class TestEmbed:
     def write_tsv(self, path, rows):
         path.write_text("".join(f"{i}\t{t}\n" for i, t in rows),
@@ -462,6 +499,16 @@ class TestEmbed:
         tsv.write_text("no-tab-here\n", encoding="utf-8")
         assert main(["embed", "--input", str(tsv),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_bad_dim_exits_2_on_empty_input(self, tmp_path, capsys, dim):
+        tsv, out = tmp_path / "in.tsv", tmp_path / "o.jsonl"
+        tsv.write_text("", encoding="utf-8")
+        assert main(["embed", "--input", str(tsv), "--out", str(out),
+                     f"--dim={dim}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dim" in err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -574,6 +621,127 @@ class TestConfigFile:
         assert (train["epochs"], train["lr"], train["batch_size"]) == (1, 0.002, 8)
 
 
+# Edge-case numbers for the exit-code contract.  Count and size flags get
+# only small values: large ones really allocate memory or loop.
+FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-300)
+COUNTS = (-1, 0, 1, 2)
+FLAGS = {
+    "emphasis": {"--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
+                 "--f0-max": FLOATS, "--k": COUNTS},
+    "synth": {"--n": COUNTS, "--les-dim": COUNTS, "--gs-dim": COUNTS,
+              "--es-dim": COUNTS},
+    "train": {"--lr": FLOATS, "--weight-decay": FLOATS, "--dropout": FLOATS,
+              "--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
+              "--f0-max": FLOATS, "--epochs": COUNTS, "--batch-size": COUNTS,
+              "--accum-steps": COUNTS, "--d-model": COUNTS,
+              "--n-bands": COUNTS},
+    "eval": {},
+    "embed": {"--dim": COUNTS},
+    "textgrid-check": {},
+}
+# eval takes its settings from train_config.json, edited per case
+RUN_CONFIG = {
+    "features": {"win_ms": FLOATS, "hop_ms": FLOATS, "f0_min": FLOATS,
+                 "f0_max": FLOATS, "n_bands": COUNTS},
+    "model": {"d_model": COUNTS, "att_dim": COUNTS, "film_hidden": COUNTS,
+              "expert_hidden": COUNTS, "acoustic_dim": COUNTS,
+              "les_dim": COUNTS, "dropout": FLOATS},
+}
+NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
+
+
+@st.composite
+def cli_cases(draw):
+    """(command, flags, run-config edits, switch).  At most two settings
+    take an edge value, so each can get past the checks of the others."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    pools = dict(FLAGS[command])
+    if command == "eval":
+        pools = {(section, key): pool for section, keys in RUN_CONFIG.items()
+                 for key, pool in keys.items()}
+    names = draw(st.lists(st.sampled_from(sorted(pools)), max_size=2,
+                          unique=True)) if pools else []
+    picked = {name: draw(st.sampled_from(pools[name])) for name in names}
+    if command == "eval":
+        return command, {}, picked, draw(st.booleans())
+    return command, picked, {}, draw(st.booleans())
+
+
+@pytest.fixture(scope="session")
+def contract_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract-inputs")
+    audio, tg, _ = make_emphasis_case(seeded_rng(5), n_words=5)
+    write_wav(root / "utt.wav", audio)
+    (root / "utt.TextGrid").write_text(serialize_textgrid(tg), encoding="utf-8")
+    (root / "empty.tsv").write_text("", encoding="utf-8")
+    (root / "two.tsv").write_text("u1\thello there\nu2\tquiet\n",
+                                  encoding="utf-8")
+    return root
+
+
+class TestExitCodeContract:
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cli_cases())
+    def test_exit_code_contract(self, dataset, trained, contract_inputs,
+                                tmp_path_factory, case):
+        """Exit 0, 2 or 3; a failure says error:, nothing prints a
+        traceback or a warning, and no output file holds a non-finite
+        number."""
+        command, flags, edits, switch = case
+        inp = contract_inputs
+        root = tmp_path_factory.mktemp("contract")
+        out = root / "out"
+        out.mkdir()
+        if command == "emphasis":
+            argv = ["emphasis", "--wav", inp / "utt.wav",
+                    "--grid", inp / "utt.TextGrid", "--out", out / "doc.json",
+                    "--csv", out / "track.csv", "--svg", out / "scores.svg"]
+            argv += ["--mode", "topk"] if switch else []
+        elif command == "synth":
+            argv = ["synth", "--out", out / "data", "--n", "10",
+                    "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]
+        elif command == "train":
+            argv = ["train", "--data", dataset, "--out", out / "run",
+                    "--epochs", "1", "--batch-size", "8", "--accum-steps", "1",
+                    "--d-model", "2", "--quiet", "--svg", out / "hist.svg"]
+            argv += ["--track-dev"] if switch else []
+        elif command == "eval":
+            model = shutil.copytree(trained, root / "model")
+            cfg_path = model / "train_config.json"
+            blob = json.loads(cfg_path.read_text())
+            for (section, key), value in edits.items():
+                blob[section][key] = value
+            cfg_path.write_text(json.dumps(blob))
+            argv = ["eval", "--data", dataset, "--model", model,
+                    "--out", out / "report.json"]
+        elif command == "embed":
+            argv = ["embed", "--input",
+                    inp / ("two.tsv" if switch else "empty.tsv"),
+                    "--out", out / "emb.jsonl"]
+        else:
+            argv = ["textgrid-check", inp / "utt.TextGrid"]
+            argv += [inp / "utt.wav"] if switch else []
+        argv = [str(a) for a in argv] + [f"{k}={v}" for k, v in flags.items()]
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # argparse usage errors
+                code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), (argv, code, err)
+        if code and command != "textgrid-check":    # it reports per file
+            assert "error: " in err, (argv, err)
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)
+        for path in out.rglob("*"):
+            if path.is_file() and path.suffix != ".wav":
+                text = path.read_text(encoding="utf-8")
+                assert not NON_FINITE.search(text), (argv, path)
+
+
 class TestRuntime:
     def test_import_loads_no_scipy(self):
         src = Path(__import__("msfser").__file__).resolve().parents[1]
@@ -603,3 +771,21 @@ class TestMisc:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_one_default_per_setting(self):
+        fields = {f.name for f in dataclasses.fields(SynthConfig)}
+        assert fields == {"n_utts", "sample_rate", "les_dim", "gs_dim",
+                          "es_dim", "seed"}
+        for fn in (estimate_f0, acoustic_frames, load_examples):
+            params = inspect.signature(fn).parameters
+            assert (params["f0_min"].default,
+                    params["f0_max"].default) == (F0_MIN, F0_MAX), fn
+        assert (LemfConfig().f0_min, LemfConfig().f0_max) == (F0_MIN, F0_MAX)
+        for fn in (acoustic_frames, load_examples):
+            assert inspect.signature(fn).parameters["n_bands"].default == N_BANDS
+        _, commands = build_parser()
+        for name in ("emphasis", "train"):
+            parser = commands[name]
+            assert (parser.get_default("f0_min"),
+                    parser.get_default("f0_max")) == (F0_MIN, F0_MAX)
+        assert commands["train"].get_default("n_bands") == N_BANDS

@@ -101,6 +101,14 @@ class TestFraming:
     def test_too_short_signal(self):
         with pytest.raises(SignalTooShort):
             frame_signal(AudioBuffer(np.zeros(100), SR), FrameConfig())
+        assert len(frame_signal(AudioBuffer(np.zeros(320), SR),
+                                FrameConfig())[0]) == 1
+        with pytest.raises(SignalTooShort):
+            frame_signal(AudioBuffer(np.zeros(319), SR), FrameConfig())
+        # finite, but win_ms * sample_rate overflows to inf
+        with pytest.raises(SignalTooShort, match="win_ms"):
+            frame_signal(AudioBuffer(np.zeros(100), SR),
+                         FrameConfig(win_ms=1e308))
 
     def test_window_under_two_samples(self):
         audio = AudioBuffer(np.zeros(100), SR)
@@ -111,6 +119,9 @@ class TestFraming:
     def test_frame_config_validation(self):
         with pytest.raises(ValueError):
             FrameConfig(win_ms=10.0, hop_ms=20.0)
+        for win_ms in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="win_ms"):
+                FrameConfig(win_ms=win_ms)
         with pytest.raises(ValueError):
             FrameConfig(window="hamming")
 

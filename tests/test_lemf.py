@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from msfser.dsp import FrameConfig, ProsodyTrack
 from msfser.errors import EmptyInput
 from msfser.lemf import (
-    EmphasisWeights,
+    ALPHA,
+    BETA,
+    GAMMA,
     ExtendedInfo,
     LemfConfig,
     WordProsody,
@@ -116,22 +118,19 @@ class TestAggregation:
 
 class TestScoring:
     def test_default_weights(self):
-        w = EmphasisWeights()
-        assert (w.alpha, w.beta, w.gamma) == (1.0, 1.2, 0.8)
+        assert (ALPHA, BETA, GAMMA) == (1.0, 1.2, 0.8)
 
     def test_score_formula(self):
         track = track_from([0.01, 0.03, 0.05], [5.0, 5.5, 4.0],
                            [True, True, True], [1.0, 3.0, 2.0])
         words = (Interval(0.00, 0.02, "a"), Interval(0.02, 0.04, "b"),
                  Interval(0.04, 0.10, "c"))
-        for a, b, g in ((1.0, 1.2, 0.8), (0.7, -0.4, 1.9)):
-            weights = EmphasisWeights(alpha=a, beta=b, gamma=g)
-            out = analyze_words(track, words, [(), (), ()], weights)
-            assert len({w.z_duration for w in out}) == 2   # durations differ
-            for w in out:
-                assert w.score == pytest.approx(
-                    a * w.z_pitch + b * w.z_energy + g * w.z_duration,
-                    abs=1e-12)
+        out = analyze_words(track, words, [(), (), ()])
+        assert len({w.z_duration for w in out}) == 2   # durations differ
+        for w in out:
+            assert w.score == pytest.approx(
+                1.0 * w.z_pitch + 1.2 * w.z_energy + 0.8 * w.z_duration,
+                abs=1e-12)
 
     def test_analyze_words_matches_hand_computation(self):
         times = [0.01, 0.03, 0.05, 0.07, 0.09, 0.11]

@@ -14,6 +14,7 @@ from msfser.errors import MalformedRecord, NumericalFailure, TooFewUtterances
 from msfser.numcore import ccc, seeded_rng
 from msfser.synth import (
     SILENCE_GAP_S,
+    WORDS_MIN,
     SynthConfig,
     generate_dataset,
     load_examples,
@@ -86,7 +87,7 @@ class TestGeneration:
     @pytest.mark.parametrize("field, value", [
         ("sample_rate", 0), ("sample_rate", -8000), ("sample_rate", 1799),
         ("les_dim", 0),
-        ("gs_dim", -1), ("es_dim", 0), ("words_min", 9),
+        ("gs_dim", -1), ("es_dim", 0),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -131,7 +132,7 @@ class TestAlignment:
         tg = read_textgrid_file(root / "grids" / "utt_0003.TextGrid")
         sr = audio.sample_rate
         words = word_intervals(tg, "words")
-        assert len(words) >= CFG.words_min
+        assert len(words) >= WORDS_MIN
         for iv in words:
             seg = audio.samples[int(round(iv.xmin * sr)):int(round(iv.xmax * sr))]
             assert np.sqrt((seg ** 2).mean()) > 1e-3
