@@ -251,6 +251,10 @@ def _load_trained(model_dir):
         model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{cfg_path}: bad 'model' section: {exc!r}") from exc
+    # a frame is energy, log f0 and voicing, then the mel bands
+    if 3 + feats["n_bands"] != model.config.acoustic_dim:
+        raise ValueError(f"{cfg_path}: features.n_bands {feats['n_bands']} does "
+                         f"not fit model acoustic_dim {model.config.acoustic_dim}")
     model.load_params(load_checkpoint(root / "checkpoint.json"))
     return model, run_cfg
 
@@ -301,7 +305,7 @@ def _cmd_textgrid_check(args) -> int:
     for path in args.paths:
         try:
             tg = read_textgrid_file(path)
-        except (TextGridError, OSError, UnicodeDecodeError) as exc:
+        except (TextGridError, OSError) as exc:
             failures += 1
             sys.stdout.write(f"{path}: {type(exc).__name__}: {exc}\n")
             continue
@@ -324,8 +328,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_frame_args(p, n_bands=False):
-        p.add_argument("--win-ms", type=float, default=20.0)
-        p.add_argument("--hop-ms", type=float, default=5.0)
+        p.add_argument("--win-ms", type=float, default=FrameConfig.win_ms)
+        p.add_argument("--hop-ms", type=float, default=FrameConfig.hop_ms)
         p.add_argument("--f0-min", type=float, default=F0_MIN)
         p.add_argument("--f0-max", type=float, default=F0_MAX)
         if n_bands:
@@ -334,10 +338,11 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("emphasis", help="score word emphasis in one utterance")
     p.add_argument("--wav", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--mode", choices=("adjacent", "topk"), default="adjacent")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--word-tier", default="words")
-    p.add_argument("--phone-tier", default="phones",
+    p.add_argument("--mode", choices=("adjacent", "topk"),
+                   default=LemfConfig.mode)
+    p.add_argument("--k", type=int, default=LemfConfig.top_k)
+    p.add_argument("--word-tier", default=LemfConfig.word_tier)
+    p.add_argument("--phone-tier", default=LemfConfig.phone_tier,
                    help="empty string to skip phone durations")
     add_frame_args(p)
     p.add_argument("--out", help="write the JSON document here instead of stdout")
@@ -347,25 +352,26 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=160)
+    p.add_argument("--n", type=int, default=SynthConfig.n_utts)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--les-dim", type=int, default=16)
-    p.add_argument("--gs-dim", type=int, default=16)
-    p.add_argument("--es-dim", type=int, default=16)
+    p.add_argument("--sample-rate", type=int, default=SynthConfig.sample_rate)
+    p.add_argument("--les-dim", type=int, default=SynthConfig.les_dim)
+    p.add_argument("--gs-dim", type=int, default=SynthConfig.gs_dim)
+    p.add_argument("--es-dim", type=int, default=SynthConfig.es_dim)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train the fusion model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--accum-steps", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--d-model", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--experts", default="ABC",
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--accum-steps", type=int, default=TrainConfig.accum_steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float,
+                   default=TrainConfig.weight_decay)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--experts", default="".join(ModelConfig.experts),
                    help="subset of ABC, e.g. AB for the no-es ablation")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--track-dev", action="store_true",

@@ -3,8 +3,11 @@
 Forced aligners emit word and phone alignments as Praat "long" text
 TextGrids.  This module parses that grammar into immutable tier/interval
 values, validates the timing invariants, and serializes back (round-trip
-safe, including Praat's doubled-quote escaping and labels that span
-lines).  Short-format and binary TextGrids are rejected.
+safe).  Accepted input is the long text format only (short-format and
+binary TextGrids are rejected), with ``IntervalTier`` and ``TextTier``
+tiers, in UTF-8 (a leading byte-order mark is stripped; UTF-16 is
+rejected).  Labels may hold doubled quotes, Praat's escape for ``"``, and
+may span lines.
 
 Point tiers (Praat ``TextTier``) are parsed and round-tripped but carry
 ``kind="point"``; the word/phone lookup helpers only operate on interval
@@ -128,119 +131,87 @@ def validate_textgrid(tg: TextGrid) -> None:
 # parsing
 # ---------------------------------------------------------------------------
 
-_HEADER_1 = 'File type = "ooTextFile"'
-_HEADER_2 = 'Object class = "TextGrid"'
+_HEADER = ('File type = "ooTextFile"', 'Object class = "TextGrid"')
 
-_TIERS_RE = re.compile(r"^tiers\? <(exists|absent)>$")
-_ITEM_RE = re.compile(r"^item \[(\d*)\]:$")
-_INTERVALS_RE = re.compile(r"^intervals \[(\d+)\]:$")
-_POINTS_RE = re.compile(r"^points \[(\d+)\]:$")
+# The grammar of each Praat tier class: its ``Tier.kind``, the key of its
+# item list, and the keys of one item's times and label.  A point's one
+# time is both ends of its zero-length interval.
+_TIER_GRAMMAR = {
+    "IntervalTier": ("interval", "intervals", ("xmin", "xmax"), "text"),
+    "TextTier": ("point", "points", ("number",), "mark"),
+}
+_TIER_CLASS = {grammar[0]: klass for klass, grammar in _TIER_GRAMMAR.items()}
+
+# The value of a ``key = <number>`` line is one token; a count is decimal
+# digits only.
+_NUMBER_FORMS = {float: re.compile(r"\S+"), int: re.compile(r"\d+")}
+# The body of a quoted string: any character but a quote, or a doubled quote.
+_STRING_BODY = re.compile(r'(?:[^"]|"")*')
 
 
 class _Reader:
-    """Line cursor over the normalized file text."""
+    """Line cursor over the normalized file text.
+
+    Every read raises :class:`TruncatedFile` at end of file and
+    :class:`MalformedBody` on a line that does not match.
+    """
 
     def __init__(self, text: str):
-        self.lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        self.pos = 0
+        self.lines = iter(
+            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
 
-    def next_raw(self) -> str | None:
-        """Next line verbatim (trailing whitespace preserved), or None at EOF."""
-        if self.pos >= len(self.lines):
-            return None
-        line = self.lines[self.pos]
-        self.pos += 1
+    def _next(self, want: str) -> str:
+        """Next non-blank line, without its indentation."""
+        for line in self.lines:
+            if line.strip():
+                return line.lstrip()
+        raise TruncatedFile(f"expected {want!r}, got end of file")
+
+    def line(self, *expected: str) -> str:
+        """An exact line, one of ``expected``, such as ``item [k]:``."""
+        line = self._next(expected[0]).rstrip()
+        if line not in expected:
+            raise MalformedBody(f"expected {' or '.join(map(repr, expected))}, "
+                                f"got {line!r}")
         return line
 
-    def next_content(self) -> str | None:
-        """Next non-blank line, stripped of surrounding whitespace."""
-        while True:
-            line = self.next_raw()
-            if line is None:
-                return None
-            if line.strip():
-                return line.strip()
+    def value(self, key: str) -> str:
+        """What follows ``key = `` on the next line, trailing whitespace kept."""
+        prefix = key + " = "
+        line = self._next(prefix + "...")
+        if not line.startswith(prefix):
+            raise MalformedBody(f"expected '{prefix}...', got {line.rstrip()!r}")
+        return line[len(prefix):]
 
-    def next_content_raw(self) -> str | None:
-        """Next non-blank line with only the trailing newline removed."""
-        while True:
-            line = self.next_raw()
-            if line is None:
-                return None
-            if line.strip():
-                return line
+    def number(self, key: str, kind: type = float) -> float | int:
+        """The value of ``key = <number>`` as ``kind``, float or int."""
+        text = self.value(key).rstrip()
+        try:
+            if _NUMBER_FORMS[kind].fullmatch(text):
+                return kind(text)
+        except ValueError:      # not a float, or more digits than int() takes
+            pass
+        raise MalformedBody(f"bad number for {key}: {text!r}")
 
-
-def _expect_number(reader: _Reader, key: str) -> float:
-    line = reader.next_content()
-    if line is None:
-        raise TruncatedFile(f"expected '{key} = <number>', got end of file")
-    m = re.match(rf"^{re.escape(key)} = (\S+)\s*$", line)
-    if not m:
-        raise MalformedBody(f"expected '{key} = <number>', got {line!r}")
-    try:
-        return float(m.group(1))
-    except ValueError:
-        raise MalformedBody(f"bad number for {key}: {m.group(1)!r}") from None
-
-
-def _expect_count(reader: _Reader, key: str) -> int:
-    line = reader.next_content()
-    if line is None:
-        raise TruncatedFile(f"expected '{key} = <count>', got end of file")
-    m = re.match(rf"^{re.escape(key)} = (\d+)$", line)
-    if not m:
-        raise MalformedBody(f"expected '{key} = <count>', got {line!r}")
-    return int(m.group(1))
-
-
-def _expect_string(reader: _Reader, key: str) -> str:
-    """Parse ``key = "..."`` where the value may contain doubled quotes and
-    may continue across lines (embedded newlines in labels)."""
-    line = reader.next_content_raw()
-    if line is None:
-        raise TruncatedFile(f"expected '{key} = \"...\"', got end of file")
-    stripped = line.lstrip()
-    prefix = f"{key} = "
-    if not stripped.startswith(prefix) or not stripped[len(prefix):].startswith('"'):
-        raise MalformedBody(f"expected '{key} = \"...\"', got {stripped.strip()!r}")
-    chunk = stripped[len(prefix) + 1:]
-    out: list[str] = []
-    while True:
-        i = 0
-        n = len(chunk)
-        closed = False
-        while i < n:
-            ch = chunk[i]
-            if ch == '"':
-                if i + 1 < n and chunk[i + 1] == '"':
-                    out.append('"')
-                    i += 2
-                    continue
-                if chunk[i + 1:].strip():
-                    raise MalformedBody(
-                        f"unexpected content after closing quote: {chunk[i+1:]!r}")
-                closed = True
-                break
-            out.append(ch)
-            i += 1
-        if closed:
-            return "".join(out)
-        nxt = reader.next_raw()
-        if nxt is None:
-            raise TruncatedFile(f"unterminated string value for {key}")
-        out.append("\n")
-        chunk = nxt
-
-
-def _expect_block_header(reader: _Reader, regex: re.Pattern, desc: str) -> str:
-    line = reader.next_content()
-    if line is None:
-        raise TruncatedFile(f"expected {desc}, got end of file")
-    m = regex.match(line)
-    if not m:
-        raise MalformedBody(f"expected {desc}, got {line!r}")
-    return m.group(1)
+    def string(self, key: str) -> str:
+        """The value of ``key = "..."``; doubled quotes decode to one, and
+        the value may continue across lines (embedded newlines in labels)."""
+        text = self.value(key)
+        if not text.startswith('"'):
+            raise MalformedBody(f"expected a quoted {key}, got {text.rstrip()!r}")
+        chunks = []
+        text = text[1:]
+        while (end := _STRING_BODY.match(text).end()) == len(text):
+            # no closing quote yet: the next line, verbatim, is part of the value
+            chunks.append(text)
+            text = next(self.lines, None)
+            if text is None:
+                raise TruncatedFile(f"unterminated string value for {key}")
+        chunks.append(text[:end])
+        if text[end + 1:].strip():
+            raise MalformedBody(
+                f"unexpected content after closing quote: {text[end + 1:]!r}")
+        return "\n".join(chunks).replace('""', '"')
 
 
 def parse_textgrid(text: str) -> TextGrid:
@@ -254,44 +225,25 @@ def parse_textgrid(text: str) -> TextGrid:
     if text.startswith("﻿"):
         text = text[1:]
     reader = _Reader(text)
-    line1 = reader.next_content()
-    if line1 != _HEADER_1:
-        raise MalformedHeader(f"first header line must be {_HEADER_1!r}, "
-                              f"got {line1!r}")
-    line2 = reader.next_content()
-    if line2 != _HEADER_2:
-        raise MalformedHeader(f"second header line must be {_HEADER_2!r}, "
-                              f"got {line2!r}")
+    for header in _HEADER:
+        try:
+            reader.line(header)
+        except (TruncatedFile, MalformedBody) as exc:
+            raise MalformedHeader(f"not a long-format TextGrid: {exc}") from None
 
-    xmin = _expect_number(reader, "xmin")
-    xmax = _expect_number(reader, "xmax")
-
-    line = reader.next_content()
-    if line is None:
-        raise TruncatedFile("expected 'tiers? <exists>' line, got end of file")
-    m = _TIERS_RE.match(line)
-    if not m:
-        raise MalformedBody(f"expected 'tiers? <exists|absent>', got {line!r}")
-    if m.group(1) == "absent":
-        tg = TextGrid(xmin=xmin, xmax=xmax, tiers=())
-        validate_textgrid(tg)
-        return tg
-
-    n_tiers = _expect_count(reader, "size")
-    header = _expect_block_header(reader, _ITEM_RE, "'item []:'")
-    if header != "":
-        raise MalformedBody("expected 'item []:' before the first tier")
-
+    xmin = reader.number("xmin")
+    xmax = reader.number("xmax")
     tiers: list[Tier] = []
-    for k in range(1, n_tiers + 1):
-        idx = _expect_block_header(reader, _ITEM_RE, f"'item [{k}]:'")
-        if idx != str(k):
-            raise MalformedBody(f"expected 'item [{k}]:', got index {idx!r}")
-        tiers.append(_parse_tier(reader))
-
-    trailing = reader.next_content()
-    if trailing is not None:
-        raise MalformedBody(f"unexpected content after last tier: {trailing!r}")
+    if reader.line("tiers? <exists>", "tiers? <absent>") == "tiers? <exists>":
+        n_tiers = reader.number("size", int)
+        reader.line("item []:")
+        for k in range(1, n_tiers + 1):
+            reader.line(f"item [{k}]:")
+            tiers.append(_parse_tier(reader))
+        trailing = "\n".join(reader.lines).strip()
+        if trailing:
+            raise MalformedBody(
+                f"unexpected content after last tier: {trailing[:60]!r}")
 
     tg = TextGrid(xmin=xmin, xmax=xmax, tiers=tuple(tiers))
     validate_textgrid(tg)
@@ -299,40 +251,20 @@ def parse_textgrid(text: str) -> TextGrid:
 
 
 def _parse_tier(reader: _Reader) -> Tier:
-    klass = _expect_string(reader, "class")
-    if klass not in ("IntervalTier", "TextTier"):
+    klass = reader.string("class")
+    if klass not in _TIER_GRAMMAR:
         raise MalformedBody(f"unsupported tier class {klass!r}")
-    name = _expect_string(reader, "name")
-    xmin = _expect_number(reader, "xmin")
-    xmax = _expect_number(reader, "xmax")
-
-    if klass == "IntervalTier":
-        size = _expect_count(reader, "intervals: size")
-        intervals = []
-        for j in range(1, size + 1):
-            idx = _expect_block_header(reader, _INTERVALS_RE,
-                                       f"'intervals [{j}]:'")
-            if idx != str(j):
-                raise MalformedBody(
-                    f"expected 'intervals [{j}]:', got index {idx!r}")
-            i_min = _expect_number(reader, "xmin")
-            i_max = _expect_number(reader, "xmax")
-            label = _expect_string(reader, "text")
-            intervals.append(Interval(i_min, i_max, label))
-        return Tier(name=name, xmin=xmin, xmax=xmax,
-                    intervals=tuple(intervals), kind="interval")
-
-    size = _expect_count(reader, "points: size")
-    points = []
-    for j in range(1, size + 1):
-        idx = _expect_block_header(reader, _POINTS_RE, f"'points [{j}]:'")
-        if idx != str(j):
-            raise MalformedBody(f"expected 'points [{j}]:', got index {idx!r}")
-        number = _expect_number(reader, "number")
-        mark = _expect_string(reader, "mark")
-        points.append(Interval(number, number, mark))
+    kind, items, time_keys, label_key = _TIER_GRAMMAR[klass]
+    name = reader.string("name")
+    xmin = reader.number("xmin")
+    xmax = reader.number("xmax")
+    intervals = []
+    for j in range(1, reader.number(f"{items}: size", int) + 1):
+        reader.line(f"{items} [{j}]:")
+        times = tuple(map(reader.number, time_keys))
+        intervals.append(Interval(times[0], times[-1], reader.string(label_key)))
     return Tier(name=name, xmin=xmin, xmax=xmax,
-                intervals=tuple(points), kind="point")
+                intervals=tuple(intervals), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +291,7 @@ def serialize_textgrid(tg: TextGrid) -> str:
     line-oriented format: carriage returns read back as line feeds.
     """
     out: list[str] = [
-        _HEADER_1,
-        _HEADER_2,
+        *_HEADER,
         "",
         f"xmin = {_fmt_time(tg.xmin)}",
         f"xmax = {_fmt_time(tg.xmax)}",
@@ -369,28 +300,20 @@ def serialize_textgrid(tg: TextGrid) -> str:
         "item []:",
     ]
     for k, tier in enumerate(tg.tiers, start=1):
-        out.append(f"    item [{k}]:")
-        if tier.kind == "point":
-            out.append('        class = "TextTier"')
-            out.append(f"        name = {_quote(tier.name)}")
-            out.append(f"        xmin = {_fmt_time(tier.xmin)}")
-            out.append(f"        xmax = {_fmt_time(tier.xmax)}")
-            out.append(f"        points: size = {len(tier.intervals)}")
-            for j, pt in enumerate(tier.intervals, start=1):
-                out.append(f"        points [{j}]:")
-                out.append(f"            number = {_fmt_time(pt.xmin)}")
-                out.append(f"            mark = {_quote(pt.label)}")
-        else:
-            out.append('        class = "IntervalTier"')
-            out.append(f"        name = {_quote(tier.name)}")
-            out.append(f"        xmin = {_fmt_time(tier.xmin)}")
-            out.append(f"        xmax = {_fmt_time(tier.xmax)}")
-            out.append(f"        intervals: size = {len(tier.intervals)}")
-            for j, iv in enumerate(tier.intervals, start=1):
-                out.append(f"        intervals [{j}]:")
-                out.append(f"            xmin = {_fmt_time(iv.xmin)}")
-                out.append(f"            xmax = {_fmt_time(iv.xmax)}")
-                out.append(f"            text = {_quote(iv.label)}")
+        # any kind but "point" is written as an interval tier
+        klass = _TIER_CLASS.get(tier.kind, "IntervalTier")
+        _, items, time_keys, label_key = _TIER_GRAMMAR[klass]
+        out += [f"    item [{k}]:",
+                f"        class = {_quote(klass)}",
+                f"        name = {_quote(tier.name)}",
+                f"        xmin = {_fmt_time(tier.xmin)}",
+                f"        xmax = {_fmt_time(tier.xmax)}",
+                f"        {items}: size = {len(tier.intervals)}"]
+        for j, iv in enumerate(tier.intervals, start=1):
+            out.append(f"        {items} [{j}]:")
+            for key, t in zip(time_keys, (iv.xmin, iv.xmax)):
+                out.append(f"            {key} = {_fmt_time(t)}")
+            out.append(f"            {label_key} = {_quote(iv.label)}")
     return "\n".join(out) + "\n"
 
 

@@ -19,9 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msfser.cli import build_parser, main
-from msfser.dsp import F0_MAX, F0_MIN, N_BANDS, acoustic_frames, estimate_f0, write_wav
+from msfser.dsp import (
+    F0_MAX,
+    F0_MIN,
+    N_BANDS,
+    FrameConfig,
+    acoustic_frames,
+    estimate_f0,
+    write_wav,
+)
 from msfser.embeddings import EmbeddingStore, toy_embedding
 from msfser.lemf import LemfConfig
+from msfser.model import ModelConfig, TrainConfig
 from msfser.numcore import load_checkpoint, seeded_rng
 from msfser.synth import SynthConfig, load_examples, make_emphasis_case
 from msfser.textgrid import serialize_textgrid
@@ -98,6 +107,18 @@ class TestTextgridCheck:
         assert main(["textgrid-check", str(good), str(missing)]) == 2
         out = capsys.readouterr().out
         assert "OK" in out and "FileNotFoundError" in out
+
+    def test_count_longer_than_int_takes_is_malformed(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits with a ValueError
+        bad = tmp_path / "bad.TextGrid"
+        bad.write_text(GOOD_GRID.replace("intervals: size = 1",
+                                         "intervals: size = " + "1" * 5000),
+                       encoding="utf-8")
+        good = tmp_path / "good.TextGrid"
+        good.write_text(GOOD_GRID, encoding="utf-8")
+        assert main(["textgrid-check", str(bad), str(good)]) == 2
+        out = capsys.readouterr().out
+        assert "MalformedBody" in out and "OK" in out
 
 
 class TestEmphasis:
@@ -275,6 +296,8 @@ class TestTrainEval:
             blob["features"]["win_ms"] = "20"
         elif how == "huge_win_ms":
             blob["features"]["win_ms"] = 1e308
+        elif how == "n_bands_mismatch":
+            blob["features"]["n_bands"] += 1
         return blob
 
     @pytest.mark.parametrize("target, how, code", [
@@ -295,9 +318,11 @@ class TestTrainEval:
         ("train_config.json", "no_features_key", 2),
         ("train_config.json", "text_feature", 2),
         ("train_config.json", "huge_win_ms", 2),
+        ("train_config.json", "n_bands_mismatch", 2),
     ])
     def test_eval_corrupt_model_exits_cleanly(self, trained, dataset, tmp_path,
-                                              capsys, target, how, code):
+                                              capsys, monkeypatch, target, how,
+                                              code):
         model = tmp_path / "model"
         shutil.copytree(trained, model)
         path = model / target
@@ -309,12 +334,17 @@ class TestTrainEval:
             spoil = (self._spoil_checkpoint if target == "checkpoint.json"
                      else self._spoil_run_config)
             path.write_text(json.dumps(spoil(json.loads(path.read_text()), how)))
+        if how == "n_bands_mismatch":
+            # the contradiction is found before the split is featurised
+            monkeypatch.setattr("msfser.cli.load_examples", None)
         assert main(["eval", "--data", str(dataset),
                      "--model", str(model)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         if how == "huge_win_ms":
             assert "win_ms=1e+308" in err
+        if how == "n_bands_mismatch":
+            assert "train_config.json" in err and "n_bands" in err
 
     @pytest.mark.parametrize("row, utt_id", [
         ("utt_0099,train,0.1", "'utt_0099'"),            # short row
@@ -648,12 +678,28 @@ RUN_CONFIG = {
               "les_dim": COUNTS, "dropout": FLOATS},
 }
 NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
+# Byte-level damage to the input TextGrid: (how, offset, byte).  The
+# offset wraps around the file length; it is sampled, not drawn as an
+# integer, so that it does not cluster in the header.
+GRID_DAMAGE = st.tuples(st.sampled_from(("truncate", "flip", "insert")),
+                        st.sampled_from(range(1 << 12)), st.integers(1, 255))
+
+
+def damage(data: bytes, how: str, offset: int, byte: int) -> bytes:
+    at = offset % (len(data) + (how != "flip"))
+    if how == "truncate":
+        return data[:at]
+    if how == "flip":
+        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+    return data[:at] + bytes([byte]) + data[at:]
 
 
 @st.composite
 def cli_cases(draw):
-    """(command, flags, run-config edits, switch).  At most two settings
-    take an edge value, so each can get past the checks of the others."""
+    """(command, flags, run-config edits, switch, grid damage).  At most
+    two settings take an edge value, so each can get past the checks of
+    the others.  textgrid-check reads one to six damaged grids, emphasis
+    none or one."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     pools = dict(FLAGS[command])
     if command == "eval":
@@ -662,9 +708,15 @@ def cli_cases(draw):
     names = draw(st.lists(st.sampled_from(sorted(pools)), max_size=2,
                           unique=True)) if pools else []
     picked = {name: draw(st.sampled_from(pools[name])) for name in names}
+    switch = draw(st.booleans())
+    grids = []
+    if command == "textgrid-check":
+        grids = draw(st.lists(GRID_DAMAGE, min_size=1, max_size=6))
+    elif command == "emphasis":
+        grids = draw(st.lists(GRID_DAMAGE, max_size=1))
     if command == "eval":
-        return command, {}, picked, draw(st.booleans())
-    return command, picked, {}, draw(st.booleans())
+        return command, {}, picked, switch, grids
+    return command, picked, {}, switch, grids
 
 
 @pytest.fixture(scope="session")
@@ -688,14 +740,20 @@ class TestExitCodeContract:
         """Exit 0, 2 or 3; a failure says error:, nothing prints a
         traceback or a warning, and no output file holds a non-finite
         number."""
-        command, flags, edits, switch = case
+        command, flags, edits, switch, grid_damage = case
         inp = contract_inputs
         root = tmp_path_factory.mktemp("contract")
         out = root / "out"
         out.mkdir()
+        grids = []
+        for k, how in enumerate(grid_damage):
+            grids.append(root / f"utt{k}.TextGrid")
+            grids[-1].write_bytes(damage((inp / "utt.TextGrid").read_bytes(),
+                                         *how))
+        grids = grids or [inp / "utt.TextGrid"]
         if command == "emphasis":
             argv = ["emphasis", "--wav", inp / "utt.wav",
-                    "--grid", inp / "utt.TextGrid", "--out", out / "doc.json",
+                    "--grid", grids[0], "--out", out / "doc.json",
                     "--csv", out / "track.csv", "--svg", out / "scores.svg"]
             argv += ["--mode", "topk"] if switch else []
         elif command == "synth":
@@ -720,7 +778,7 @@ class TestExitCodeContract:
                     inp / ("two.tsv" if switch else "empty.tsv"),
                     "--out", out / "emb.jsonl"]
         else:
-            argv = ["textgrid-check", inp / "utt.TextGrid"]
+            argv = ["textgrid-check", *grids]
             argv += [inp / "utt.wav"] if switch else []
         argv = [str(a) for a in argv] + [f"{k}={v}" for k, v in flags.items()]
 
@@ -733,7 +791,10 @@ class TestExitCodeContract:
                 code = exc.code
         err = stderr.getvalue()
         assert code in (0, 2, 3), (argv, code, err)
-        if code and command != "textgrid-check":    # it reports per file
+        if command == "textgrid-check":             # it reports per file
+            assert all(f"{path}: " in stdout.getvalue()
+                       for path in argv[1:]), (argv, stdout.getvalue())
+        elif code:
             assert "error: " in err, (argv, err)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
         for path in out.rglob("*"):
@@ -772,7 +833,7 @@ class TestMisc:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_one_default_per_setting(self):
+    def test_one_default_per_setting(self, monkeypatch):
         fields = {f.name for f in dataclasses.fields(SynthConfig)}
         assert fields == {"n_utts", "sample_rate", "les_dim", "gs_dim",
                           "es_dim", "seed"}
@@ -789,3 +850,32 @@ class TestMisc:
             assert (parser.get_default("f0_min"),
                     parser.get_default("f0_max")) == (F0_MIN, F0_MAX)
         assert commands["train"].get_default("n_bands") == N_BANDS
+
+        # every other flag default is read from the config field it sets
+        homes = [
+            (FrameConfig, ("emphasis", "train"),
+             {"win_ms": "win_ms", "hop_ms": "hop_ms"}),
+            (SynthConfig, ("synth",),
+             {"n": "n_utts", "sample_rate": "sample_rate",
+              "les_dim": "les_dim", "gs_dim": "gs_dim", "es_dim": "es_dim"}),
+            (TrainConfig, ("train",),
+             {name: name for name in ("epochs", "batch_size", "accum_steps",
+                                      "lr", "weight_decay")}),
+            (ModelConfig, ("train",),
+             {"d_model": "d_model", "dropout": "dropout",
+              "experts": "experts"}),
+            (LemfConfig, ("emphasis",),
+             {"mode": "mode", "k": "top_k", "word_tier": "word_tier",
+              "phone_tier": "phone_tier"}),
+        ]
+        for config, _, fields in homes:
+            for name in fields.values():
+                monkeypatch.setattr(config, name, f"{config.__name__}.{name}")
+        monkeypatch.setattr(ModelConfig, "experts", ("X", "Y"))
+        _, commands = build_parser()
+        for config, names, fields in homes:
+            for dest, name in fields.items():
+                want = ("XY" if name == "experts"
+                        else f"{config.__name__}.{name}")
+                for command in names:
+                    assert commands[command].get_default(dest) == want, dest
