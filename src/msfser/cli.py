@@ -25,6 +25,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dsp import F0_MAX, F0_MIN, N_BANDS, FrameConfig, prosody_to_csv, read_wav
 from .embeddings import CHANNELS, EmbeddingStore, toy_embedding
@@ -48,7 +50,8 @@ from .numcore import finite_json, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_dataset, load_examples
 from .textgrid import read_textgrid_file
 
-_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError)
+_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError,
+                   FloatingPointError)
 
 
 def _resolve_seed(value) -> int:
@@ -174,15 +177,8 @@ def _parse_experts(text: str) -> tuple[str, ...]:
     return experts
 
 
+# load_examples' feature settings, as train_config.json records them
 _FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
-
-
-def _load_split(data_dir, feats: dict, split: str):
-    return load_examples(
-        data_dir, split=split,
-        frame_cfg=FrameConfig(win_ms=feats["win_ms"], hop_ms=feats["hop_ms"]),
-        n_bands=feats["n_bands"], f0_min=feats["f0_min"],
-        f0_max=feats["f0_max"])
 
 
 def _cmd_train(args) -> int:
@@ -199,8 +195,8 @@ def _cmd_train(args) -> int:
         film_hidden=args.d_model, expert_hidden=args.d_model,
         experts=_parse_experts(args.experts),
         dropout=args.dropout, seed=seed)
-    train_set = _load_split(args.data, feats, "train")
-    dev_set = _load_split(args.data, feats, "dev") if args.track_dev else None
+    train_set = load_examples(args.data, "train", **feats)
+    dev_set = load_examples(args.data, "dev", **feats) if args.track_dev else None
     first = train_set[0]
     model_cfg = replace(model_cfg, acoustic_dim=first.frames.shape[1],
                         les_dim=len(first.les), gs_dim=len(first.gs),
@@ -239,7 +235,10 @@ def _load_trained(model_dir):
     """(model, run config) from a directory written by ``msfser train``."""
     root = Path(model_dir)
     cfg_path = root / "train_config.json"
-    run_cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    try:
+        run_cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{cfg_path}: not valid JSON: {exc}") from exc
     feats = run_cfg.get("features") if isinstance(run_cfg, dict) else None
     if not (isinstance(feats, dict) and set(feats) == set(_FEATURE_KEYS)
             and all(type(v) in (int, float) for v in feats.values())
@@ -261,7 +260,7 @@ def _load_trained(model_dir):
 
 def _cmd_eval(args) -> int:
     model, run_cfg = _load_trained(args.model)
-    dataset = _load_split(args.data, run_cfg["features"], args.split)
+    dataset = load_examples(args.data, args.split, **run_cfg["features"])
     report = eval_report(model, dataset,
                          extra_config={"train": run_cfg["train"],
                                        "features": run_cfg["features"],
@@ -458,7 +457,10 @@ def main(argv=None) -> int:
     argv = _apply_config_file(parser, commands, argv)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or invalid operation is a processing failure, not a
+        # warning followed by inf or NaN
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except _PROCESS_ERRORS as exc:
         # a MemoryError may carry no message
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")

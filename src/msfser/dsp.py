@@ -64,10 +64,6 @@ class AudioBuffer:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FrameConfig:

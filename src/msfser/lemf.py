@@ -97,9 +97,9 @@ def aggregate_word_prosody(track: ProsodyTrack, word: Interval,
         if np.any(voiced_in_word) else None
     f_energy = float(np.mean(track.energy[in_word])) if np.any(in_word) else 0.0
     if len(phones):
-        f_duration = float(np.mean([p.xmax - p.xmin for p in phones]))
+        f_duration = float(np.mean([p.duration for p in phones]))
     else:
-        f_duration = word.xmax - word.xmin
+        f_duration = word.duration
     return f_pitch, f_energy, f_duration
 
 
@@ -121,8 +121,8 @@ def zscore_normalize(values) -> np.ndarray:
     return (values - mu) / sigma
 
 
-def select_emphasis_indices(scores, mode: str = "adjacent",
-                            k: int = 3) -> tuple[int, ...]:
+def select_emphasis_indices(scores, mode: str = LemfConfig.mode,
+                            k: int = LemfConfig.top_k) -> tuple[int, ...]:
     """Indices of the emphasis segment words, sorted ascending.
 
     adjacent: argmax (earliest on ties) plus neighbours, extended inward
@@ -147,8 +147,8 @@ def select_emphasis_indices(scores, mode: str = "adjacent",
     raise ValueError(f"unknown segment mode {mode!r}")
 
 
-def select_emphasis_segment(words, mode: str = "adjacent",
-                            k: int = 3) -> EmphasisSegment:
+def select_emphasis_segment(words, mode: str = LemfConfig.mode,
+                            k: int = LemfConfig.top_k) -> EmphasisSegment:
     """Build the emphasis segment from scored words."""
     indices = select_emphasis_indices([w.score for w in words], mode=mode, k=k)
     chosen = [words[i] for i in indices]

@@ -50,8 +50,6 @@ from .numcore import (
     Param,
     ccc_columns,
     ccc_loss,
-    dropout_bwd,
-    dropout_fwd,
     dropout_mask,
     glorot_uniform,
     layer_norm_bwd,
@@ -64,12 +62,12 @@ from .numcore import (
     softmax,
     softmax_bwd,
     tanh_bwd,
-    tanh_fwd,
 )
 
 TARGET_NAMES = ("valence", "arousal", "dominance")
 EXPERT_NAMES = ("A", "B", "C")
 VAR_FLOOR = 1e-9
+EVAL_BATCH = 64                              # utterances per evaluation forward
 FILM_PARAMS = ("w1", "b1", "w2", "b2")       # film_modulate's weight order
 
 
@@ -230,7 +228,7 @@ def film_modulate(x: np.ndarray, cond: np.ndarray,
     identity.  Returns (modulated, cache).
     """
     z1 = linear_fwd(cond, w1, b1)
-    t1 = tanh_fwd(z1)
+    t1 = np.tanh(z1)
     mods = linear_fwd(t1, w2, b2)
     half = mods.shape[1] // 2
     if mods.shape[1] != 2 * x.shape[1]:
@@ -371,15 +369,15 @@ class MsfSerModel:
         head = f"head{name}"
         ln_g, ln_b = (self._params[f"{head}.{k}"].value for k in ("ln_g", "ln_b"))
         ln, ln_cache = layer_norm_fwd(self._dense(x, head, "1"), ln_g, ln_b)
-        act = tanh_fwd(ln)
+        act = np.tanh(ln)
         mask = dropout_mask(rng, act.shape, self.config.dropout, train)
-        dropped = dropout_fwd(act, mask)
+        dropped = act * mask
         return self._dense(dropped, head, "2"), (x, ln_cache, act, mask, dropped)
 
     def _head_bwd(self, name: str, cache, dout: np.ndarray) -> np.ndarray:
         x, ln_cache, act, mask, dropped = cache
         head = f"head{name}"
-        dact = dropout_bwd(mask, self._dense_bwd(dropped, head, dout, "2"))
+        dact = self._dense_bwd(dropped, head, dout, "2") * mask
         dhz, *dln = layer_norm_bwd(ln_cache, tanh_bwd(act, dact))
         self._add_grads((f"{head}.ln_g", f"{head}.ln_b"), dln)
         return self._dense_bwd(x, head, dhz, "1")
@@ -426,12 +424,12 @@ class MsfSerModel:
 
         cond, sem, fuse_cache = {}, {}, None
         if "B" in cfg.experts:
-            sem["les"] = tanh_fwd(self._dense(batch.les, "les"))
-            sem["gs"] = tanh_fwd(self._dense(batch.gs, "gs"))
+            sem["les"] = np.tanh(self._dense(batch.les, "les"))
+            sem["gs"] = np.tanh(self._dense(batch.gs, "gs"))
             cond["B"], fuse_cache = gated_fuse(sem["les"], sem["gs"],
                                                v("gate.w"), v("gate.b"))
         if "C" in cfg.experts:
-            sem["es"] = cond["C"] = tanh_fwd(self._dense(batch.es, "es"))
+            sem["es"] = cond["C"] = np.tanh(self._dense(batch.es, "es"))
 
         outs, experts = [], []
         for name in cfg.experts:
@@ -579,25 +577,20 @@ def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
 def _nonfinite_report(model: MsfSerModel, epoch: int, step: int) -> str:
     """Name the first parameter with a non-finite gradient, else the loss."""
     where = f"epoch {epoch}, step {step}"
-    bad = np.flatnonzero(~np.isfinite(model.grad))
-    if bad.size == 0:
-        return f"{where}: training loss is not finite"
-    offset = int(bad[0])
-    for p in model.params():        # in theta order
-        if offset < p.value.size:
-            break
-        offset -= p.value.size
-    return f"{where}: gradient of {p.name!r} is not finite"
+    for p in model.params():
+        if not np.isfinite(p.grad).all():
+            return f"{where}: gradient of {p.name!r} is not finite"
+    return f"{where}: training loss is not finite"
 
 
-def evaluate(model: MsfSerModel, dataset, eval_batch: int = 64) -> dict:
+def evaluate(model: MsfSerModel, dataset) -> dict:
     """Held-out predictions and per-dimension CCC."""
     if len(dataset) < 2:
         raise TooFewUtterances(
             f"need at least 2 utterances to evaluate, got {len(dataset)}")
     preds, targets = [], []
-    for start in range(0, len(dataset), eval_batch):
-        batch = make_batch(dataset[start:start + eval_batch])
+    for start in range(0, len(dataset), EVAL_BATCH):
+        batch = make_batch(dataset[start:start + EVAL_BATCH])
         if batch.targets is None:
             raise LengthMismatch("evaluation requires targets on every example")
         preds.append(model.predict(batch))

@@ -29,6 +29,7 @@ from .errors import NumericalFailure, ShapeMismatch
 LAYER_NORM_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
+GRAD_CHECK_EPS = 1e-5
 CHECKPOINT_VERSION = "msf-ser-ckpt-v1"
 
 
@@ -79,10 +80,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy * y * (1.0 - y)
-
-
-def tanh_fwd(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 def tanh_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -137,14 +134,6 @@ def dropout_mask(rng: np.random.Generator | None, shape, rate: float,
         return np.ones(shape, dtype=np.float64)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def dropout_fwd(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return x * mask
-
-
-def dropout_bwd(mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * mask
 
 
 # ------------------------------------------------------------------- CCC
@@ -222,7 +211,7 @@ def ccc_loss(pred: np.ndarray, target: np.ndarray):
 class AdamW:
     """Adam with decoupled weight decay over one flat parameter vector."""
 
-    def __init__(self, size: int, lr: float = 1e-5, weight_decay: float = 0.0):
+    def __init__(self, size: int, lr: float, weight_decay: float):
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
@@ -245,7 +234,7 @@ class AdamW:
 
 # ---------------------------------------------------------- grad checking
 
-def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
+def grad_check(loss_fn, params) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     loss_fn() must return the scalar loss and leave d(loss)/d(param) in
@@ -263,16 +252,16 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
         flat = p.value.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRAD_CHECK_EPS
             for q in params:
                 q.grad[...] = 0.0
             up = loss_fn()
-            flat[i] = orig - eps
+            flat[i] = orig - GRAD_CHECK_EPS
             for q in params:
                 q.grad[...] = 0.0
             down = loss_fn()
             flat[i] = orig
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * GRAD_CHECK_EPS)
             a = analytic[p.name].reshape(-1)[i]
             scale = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / scale)
@@ -316,35 +305,39 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     Any defect in the file raises :class:`NumericalFailure`: invalid JSON,
     another version, or a parameter that is not ``{"rows", "cols",
-    "data"}`` with rows * cols finite numbers.
+    "data"}`` with rows * cols finite numbers.  Every message names the
+    file; text that is not UTF-8 raises ValueError.
     """
     try:
         blob = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise NumericalFailure(f"checkpoint is not valid JSON: {exc}") from exc
+        raise NumericalFailure(
+            f"{path}: checkpoint is not valid JSON: {exc}") from exc
     version = blob.get("version") if isinstance(blob, dict) else None
     if version != CHECKPOINT_VERSION:
         raise NumericalFailure(
-            f"unsupported checkpoint version {version!r}, "
+            f"{path}: unsupported checkpoint version {version!r}, "
             f"expected {CHECKPOINT_VERSION!r}")
     params = blob.get("params", {})
     if not isinstance(params, dict):
-        raise NumericalFailure("checkpoint 'params' must be a JSON object")
+        raise NumericalFailure(f"{path}: 'params' must be a JSON object")
     out = {}
     for name, rec in params.items():
         try:
             rows, cols = rec["rows"], rec["cols"]
             arr = np.asarray(rec["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NumericalFailure(
-                f"checkpoint param {name!r} is malformed: {exc!r}") from exc
+                f"{path}: param {name!r} is malformed: {exc!r}") from exc
         if not (type(rows) is int and type(cols) is int and rows >= 0
                 and cols >= 0 and arr.size == rows * cols):
             raise NumericalFailure(
-                f"checkpoint param {name!r}: {arr.size} values for "
+                f"{path}: param {name!r}: {arr.size} values for "
                 f"shape ({rows!r}, {cols!r})")
         if not np.all(np.isfinite(arr)):
             raise NumericalFailure(
-                f"checkpoint param {name!r} holds non-finite values")
+                f"{path}: param {name!r} holds non-finite values")
         out[name] = arr.reshape(rows, cols)
     return out

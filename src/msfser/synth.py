@@ -258,10 +258,12 @@ def read_targets_csv(path) -> list[dict]:
 
 
 def load_examples(data_dir, split: str | None = None,
-                  frame_cfg: FrameConfig = FrameConfig(),
-                  n_bands: int = N_BANDS, f0_min: float = F0_MIN,
+                  win_ms: float = FrameConfig.win_ms,
+                  hop_ms: float = FrameConfig.hop_ms, n_bands: int = N_BANDS,
+                  f0_min: float = F0_MIN,
                   f0_max: float = F0_MAX) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory."""
+    frame_cfg = FrameConfig(win_ms=win_ms, hop_ms=hop_ms)
     root = Path(data_dir)
     store = EmbeddingStore.load_jsonl(root / "embeddings.jsonl")
     rows = read_targets_csv(root / "targets.csv")

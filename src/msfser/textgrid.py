@@ -11,7 +11,8 @@ may span lines.
 
 Point tiers (Praat ``TextTier``) are parsed and round-tripped but carry
 ``kind="point"``; the word/phone lookup helpers only operate on interval
-tiers.
+tiers and skip the fixed silence labels ``SILENCE_LABELS``: "", "sil",
+"sp" and "spn".
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import (
 # occasionally has 1-sample jitter at interval joins).
 TIME_TOL = 1e-9
 
-# Labels treated as non-speech by default; MFA acoustic models differ, so
-# callers may pass their own set.
-DEFAULT_SILENCE_LABELS = frozenset({"", "sil", "sp", "spn"})
+# Labels of non-speech intervals: empty, silence, short pause and spoken
+# noise, as forced aligners such as MFA write them.
+SILENCE_LABELS = frozenset({"", "sil", "sp", "spn"})
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,7 @@ def validate_textgrid(tg: TextGrid) -> None:
         if tier.name in seen:
             raise MalformedBody(f"duplicate tier name {tier.name!r}")
         seen.add(tier.name)
+        _tier_class(tier)
         _check_time(tier.xmin, f"tier {tier.name!r} xmin")
         _check_time(tier.xmax, f"tier {tier.name!r} xmax")
         if tier.xmin < tg.xmin - TIME_TOL or tier.xmax > tg.xmax + TIME_TOL:
@@ -141,6 +143,15 @@ _TIER_GRAMMAR = {
     "TextTier": ("point", "points", ("number",), "mark"),
 }
 _TIER_CLASS = {grammar[0]: klass for klass, grammar in _TIER_GRAMMAR.items()}
+
+
+def _tier_class(tier: Tier) -> str:
+    """The Praat class written for ``tier.kind``; MalformedBody if none."""
+    if tier.kind not in _TIER_CLASS:
+        raise MalformedBody(f"tier {tier.name!r} has kind {tier.kind!r}, "
+                            f"expected one of {sorted(_TIER_CLASS)}")
+    return _TIER_CLASS[tier.kind]
+
 
 # The value of a ``key = <number>`` line is one token; a count is decimal
 # digits only.
@@ -240,10 +251,10 @@ def parse_textgrid(text: str) -> TextGrid:
         for k in range(1, n_tiers + 1):
             reader.line(f"item [{k}]:")
             tiers.append(_parse_tier(reader))
-        trailing = "\n".join(reader.lines).strip()
-        if trailing:
-            raise MalformedBody(
-                f"unexpected content after last tier: {trailing[:60]!r}")
+    trailing = "\n".join(reader.lines).strip()
+    if trailing:
+        raise MalformedBody(
+            f"unexpected content after the tiers: {trailing[:60]!r}")
 
     tg = TextGrid(xmin=xmin, xmax=xmax, tiers=tuple(tiers))
     validate_textgrid(tg)
@@ -300,8 +311,7 @@ def serialize_textgrid(tg: TextGrid) -> str:
         "item []:",
     ]
     for k, tier in enumerate(tg.tiers, start=1):
-        # any kind but "point" is written as an interval tier
-        klass = _TIER_CLASS.get(tier.kind, "IntervalTier")
+        klass = _tier_class(tier)
         _, items, time_keys, label_key = _TIER_GRAMMAR[klass]
         out += [f"    item [{k}]:",
                 f"        class = {_quote(klass)}",
@@ -342,15 +352,15 @@ def _interval_tier(tg: TextGrid, tier_name: str) -> Tier:
     return tier
 
 
-def word_intervals(tg: TextGrid, tier_name: str,
-                   silence_labels=DEFAULT_SILENCE_LABELS) -> tuple[Interval, ...]:
-    """Non-silence intervals of the named tier, order preserved."""
+def word_intervals(tg: TextGrid, tier_name: str) -> tuple[Interval, ...]:
+    """Intervals of the named tier whose label is not one of
+    ``SILENCE_LABELS`` ("", "sil", "sp", "spn"), order preserved."""
     tier = _interval_tier(tg, tier_name)
-    return tuple(iv for iv in tier.intervals if iv.label not in silence_labels)
+    return tuple(iv for iv in tier.intervals if iv.label not in SILENCE_LABELS)
 
 
-def phones_for_word(tg: TextGrid, phone_tier: str, word: Interval,
-                    silence_labels=DEFAULT_SILENCE_LABELS) -> tuple[Interval, ...]:
+def phones_for_word(tg: TextGrid, phone_tier: str,
+                    word: Interval) -> tuple[Interval, ...]:
     """Phones whose center time lies in ``[word.xmin, word.xmax)``.
 
     Center-time half-open containment is robust to 1-sample boundary
@@ -359,6 +369,6 @@ def phones_for_word(tg: TextGrid, phone_tier: str, word: Interval,
     tier = _interval_tier(tg, phone_tier)
     return tuple(
         ph for ph in tier.intervals
-        if ph.label not in silence_labels
+        if ph.label not in SILENCE_LABELS
         and word.xmin <= ph.center < word.xmax
     )

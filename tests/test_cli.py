@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msfser.cli import build_parser, main
+from msfser.cli import _FEATURE_KEYS, build_parser, main
 from msfser.dsp import (
     F0_MAX,
     F0_MIN,
@@ -29,7 +29,11 @@ from msfser.dsp import (
     write_wav,
 )
 from msfser.embeddings import EmbeddingStore, toy_embedding
-from msfser.lemf import LemfConfig
+from msfser.lemf import (
+    LemfConfig,
+    select_emphasis_indices,
+    select_emphasis_segment,
+)
 from msfser.model import ModelConfig, TrainConfig
 from msfser.numcore import load_checkpoint, seeded_rng
 from msfser.synth import SynthConfig, load_examples, make_emphasis_case
@@ -280,6 +284,8 @@ class TestTrainEval:
             blob["params"][name]["rows"] = 1.5
         elif how == "params_list":
             blob["params"] = [1]
+        elif how == "huge_int_data":
+            blob["params"][name]["data"][0] = 10 ** 400
         return blob
 
     @staticmethod
@@ -309,6 +315,8 @@ class TestTrainEval:
         ("checkpoint.json", "float_rows", 3),
         ("checkpoint.json", "params_list", 3),
         ("checkpoint.json", None, 2),
+        ("checkpoint.json", "huge_int_data", 3),
+        ("checkpoint.json", "not_utf8", 2),
         ("train_config.json", "[1]", 2),
         ("train_config.json", '{"model": {}}', 2),
         ("train_config.json", "{nope", 2),
@@ -319,17 +327,26 @@ class TestTrainEval:
         ("train_config.json", "text_feature", 2),
         ("train_config.json", "huge_win_ms", 2),
         ("train_config.json", "n_bands_mismatch", 2),
+        ("embeddings.jsonl", "bad_line_3", 2),
     ])
     def test_eval_corrupt_model_exits_cleanly(self, trained, dataset, tmp_path,
                                               capsys, monkeypatch, target, how,
                                               code):
         model = tmp_path / "model"
         shutil.copytree(trained, model)
-        path = model / target
+        data, path = dataset, model / target
         if how is None:
             path.unlink()
         elif how.startswith(("[", "{")):
             path.write_text(how)
+        elif how == "not_utf8":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        elif how == "bad_line_3":
+            data = shutil.copytree(dataset, tmp_path / "data")
+            path = data / target
+            lines = path.read_text().splitlines()
+            lines[2] = "{nope"
+            path.write_text("\n".join(lines) + "\n")
         else:
             spoil = (self._spoil_checkpoint if target == "checkpoint.json"
                      else self._spoil_run_config)
@@ -337,14 +354,20 @@ class TestTrainEval:
         if how == "n_bands_mismatch":
             # the contradiction is found before the split is featurised
             monkeypatch.setattr("msfser.cli.load_examples", None)
-        assert main(["eval", "--data", str(dataset),
+        assert main(["eval", "--data", str(data),
                      "--model", str(model)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         if how == "huge_win_ms":
+            # a valid file whose window is longer than every utterance:
+            # featurising fails and names the setting
             assert "win_ms=1e+308" in err
+        else:
+            assert str(path) in err
         if how == "n_bands_mismatch":
-            assert "train_config.json" in err and "n_bands" in err
+            assert "n_bands" in err
+        if how == "bad_line_3":
+            assert f"{path}: line 3: " in err
 
     @pytest.mark.parametrize("row, utt_id", [
         ("utt_0099,train,0.1", "'utt_0099'"),            # short row
@@ -416,7 +439,7 @@ class TestTrainEval:
             self, dataset, tmp_path, capsys, monkeypatch):
         def no_features(*args, **kwargs):
             raise AssertionError("featurised before checking the settings")
-        monkeypatch.setattr("msfser.cli._load_split", no_features)
+        monkeypatch.setattr("msfser.cli.load_examples", no_features)
         code = main(["train", "--data", str(dataset), "--out",
                      str(tmp_path / "run"), "--quiet", "--experts", "5"])
         err = capsys.readouterr().err
@@ -472,6 +495,22 @@ class TestOutOfMemory:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "error: MemoryError\n"
+
+
+class TestFloatingPointTrouble:
+    @pytest.mark.parametrize("op", [
+        lambda: np.full(2, 1e308) * 10.0,
+        lambda: np.zeros(2) / 0.0,
+        lambda: np.log(np.zeros(2)),
+    ], ids=["overflow", "invalid", "divide"])
+    def test_exits_3_without_a_warning(self, emphasis_files, monkeypatch,
+                                       capsys, op):
+        monkeypatch.setattr("msfser.cli.run_lemf", lambda *a, **k: op())
+        wav, grid, _ = emphasis_files
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "encountered" in err
+        assert "Warning" not in err
 
 
 class TestEmbed:
@@ -678,11 +717,21 @@ RUN_CONFIG = {
               "les_dim": COUNTS, "dropout": FLOATS},
 }
 NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
-# Byte-level damage to the input TextGrid: (how, offset, byte).  The
-# offset wraps around the file length; it is sampled, not drawn as an
-# integer, so that it does not cluster in the header.
-GRID_DAMAGE = st.tuples(st.sampled_from(("truncate", "flip", "insert")),
-                        st.sampled_from(range(1 << 12)), st.integers(1, 255))
+# The input files whose bytes each command's cases damage.  textgrid-check
+# reads one to six damaged copies of the grid; the others damage at most
+# one of their files.
+DAMAGEABLE = {
+    "emphasis": ("utt.TextGrid", "utt.wav"),
+    "train": ("embeddings.jsonl", "targets.csv"),
+    "eval": ("checkpoint.json", "train_config.json"),
+    "textgrid-check": ("utt.TextGrid",),
+}
+# Byte-level damage: (how, offset, byte).  The offset wraps around the
+# file length, and a negative one counts from the end.  It is sampled, not
+# drawn as an integer, so that it does not cluster at the start of a file.
+DAMAGE = st.tuples(st.sampled_from(("truncate", "flip", "insert")),
+                   st.sampled_from(range(-(1 << 12), 1 << 12)),
+                   st.integers(1, 255))
 
 
 def damage(data: bytes, how: str, offset: int, byte: int) -> bytes:
@@ -696,10 +745,9 @@ def damage(data: bytes, how: str, offset: int, byte: int) -> bytes:
 
 @st.composite
 def cli_cases(draw):
-    """(command, flags, run-config edits, switch, grid damage).  At most
+    """(command, flags, run-config edits, switch, file damage).  At most
     two settings take an edge value, so each can get past the checks of
-    the others.  textgrid-check reads one to six damaged grids, emphasis
-    none or one."""
+    the others."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     pools = dict(FLAGS[command])
     if command == "eval":
@@ -709,18 +757,21 @@ def cli_cases(draw):
                           unique=True)) if pools else []
     picked = {name: draw(st.sampled_from(pools[name])) for name in names}
     switch = draw(st.booleans())
-    grids = []
-    if command == "textgrid-check":
-        grids = draw(st.lists(GRID_DAMAGE, min_size=1, max_size=6))
-    elif command == "emphasis":
-        grids = draw(st.lists(GRID_DAMAGE, max_size=1))
+    damaged = []
+    if command in DAMAGEABLE:
+        several = command == "textgrid-check"
+        damaged = draw(st.lists(
+            st.tuples(st.sampled_from(DAMAGEABLE[command]), DAMAGE),
+            min_size=int(several), max_size=6 if several else 1))
     if command == "eval":
-        return command, {}, picked, switch, grids
-    return command, picked, {}, switch, grids
+        return command, {}, picked, switch, damaged
+    return command, picked, {}, switch, damaged
 
 
 @pytest.fixture(scope="session")
 def contract_inputs(tmp_path_factory):
+    """One emphasis case, two TSV inputs, and a 12-utterance corpus at the
+    lowest sample rate with a 1-epoch model trained on it."""
     root = tmp_path_factory.mktemp("contract-inputs")
     audio, tg, _ = make_emphasis_case(seeded_rng(5), n_words=5)
     write_wav(root / "utt.wav", audio)
@@ -728,6 +779,13 @@ def contract_inputs(tmp_path_factory):
     (root / "empty.tsv").write_text("", encoding="utf-8")
     (root / "two.tsv").write_text("u1\thello there\nu2\tquiet\n",
                                   encoding="utf-8")
+    data, model = str(root / "data"), str(root / "model")
+    assert main(["synth", "--out", data, "--n", "12", "--seed", "0",
+                 "--sample-rate", str(4 * int(F0_MAX)), "--les-dim", "2",
+                 "--gs-dim", "2", "--es-dim", "2"]) == 0
+    assert main(["train", "--data", data, "--out", model, "--epochs", "1",
+                 "--batch-size", "8", "--accum-steps", "1", "--d-model", "2",
+                 "--quiet"]) == 0
     return root
 
 
@@ -735,50 +793,61 @@ class TestExitCodeContract:
     @settings(derandomize=True, max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=cli_cases())
-    def test_exit_code_contract(self, dataset, trained, contract_inputs,
-                                tmp_path_factory, case):
+    def test_exit_code_contract(self, contract_inputs, tmp_path_factory, case):
         """Exit 0, 2 or 3; a failure says error:, nothing prints a
         traceback or a warning, and no output file holds a non-finite
         number."""
-        command, flags, edits, switch, grid_damage = case
+        command, flags, edits, switch, damaged = case
         inp = contract_inputs
         root = tmp_path_factory.mktemp("contract")
         out = root / "out"
         out.mkdir()
-        grids = []
-        for k, how in enumerate(grid_damage):
-            grids.append(root / f"utt{k}.TextGrid")
-            grids[-1].write_bytes(damage((inp / "utt.TextGrid").read_bytes(),
-                                         *how))
-        grids = grids or [inp / "utt.TextGrid"]
+        data = inp / "data"
         if command == "emphasis":
-            argv = ["emphasis", "--wav", inp / "utt.wav",
-                    "--grid", grids[0], "--out", out / "doc.json",
+            for name in DAMAGEABLE[command]:
+                shutil.copy(inp / name, root)
+        elif command == "train" and damaged:
+            data = shutil.copytree(data, root / "data")
+        elif command == "eval":
+            model = shutil.copytree(inp / "model", root / "model")
+            cfg_path = model / "train_config.json"
+            blob = json.loads(cfg_path.read_text())
+            for (section, key), value in edits.items():
+                blob[section][key] = value
+            cfg_path.write_text(json.dumps(blob))
+        paths = []
+        for k, (name, how) in enumerate(damaged):
+            if command == "textgrid-check":         # a copy per damage
+                paths.append(root / f"utt{k}.TextGrid")
+                blob = (inp / name).read_bytes()
+            else:
+                paths.append({"emphasis": root, "train": data,
+                              "eval": root / "model"}[command] / name)
+                blob = paths[-1].read_bytes()
+            paths[-1].write_bytes(damage(blob, *how))
+
+        if command == "emphasis":
+            argv = ["emphasis", "--wav", root / "utt.wav",
+                    "--grid", root / "utt.TextGrid", "--out", out / "doc.json",
                     "--csv", out / "track.csv", "--svg", out / "scores.svg"]
             argv += ["--mode", "topk"] if switch else []
         elif command == "synth":
             argv = ["synth", "--out", out / "data", "--n", "10",
                     "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]
         elif command == "train":
-            argv = ["train", "--data", dataset, "--out", out / "run",
+            argv = ["train", "--data", data, "--out", out / "run",
                     "--epochs", "1", "--batch-size", "8", "--accum-steps", "1",
                     "--d-model", "2", "--quiet", "--svg", out / "hist.svg"]
             argv += ["--track-dev"] if switch else []
         elif command == "eval":
-            model = shutil.copytree(trained, root / "model")
-            cfg_path = model / "train_config.json"
-            blob = json.loads(cfg_path.read_text())
-            for (section, key), value in edits.items():
-                blob[section][key] = value
-            cfg_path.write_text(json.dumps(blob))
-            argv = ["eval", "--data", dataset, "--model", model,
+            argv = ["eval", "--data", data, "--model", root / "model",
                     "--out", out / "report.json"]
         elif command == "embed":
             argv = ["embed", "--input",
                     inp / ("two.tsv" if switch else "empty.tsv"),
                     "--out", out / "emb.jsonl"]
         else:
-            argv = ["textgrid-check", *grids]
+            argv = ["textgrid-check", *paths]
             argv += [inp / "utt.wav"] if switch else []
         argv = [str(a) for a in argv] + [f"{k}={v}" for k, v in flags.items()]
 
@@ -790,12 +859,12 @@ class TestExitCodeContract:
             except SystemExit as exc:       # argparse usage errors
                 code = exc.code
         err = stderr.getvalue()
-        assert code in (0, 2, 3), (argv, code, err)
+        assert code in (0, 2, 3), (argv, damaged, code, err)
         if command == "textgrid-check":             # it reports per file
             assert all(f"{path}: " in stdout.getvalue()
                        for path in argv[1:]), (argv, stdout.getvalue())
         elif code:
-            assert "error: " in err, (argv, err)
+            assert "error: " in err, (argv, damaged, err)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
         for path in out.rglob("*"):
             if path.is_file() and path.suffix != ".wav":
@@ -833,7 +902,7 @@ class TestMisc:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_one_default_per_setting(self, monkeypatch):
+    def test_one_default_per_setting(self, trained, monkeypatch):
         fields = {f.name for f in dataclasses.fields(SynthConfig)}
         assert fields == {"n_utts", "sample_rate", "les_dim", "gs_dim",
                           "es_dim", "seed"}
@@ -844,6 +913,20 @@ class TestMisc:
         assert (LemfConfig().f0_min, LemfConfig().f0_max) == (F0_MIN, F0_MAX)
         for fn in (acoustic_frames, load_examples):
             assert inspect.signature(fn).parameters["n_bands"].default == N_BANDS
+        for fn in (select_emphasis_indices, select_emphasis_segment):
+            params = inspect.signature(fn).parameters
+            assert (params["mode"].default,
+                    params["k"].default) == (LemfConfig.mode, LemfConfig.top_k)
+        # train_config.json records exactly load_examples' feature settings,
+        # which eval passes back by name
+        params = inspect.signature(load_examples).parameters
+        features = {name: p.default for name, p in params.items()
+                    if name not in ("data_dir", "split")}
+        assert features == {"win_ms": FrameConfig.win_ms,
+                            "hop_ms": FrameConfig.hop_ms, "n_bands": N_BANDS,
+                            "f0_min": F0_MIN, "f0_max": F0_MAX}
+        run_cfg = json.loads((trained / "train_config.json").read_text())
+        assert set(run_cfg["features"]) == set(_FEATURE_KEYS) == set(features)
         _, commands = build_parser()
         for name in ("emphasis", "train"):
             parser = commands[name]

@@ -191,7 +191,18 @@ class TestJsonl:
         path.write_text(line + "\n")
         with pytest.raises(MalformedRecord) as exc:
             EmbeddingStore.load_jsonl(path)
-        assert "line 1" in str(exc.value)
+        assert f"{path}: line 1: " in str(exc.value)
+
+    @pytest.mark.parametrize("raw", [
+        b'{"id":"u1","channel":"gs","vector":[1' + b"0" * 400 + b"]}\n",
+        b'{"id":"u1","channel":"gs","vector":[1.0]}\n\xff\n',
+    ], ids=["integer_beyond_float64", "not_utf8"])
+    def test_malformed_bytes(self, tmp_path, raw):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedRecord) as exc:
+            EmbeddingStore.load_jsonl(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_duplicate_line_reports_lineno(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -199,7 +210,7 @@ class TestJsonl:
                         '{"id":"u1","channel":"gs","vector":[2.0]}\n')
         with pytest.raises(DuplicateKey) as exc:
             EmbeddingStore.load_jsonl(path)
-        assert "line 2" in str(exc.value)
+        assert f"{path}: line 2: " in str(exc.value)
 
     def test_dim_conflict_reports_lineno(self, tmp_path):
         path = tmp_path / "dim.jsonl"
@@ -207,7 +218,7 @@ class TestJsonl:
                         '{"id":"u2","channel":"gs","vector":[1.0,2.0]}\n')
         with pytest.raises(DimMismatch) as exc:
             EmbeddingStore.load_jsonl(path)
-        assert "line 2" in str(exc.value)
+        assert f"{path}: line 2: " in str(exc.value)
 
     def test_empty_file_loads_empty_store(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -520,11 +520,12 @@ class TestModelBehavior:
         pred, cache = model.forward(batch)
         assert np.array_equal(pred[:, 0], cache["expert_out"][2, :, 0])
 
-    def test_predict_independent_of_eval_batch_size(self):
+    def test_predict_independent_of_eval_batch_size(self, monkeypatch):
         model = MsfSerModel(tiny_config())
         data = tiny_examples(11, model.config, seed=5)
-        small = evaluate(model, data, eval_batch=3)
-        big = evaluate(model, data, eval_batch=64)
+        big = evaluate(model, data)
+        monkeypatch.setattr("msfser.model.EVAL_BATCH", 3)
+        small = evaluate(model, data)
         assert np.allclose(small["pred"], big["pred"], atol=1e-12)
 
     def test_forward_eval_is_deterministic(self):

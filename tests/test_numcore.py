@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfser.errors import NumericalFailure, ShapeMismatch
-from msfser.model import ModelConfig, MsfSerModel
+from msfser.model import ModelConfig, MsfSerModel, UttExample, make_batch
 from msfser.numcore import (
     AdamW,
     Param,
     ccc,
     ccc_columns,
     ccc_loss,
-    dropout_bwd,
-    dropout_fwd,
     dropout_mask,
     finite_json,
     glorot_uniform,
@@ -34,7 +32,6 @@ from msfser.numcore import (
     softmax,
     softmax_bwd,
     tanh_bwd,
-    tanh_fwd,
 )
 
 
@@ -107,8 +104,8 @@ class TestActivations:
             loss = lambda: float((sigmoid(x) * r).sum())
             grad = sigmoid_bwd(sigmoid(x), r)
         else:
-            loss = lambda: float((tanh_fwd(x) * r).sum())
-            grad = tanh_bwd(tanh_fwd(x), r)
+            loss = lambda: float((np.tanh(x) * r).sum())
+            grad = tanh_bwd(np.tanh(x), r)
         assert rel_err(grad, fd(loss, x)) <= 1e-7
 
 
@@ -205,12 +202,26 @@ class TestDropout:
         assert 0.70 <= kept <= 0.80
 
     def test_forward_backward_share_mask(self):
+        # a train-mode loss with the same rng on every call draws one
+        # mask, so the head's first layer passes a gradient check only if
+        # its backward scales by the mask its forward applied
+        cfg = ModelConfig(acoustic_dim=3, les_dim=2, gs_dim=2, es_dim=2,
+                          d_model=3, att_dim=2, expert_hidden=8,
+                          experts=("A",), dropout=0.5, seed=1)
+        model = MsfSerModel(cfg)
         rng = seeded_rng(2)
-        x = rng.standard_normal((4, 4))
-        dy = rng.standard_normal((4, 4))
-        mask = dropout_mask(seeded_rng(3), (4, 4), 0.5, train=True)
-        assert np.array_equal(dropout_fwd(x, mask), x * mask)
-        assert np.array_equal(dropout_bwd(mask, dy), dy * mask)
+        batch = make_batch([
+            UttExample(f"u{i}", rng.standard_normal((5, 3)),
+                       *rng.standard_normal((3, 2)), rng.standard_normal(3))
+            for i in range(4)])
+        mask = dropout_mask(seeded_rng(3), (len(batch), 8), 0.5, train=True)
+        assert 0 < np.count_nonzero(mask) < mask.size
+
+        def loss_fn():
+            return model.loss_and_grad(batch, train=True, rng=seeded_rng(3))
+
+        head = [model.param("headA.w1"), model.param("headA.b1")]
+        assert grad_check(loss_fn, head) <= 1e-5
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -432,7 +443,7 @@ class TestAdamW:
     def test_single_step_hand_trace(self):
         # w=1, g=1, lr=0.1: mhat=1, vhat=1, w -> 1 - 0.1/(1+1e-8) ~ 0.9
         theta, grad = np.array([1.0]), np.array([1.0])
-        opt = AdamW(1, lr=0.1)
+        opt = AdamW(1, lr=0.1, weight_decay=0.0)
         opt.step(theta, grad)
         assert abs(theta[0] - 0.9) <= 1e-8
 
@@ -458,7 +469,7 @@ class TestAdamW:
         # each parameter's slice of the vector keeps its own moments
         theta = np.ones(2)
         a, b = theta[:1], theta[1:]
-        opt = AdamW(2, lr=0.1)
+        opt = AdamW(2, lr=0.1, weight_decay=0.0)
         opt.step(theta, np.array([1.0, -1.0]))
         assert a[0] < 1.0 < b[0]
 
@@ -563,7 +574,7 @@ class TestCheckpoints:
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match="c.json: "):
             load_checkpoint(path)
 
     def test_size_conflict_rejected(self, tmp_path):

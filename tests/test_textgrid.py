@@ -14,7 +14,7 @@ from msfser.errors import (
     UnknownTier,
 )
 from msfser.textgrid import (
-    DEFAULT_SILENCE_LABELS,
+    SILENCE_LABELS,
     Interval,
     TextGrid,
     Tier,
@@ -123,6 +123,8 @@ class TestParsing:
                 "xmin = 0\nxmax = 1\ntiers? <absent>\n")
         tg = parse_textgrid(text)
         assert tg.tiers == ()
+        # the end of file may follow <absent> at once
+        assert parse_textgrid(text.rstrip("\n")).tiers == ()
 
 
 class TestParseErrors:
@@ -171,6 +173,12 @@ class TestParseErrors:
         with pytest.raises(MalformedBody):
             parse_textgrid(REFERENCE + "item [3]:\n")
 
+    def test_content_after_absent_tiers(self):
+        text = ('File type = "ooTextFile"\nObject class = "TextGrid"\n'
+                "xmin = 0\nxmax = 1\ntiers? <absent>\nsize = 9\nanything\n")
+        with pytest.raises(MalformedBody, match="unexpected content"):
+            parse_textgrid(text)
+
     def test_overlapping_intervals(self):
         text = REFERENCE.replace("xmax = 0.75", "xmax = 0.9", 1)
         with pytest.raises(NonMonotoneIntervals):
@@ -208,6 +216,15 @@ class TestValidation:
 
     def test_valid_grid_passes(self):
         validate_textgrid(small_grid())
+
+    def test_unknown_tier_kind(self):
+        # kinds are case-sensitive: "Interval" is neither of the two
+        tg = TextGrid(0.0, 1.0, tiers=(
+            Tier("words", 0.0, 1.0, (), kind="Interval"),))
+        with pytest.raises(MalformedBody, match="'words'.*'Interval'"):
+            validate_textgrid(tg)
+        with pytest.raises(MalformedBody, match="'words'.*'Interval'"):
+            serialize_textgrid(tg)
 
 
 def random_label(rng: random.Random) -> str:
@@ -300,13 +317,8 @@ class TestAlignmentLookups:
         words = word_intervals(tg, "words")
         assert [w.label for w in words] == ["hello", "world"]
 
-    def test_custom_silence_set(self):
-        tg = small_grid()
-        words = word_intervals(tg, "words", silence_labels=frozenset({"hello"}))
-        assert [w.label for w in words] == ["", "world"]
-
     def test_default_silence_labels(self):
-        assert DEFAULT_SILENCE_LABELS == frozenset({"", "sil", "sp", "spn"})
+        assert SILENCE_LABELS == frozenset({"", "sil", "sp", "spn"})
 
     def test_phones_by_center_containment(self):
         tg = small_grid()
