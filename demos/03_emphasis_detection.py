@@ -7,16 +7,57 @@ every word with the weighted z-score rule, and extracts the emphasized
 segment plus a one-line description for a text channel.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from msfser import (
-    LemfConfig,
-    assemble_extended_description,
-    make_emphasis_case,
-    run_lemf,
-    seeded_rng,
-)
-from msfser.lemf import ExtendedInfo
+from msfser import LemfConfig, make_emphasis_case, run_lemf, seeded_rng
+
+# The extended-description (ES) template lives here, not in the library:
+# nothing in the pipeline makes or reads ES text.
+
+
+@dataclass(frozen=True)
+class ExtendedInfo:
+    """The six description categories assembled into the ES text."""
+
+    free_label: str = ""
+    constrained_label: str = ""
+    explanation: str = ""
+    scenario: str = ""
+    paralinguistics: str = ""
+    gender: str = ""
+
+
+def assemble_extended_description(info: ExtendedInfo) -> str:
+    """Deterministic description text from the six categories.
+
+    Empty fields collapse their clause; all-empty input yields "".
+    """
+    first = ""
+    if info.gender or info.free_label or info.constrained_label or info.scenario:
+        first = f"This is a {info.gender} speaker" if info.gender \
+            else "This is a speaker"
+        if info.free_label:
+            first += f", expressing {info.free_label}"
+            if info.constrained_label:
+                first += f" (categorized as {info.constrained_label})"
+        elif info.constrained_label:
+            first += f", categorized as {info.constrained_label}"
+        if info.scenario:
+            first += f", in {info.scenario}"
+        first += "."
+
+    sentences = []
+    if first:
+        sentences.append(first)
+    if info.explanation:
+        sentences.append(info.explanation.rstrip(".") + ".")
+    if info.paralinguistics:
+        sentences.append(
+            f"The speech is characterized by {info.paralinguistics.rstrip('.')}.")
+    return " ".join(sentences)
+
 
 # One word gets +6 dB energy, +4 semitones and 1.5x duration.
 audio, grid, planted = make_emphasis_case(seeded_rng(42), n_words=7)

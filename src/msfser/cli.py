@@ -13,57 +13,34 @@ Exit codes: 0 success, 2 bad usage or unreadable/invalid input, 3 a
 processing failure (numerical trouble, shape conflicts, out of memory).
 Defaults can be supplied as a flat JSON object via --config; explicit
 flags win.
-The seed falls back to the MSFSER_SEED environment variable, then 0.
+
+Flag defaults come from msfser.config; each subcommand imports the
+modules it runs, so ``emphasis`` never loads the model or the corpus code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .dsp import F0_MAX, F0_MIN, N_BANDS, FrameConfig, prosody_to_csv, read_wav
-from .embeddings import CHANNELS, EmbeddingStore, toy_embedding
+from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
+                     LemfConfig, ModelConfig, SynthConfig, TrainConfig)
 from .errors import (
     EmptyInput,
     LengthMismatch,
+    MalformedRecord,
     MsfSerError,
     NumericalFailure,
     ShapeMismatch,
     TextGridError,
 )
-from .lemf import LemfConfig, run_lemf, words_to_json
-from .model import (
-    ModelConfig,
-    MsfSerModel,
-    TrainConfig,
-    eval_report,
-    train_model,
-)
-from .numcore import finite_json, load_checkpoint, save_checkpoint
-from .synth import SynthConfig, generate_dataset, load_examples
-from .textgrid import read_textgrid_file
 
 _PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError,
                    FloatingPointError)
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("MSFSER_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"MSFSER_SEED must be an integer, got {env!r}")
-    return 0
 
 
 # ------------------------------------------------------------ SVG output
@@ -135,6 +112,10 @@ def _write_history_svg(path, history) -> None:
 # ------------------------------------------------------------ subcommands
 
 def _cmd_emphasis(args) -> int:
+    from .dsp import prosody_to_csv, read_wav
+    from .lemf import run_lemf, words_to_json
+    from .numcore import finite_json
+    from .textgrid import read_textgrid_file
     audio = read_wav(args.wav)
     tg = read_textgrid_file(args.grid)
     cfg = LemfConfig(
@@ -162,7 +143,9 @@ def _cmd_emphasis(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(n_utts=args.n, seed=_resolve_seed(args.seed),
+    from .numcore import finite_json
+    from .synth import generate_dataset
+    cfg = SynthConfig(n_utts=args.n, seed=args.seed,
                       sample_rate=args.sample_rate, les_dim=args.les_dim,
                       gs_dim=args.gs_dim, es_dim=args.es_dim)
     manifest = generate_dataset(args.out, cfg)
@@ -182,10 +165,12 @@ _FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
+    from .model import MsfSerModel, train_model
+    from .numcore import finite_json, save_checkpoint
+    from .synth import load_examples
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             accum_steps=args.accum_steps, lr=args.lr,
-                            weight_decay=args.weight_decay, seed=seed)
+                            weight_decay=args.weight_decay, seed=args.seed)
     feats = {key: getattr(args, key) for key in _FEATURE_KEYS}
     # check the model settings before featurising; the input sizes come
     # from the data (replace runs the checks again)
@@ -194,7 +179,7 @@ def _cmd_train(args) -> int:
         d_model=args.d_model, att_dim=args.d_model,
         film_hidden=args.d_model, expert_hidden=args.d_model,
         experts=_parse_experts(args.experts),
-        dropout=args.dropout, seed=seed)
+        dropout=args.dropout, seed=args.seed)
     train_set = load_examples(args.data, "train", **feats)
     dev_set = load_examples(args.data, "dev", **feats) if args.track_dev else None
     first = train_set[0]
@@ -233,6 +218,8 @@ def _cmd_train(args) -> int:
 
 def _load_trained(model_dir):
     """(model, run config) from a directory written by ``msfser train``."""
+    from .model import MsfSerModel
+    from .numcore import load_checkpoint
     root = Path(model_dir)
     cfg_path = root / "train_config.json"
     try:
@@ -259,6 +246,9 @@ def _load_trained(model_dir):
 
 
 def _cmd_eval(args) -> int:
+    from .model import eval_report
+    from .numcore import finite_json
+    from .synth import load_examples
     model, run_cfg = _load_trained(args.model)
     dataset = load_examples(args.data, args.split, **run_cfg["features"])
     report = eval_report(model, dataset,
@@ -274,25 +264,31 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .embeddings import EmbeddingStore, toy_embedding
+    from .numcore import finite_json
     if args.dim < 1:
         raise ValueError(f"dim must be >= 1, got {args.dim}")
     if args.append and Path(args.out).exists():
         store = EmbeddingStore.load_jsonl(args.out)
     else:
         store = EmbeddingStore()
-    n = 0
     with open(args.input, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise EmptyInput(
-                    f"{args.input}:{lineno}: expected 'id<TAB>text'")
-            utt_id, text = line.split("\t", 1)
-            store.put(utt_id, args.channel,
-                      toy_embedding(text, args.dim, args.channel))
-            n += 1
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{args.input}: not valid UTF-8: {exc}") from None
+    n = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise EmptyInput(
+                f"{args.input}:{lineno}: expected 'id<TAB>text'")
+        utt_id, text = line.split("\t", 1)
+        store.put(utt_id, args.channel,
+                  toy_embedding(text, args.dim, args.channel))
+        n += 1
     store.save_jsonl(args.out)
     sys.stdout.write(finite_json({"written": n, "channel": args.channel,
                                   "dim": args.dim, "out": args.out}, "stdout") + "\n")
@@ -300,13 +296,17 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_textgrid_check(args) -> int:
+    from .textgrid import read_textgrid_file
     failures = 0
     for path in args.paths:
         try:
             tg = read_textgrid_file(path)
         except (TextGridError, OSError) as exc:
             failures += 1
-            sys.stdout.write(f"{path}: {type(exc).__name__}: {exc}\n")
+            # both messages name the path; the report gives it once, first
+            detail = (exc.strerror if isinstance(exc, OSError)
+                      else str(exc).removeprefix(f"{path}: "))
+            sys.stdout.write(f"{path}: {type(exc).__name__}: {detail}\n")
             continue
         n_iv = sum(len(t.intervals) for t in tg.tiers)
         sys.stdout.write(f"{path}: OK ({len(tg.tiers)} tiers, "
@@ -352,7 +352,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=SynthConfig.n_utts)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--sample-rate", type=int, default=SynthConfig.sample_rate)
     p.add_argument("--les-dim", type=int, default=SynthConfig.les_dim)
     p.add_argument("--gs-dim", type=int, default=SynthConfig.gs_dim)
@@ -372,7 +372,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--experts", default="".join(ModelConfig.experts),
                    help="subset of ABC, e.g. AB for the no-es ablation")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--track-dev", action="store_true",
                    help="evaluate the dev split after every epoch")
     p.add_argument("--quiet", action="store_true")
@@ -452,6 +452,7 @@ def _apply_config_file(parser: argparse.ArgumentParser,
 
 
 def main(argv=None) -> int:
+    import numpy as np
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     argv = _apply_config_file(parser, commands, argv)

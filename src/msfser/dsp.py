@@ -29,13 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig
 from .errors import SignalTooShort
 
 SILENCE_RMS_FLOOR = 1e-4
-
-F0_MIN, F0_MAX = 70.0, 450.0        # pitch search range in Hz
 VOICING_THRESHOLD = 0.3             # least NCCF peak of a voiced frame
-N_BANDS = 8                         # mel bands per acoustic frame
 
 # Peaks within this fraction of the best correlation count as equivalent;
 # the earliest such lag is taken as the period.
@@ -63,26 +61,6 @@ class AudioBuffer:
             raise ValueError("AudioBuffer holds mono audio (1-D samples)")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
-
-
-@dataclass(frozen=True)
-class FrameConfig:
-    win_ms: float = 20.0
-    hop_ms: float = 5.0
-    window: str = "hann"
-
-    def __post_init__(self):
-        if not 0 < self.hop_ms <= self.win_ms < math.inf:
-            raise ValueError(f"need finite 0 < hop_ms <= win_ms, got "
-                             f"hop_ms={self.hop_ms}, win_ms={self.win_ms}")
-        if self.window not in ("hann", "rectangular"):
-            raise ValueError(f"unknown window {self.window!r}")
-
-    def win_samples(self, sample_rate: int) -> int:
-        return int(round(self.win_ms * sample_rate / 1000.0))
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return max(1, int(round(self.hop_ms * sample_rate / 1000.0)))
 
 
 @dataclass(frozen=True)
@@ -372,7 +350,10 @@ def read_wav(path) -> AudioBuffer:
                 raise ValueError(f"{path}: no usable fmt chunk before the data")
             data = np.frombuffer(body, dtype, len(body) // dtype.itemsize)
             samples = data / 32768.0 if dtype.kind == "i" else data
-            return AudioBuffer(samples=samples, sample_rate=sr)
+            try:
+                return AudioBuffer(samples=samples, sample_rate=sr)
+            except ValueError as exc:       # a NaN sample or a zero rate
+                raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"{path}: WAV file has no data chunk")
 
 

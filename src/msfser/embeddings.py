@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import CHANNELS
 from .errors import DimMismatch, DuplicateKey, MalformedRecord, MissingEmbedding
 from .numcore import finite_json
-
-CHANNELS = ("les", "gs", "es")
 
 
 def hash_token(token: str, channel: str = "") -> int:

@@ -16,11 +16,12 @@ without aligned phones uses its own length as the duration feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import F0_MAX, F0_MIN, AudioBuffer, FrameConfig, ProsodyTrack, estimate_f0
+from .config import LemfConfig
+from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
 from .errors import EmptyInput
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
 
@@ -50,29 +51,6 @@ class EmphasisSegment:
     words: tuple[str, ...]
     time_span: float
     mode: str
-
-
-@dataclass(frozen=True)
-class ExtendedInfo:
-    """The six description categories assembled into the ES text."""
-
-    free_label: str = ""
-    constrained_label: str = ""
-    explanation: str = ""
-    scenario: str = ""
-    paralinguistics: str = ""
-    gender: str = ""
-
-
-@dataclass(frozen=True)
-class LemfConfig:
-    frame: FrameConfig = field(default_factory=FrameConfig)
-    mode: str = "adjacent"          # "adjacent" | "topk"
-    top_k: int = 3
-    word_tier: str = "words"
-    phone_tier: str | None = "phones"
-    f0_min: float = F0_MIN
-    f0_max: float = F0_MAX
 
 
 @dataclass(frozen=True)
@@ -160,36 +138,6 @@ def select_emphasis_segment(words, mode: str = LemfConfig.mode,
         time_span=span,
         mode=mode,
     )
-
-
-def assemble_extended_description(info: ExtendedInfo) -> str:
-    """Deterministic description text from the six categories.
-
-    Empty fields collapse their clause; all-empty input yields "".
-    """
-    first = ""
-    if info.gender or info.free_label or info.constrained_label or info.scenario:
-        first = f"This is a {info.gender} speaker" if info.gender \
-            else "This is a speaker"
-        if info.free_label:
-            first += f", expressing {info.free_label}"
-            if info.constrained_label:
-                first += f" (categorized as {info.constrained_label})"
-        elif info.constrained_label:
-            first += f", categorized as {info.constrained_label}"
-        if info.scenario:
-            first += f", in {info.scenario}"
-        first += "."
-
-    sentences = []
-    if first:
-        sentences.append(first)
-    if info.explanation:
-        sentences.append(info.explanation.rstrip(".") + ".")
-    if info.paralinguistics:
-        sentences.append(
-            f"The speech is characterized by {info.paralinguistics.rstrip('.')}.")
-    return " ".join(sentences)
 
 
 def analyze_words(track: ProsodyTrack, words,

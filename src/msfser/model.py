@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import ModelConfig, TrainConfig
 from .errors import (
     LengthMismatch,
     NumericalFailure,
@@ -65,45 +65,9 @@ from .numcore import (
 )
 
 TARGET_NAMES = ("valence", "arousal", "dominance")
-EXPERT_NAMES = ("A", "B", "C")
 VAR_FLOOR = 1e-9
 EVAL_BATCH = 64                              # utterances per evaluation forward
 FILM_PARAMS = ("w1", "b1", "w2", "b2")       # film_modulate's weight order
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    acoustic_dim: int
-    les_dim: int
-    gs_dim: int
-    es_dim: int
-    d_model: int = 32
-    att_dim: int = 32
-    film_hidden: int = 32
-    expert_hidden: int = 32
-    experts: tuple[str, ...] = ("A", "B", "C")
-    dropout: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.experts or any(e not in EXPERT_NAMES for e in self.experts):
-            raise ValueError(
-                f"experts must be a non-empty subset of {EXPERT_NAMES}, "
-                f"got {self.experts}")
-        if len(set(self.experts)) != len(self.experts):
-            raise ValueError(f"duplicate experts in {self.experts}")
-        for name in ("acoustic_dim", "les_dim", "gs_dim", "es_dim", "d_model",
-                     "att_dim", "film_hidden", "expert_hidden"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["experts"] = tuple(d.get("experts", EXPERT_NAMES))
-        return cls(**d)
 
 
 @dataclass
@@ -506,30 +470,6 @@ class MsfSerModel:
 
 
 # ------------------------------------------------------------- training
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    accum_steps: int = 4
-    lr: float = 1e-5
-    weight_decay: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            # a micro-batch needs two utterances for the concordance loss
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.accum_steps < 1:
-            raise ValueError(f"accum_steps must be >= 1, got {self.accum_steps}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-
 
 def train_model(model: MsfSerModel, train_set, cfg: TrainConfig,
                 dev_set=None, log=None) -> list[dict]:

@@ -21,14 +21,15 @@ All randomness flows from one PCG64 seed; outputs are byte-stable.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import (F0_MAX, F0_MIN, N_BANDS, AudioBuffer, FrameConfig,
-                  acoustic_frames, read_wav, write_wav)
+from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig, SynthConfig
+from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore
 from .errors import MalformedRecord, TooFewUtterances
 from .model import UttExample
@@ -43,25 +44,6 @@ AROUSAL_OCTAVES = 0.4                       # pitch swing at |arousal| = 1
 WORDS_MIN, WORDS_MAX = 4, 8                 # words per utterance, inclusive
 WORD_DUR_MIN, WORD_DUR_MAX = 0.15, 0.28     # seconds
 CHANNEL_NOISE, TARGET_NOISE = 0.05, 0.05
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    n_utts: int = 160
-    sample_rate: int = 16000
-    les_dim: int = 16
-    gs_dim: int = 16
-    es_dim: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("les_dim", "gs_dim", "es_dim"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.sample_rate >= 4 * F0_MAX:
-            # the rule estimate_f0 applies when the corpus is featurised
-            raise ValueError(f"sample_rate must be >= {4 * F0_MAX:g} to resolve "
-                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}")
 
 
 def _tone(n: int, sample_rate: int, f0: float, amp: float) -> np.ndarray:
@@ -231,29 +213,37 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 def read_targets_csv(path) -> list[dict]:
     """Rows of {utt_id, split, target (3,)} in file order.
 
-    A row with a missing column, a repeated utt_id, or a non-finite
-    valence, arousal or dominance raises MalformedRecord.
+    A file that is not UTF-8, or a row with a missing column, a repeated
+    utt_id, or a valence, arousal or dominance that is not a finite
+    number raises MalformedRecord.
     """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: not valid UTF-8: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    need = {"utt_id", "split", "valence", "arousal", "dominance"}
+    if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+        raise MalformedRecord(
+            f"{path}: targets CSV must have columns {sorted(need)}")
     rows, seen = [], set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"utt_id", "split", "valence", "arousal", "dominance"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise MalformedRecord(
-                f"{path}: targets CSV must have columns {sorted(need)}")
-        for rec in reader:
-            utt_id = rec["utt_id"]
-            if utt_id in seen or any(rec[key] is None for key in need):
-                what = "is listed twice" if utt_id in seen else "lacks columns"
-                raise MalformedRecord(f"{path}: utterance {utt_id!r} {what}")
-            seen.add(utt_id)
+    for rec in reader:
+        utt_id = rec["utt_id"]
+        if utt_id in seen or any(rec[key] is None for key in need):
+            what = "is listed twice" if utt_id in seen else "lacks columns"
+            raise MalformedRecord(f"{path}: utterance {utt_id!r} {what}")
+        seen.add(utt_id)
+        try:
             target = np.array([float(rec["valence"]), float(rec["arousal"]),
                                float(rec["dominance"])])
-            if not np.all(np.isfinite(target)):
-                raise MalformedRecord(f"{path}: utterance {utt_id!r} has a "
-                                      f"non-finite target {target.tolist()}")
-            rows.append({"utt_id": utt_id, "split": rec["split"],
-                         "target": target})
+        except ValueError as exc:
+            raise MalformedRecord(f"{path}: utterance {utt_id!r} has a target "
+                                  f"that is not a number: {exc}") from None
+        if not np.all(np.isfinite(target)):
+            raise MalformedRecord(f"{path}: utterance {utt_id!r} has a "
+                                  f"non-finite target {target.tolist()}")
+        rows.append({"utt_id": utt_id, "split": rec["split"], "target": target})
     return rows
 
 

@@ -24,6 +24,7 @@ from .errors import (
     MalformedBody,
     MalformedHeader,
     NonMonotoneIntervals,
+    TextGridError,
     TruncatedFile,
     UnknownTier,
 )
@@ -332,16 +333,20 @@ def serialize_textgrid(tg: TextGrid) -> str:
 # ---------------------------------------------------------------------------
 
 def read_textgrid_file(path) -> TextGrid:
-    """Read and parse a TextGrid file; UTF-8 only, UTF-16 BOMs rejected."""
+    """Read and parse a TextGrid file; UTF-8 only, UTF-16 BOMs rejected.
+
+    Every TextGridError raised here starts its message with the path.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:2] in (b"\xfe\xff", b"\xff\xfe"):
-        raise MalformedHeader("UTF-16 TextGrid input; transcode to UTF-8 first")
     try:
-        text = raw.decode("utf-8")
+        if raw[:2] in (b"\xfe\xff", b"\xff\xfe"):
+            raise MalformedHeader("UTF-16 TextGrid input; transcode to UTF-8 first")
+        return parse_textgrid(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise MalformedHeader(f"not valid UTF-8: {exc}") from None
-    return parse_textgrid(text)
+        raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from None
+    except TextGridError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _interval_tier(tg: TextGrid, tier_name: str) -> Tier:

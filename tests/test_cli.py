@@ -185,6 +185,38 @@ class TestEmphasis:
         assert main(["emphasis", "--wav", "/nonexistent.wav",
                      "--grid", str(grid)]) == 2
 
+    @pytest.mark.parametrize("damage", ["bad_number", "utf16", "not_utf8"])
+    def test_grid_errors_name_the_file_once(self, emphasis_files, capsys,
+                                            damage):
+        wav, grid, _ = emphasis_files
+        text = grid.read_text(encoding="utf-8")
+        grid.write_bytes({
+            "bad_number": text.replace("xmin = ", "xmin = zz", 1).encode(),
+            "utf16": text.encode("utf-16"),
+            "not_utf8": text.replace('"words"', '"w\xe1rds"').encode("latin-1"),
+        }[damage])
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid}: ") and "Traceback" not in err
+        # textgrid-check starts its report with the path, and only there
+        assert main(["textgrid-check", str(grid)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{grid}: MalformedHeader: "
+                              if damage != "bad_number"
+                              else f"{grid}: MalformedBody: ")
+        assert out.count(str(grid)) == 1
+
+    def test_nonfinite_wav_sample_names_the_file(self, emphasis_files, capsys):
+        wav, grid, _ = emphasis_files
+        samples = np.array([0.0, np.nan, 0.0], dtype="<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+        body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+                + struct.pack("<I", len(samples)) + samples)
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {wav}: samples contain non-finite values\n"
+
     def test_unsupported_wav_exits_2(self, emphasis_files, capsys):
         wav, grid, _ = emphasis_files
         # rewrite the fmt chunk as 24-bit PCM: bytes 32..35 are
@@ -205,17 +237,22 @@ class TestSynth:
         manifest = json.loads((dataset / "manifest.json").read_text())
         assert sum(manifest["splits"].values()) == 12
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch, capsys):
+    def test_seed_defaults_to_config(self, tmp_path, monkeypatch, capsys):
+        # --seed and --config are the only ways to set it; the environment
+        # is not read
         monkeypatch.setenv("MSFSER_SEED", "7")
         a = tmp_path / "a"
         assert main(["synth", "--out", str(a), "--n", "10",
                      "--les-dim", "4", "--gs-dim", "4", "--es-dim", "4"]) == 0
         manifest = json.loads(capsys.readouterr().out)
-        assert manifest["config"]["seed"] == 7
+        assert manifest["config"]["seed"] == SynthConfig.seed == 0
 
-    def test_invalid_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MSFSER_SEED", "banana")
-        assert main(["synth", "--out", str(tmp_path / "x"), "--n", "10"]) == 2
+    def test_seed_flags_read_config_defaults(self, monkeypatch):
+        monkeypatch.setattr(SynthConfig, "seed", 5)
+        monkeypatch.setattr(TrainConfig, "seed", 6)
+        _, commands = build_parser()
+        assert commands["synth"].get_default("seed") == 5
+        assert commands["train"].get_default("seed") == 6
 
     @pytest.mark.parametrize("flag, value", [
         ("--sample-rate", "0"), ("--les-dim", "0"), ("--es-dim", "-2"),
@@ -353,7 +390,7 @@ class TestTrainEval:
             path.write_text(json.dumps(spoil(json.loads(path.read_text()), how)))
         if how == "n_bands_mismatch":
             # the contradiction is found before the split is featurised
-            monkeypatch.setattr("msfser.cli.load_examples", None)
+            monkeypatch.setattr("msfser.synth.load_examples", None)
         assert main(["eval", "--data", str(data),
                      "--model", str(model)]) == code
         err = capsys.readouterr().err
@@ -386,6 +423,25 @@ class TestTrainEval:
         assert code == 2
         assert err.startswith("error: ") and "targets.csv" in err
         assert utt_id in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("row, named", [
+        (b"utt_0099,train,0.1,x0.2,0.3", b"'utt_0099'"),   # not a number
+        (b"utt_0099,train,0.1,0.2,0.3\xe1", b"UTF-8"),      # not UTF-8
+    ])
+    def test_unreadable_target_row_exits_2(self, dataset, tmp_path, capsys,
+                                           row, named):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        with open(data / "targets.csv", "ab") as fh:
+            fh.write(row + b"\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {data / 'targets.csv'}: ")
+        assert named.decode() in err
         assert "Traceback" not in err and not out.exists()
 
     def test_nonfinite_target_exits_2(self, dataset, tmp_path, capsys):
@@ -439,7 +495,7 @@ class TestTrainEval:
             self, dataset, tmp_path, capsys, monkeypatch):
         def no_features(*args, **kwargs):
             raise AssertionError("featurised before checking the settings")
-        monkeypatch.setattr("msfser.cli.load_examples", no_features)
+        monkeypatch.setattr("msfser.synth.load_examples", no_features)
         code = main(["train", "--data", str(dataset), "--out",
                      str(tmp_path / "run"), "--quiet", "--experts", "5"])
         err = capsys.readouterr().err
@@ -458,7 +514,8 @@ class TestNonFiniteArtifacts:
     def test_exits_3_and_names_the_file(self, dataset, trained, emphasis_files,
                                         tmp_path, monkeypatch, capsys,
                                         command, patch, value, target):
-        monkeypatch.setattr(f"msfser.cli.{patch}", lambda *a, **k: value)
+        home = {"eval": "model", "train": "model", "emphasis": "lemf"}[command]
+        monkeypatch.setattr(f"msfser.{home}.{patch}", lambda *a, **k: value)
         wav, grid, _ = emphasis_files
         out = tmp_path / "out"
         argv = {
@@ -487,7 +544,8 @@ class TestOutOfMemory:
                                   capsys, command, patch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError()
-        monkeypatch.setattr(f"msfser.cli.{patch}", out_of_memory)
+        home = {"synth": "synth", "emphasis": "lemf"}[command]
+        monkeypatch.setattr(f"msfser.{home}.{patch}", out_of_memory)
         wav, grid, _ = emphasis_files
         argv = {"synth": ["synth", "--out", str(tmp_path / "data")],
                 "emphasis": ["emphasis", "--wav", str(wav),
@@ -505,7 +563,7 @@ class TestFloatingPointTrouble:
     ], ids=["overflow", "invalid", "divide"])
     def test_exits_3_without_a_warning(self, emphasis_files, monkeypatch,
                                        capsys, op):
-        monkeypatch.setattr("msfser.cli.run_lemf", lambda *a, **k: op())
+        monkeypatch.setattr("msfser.lemf.run_lemf", lambda *a, **k: op())
         wav, grid, _ = emphasis_files
         assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 3
         err = capsys.readouterr().err
@@ -568,6 +626,15 @@ class TestEmbed:
         tsv.write_text("no-tab-here\n", encoding="utf-8")
         assert main(["embed", "--input", str(tsv),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
+        tsv = tmp_path / "in.tsv"
+        tsv.write_bytes(b"u1\thello\nu2\tw\xe1rld\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tsv}: not valid UTF-8")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_bad_dim_exits_2_on_empty_input(self, tmp_path, capsys, dim):
@@ -873,6 +940,47 @@ class TestExitCodeContract:
 
 
 class TestRuntime:
+    @staticmethod
+    def loaded_after(statement, *argv):
+        """The msfser modules a fresh interpreter holds after statement."""
+        src = Path(__import__("msfser").__file__).resolve().parents[1]
+        code = (f"import sys\n{statement}\nprint(' '.join(sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'msfser')))")
+        result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                                cwd=src, capture_output=True, text=True,
+                                check=True)
+        return result.stdout.split()
+
+    def test_bare_import_loads_no_submodule(self):
+        assert self.loaded_after("import msfser") == ["msfser"]
+
+    def test_cli_import_loads_only_config_and_errors(self):
+        assert self.loaded_after("import msfser.cli") == [
+            "msfser", "msfser.cli", "msfser.config", "msfser.errors"]
+
+    def test_emphasis_loads_no_training_stack(self, emphasis_files, tmp_path):
+        wav, grid, _ = emphasis_files
+        loaded = self.loaded_after(
+            "from msfser.cli import main\nassert main(sys.argv[1:]) == 0",
+            "emphasis", "--wav", wav, "--grid", grid,
+            "--out", tmp_path / "doc.json")
+        assert "msfser.lemf" in loaded
+        assert not {"msfser.model", "msfser.synth",
+                    "msfser.embeddings"} & set(loaded)
+
+    def test_every_export_is_its_home_modules_object(self):
+        check = """
+import importlib
+import msfser
+homes = {name: "msfser." + module for name, module in msfser._EXPORTS.items()}
+assert set(msfser.__all__) == set(homes) | {"__version__"}
+for name, home in homes.items():
+    obj = getattr(msfser, name)
+    assert obj is getattr(importlib.import_module(home), name), name
+    assert not callable(obj) or obj.__module__ == home, name
+"""
+        assert "msfser.model" in self.loaded_after(check)
+
     def test_import_loads_no_scipy(self):
         src = Path(__import__("msfser").__file__).resolve().parents[1]
         code = ("import msfser.cli, sys; print(sorted(m for m in sys.modules "

@@ -1,6 +1,11 @@
-"""Word-level prosody aggregation, z-scoring, emphasis scoring/selection."""
+"""Word-level prosody aggregation, z-scoring, emphasis scoring/selection,
+and the extended-description template kept in demo 03."""
 
+import contextlib
+import importlib.util
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +18,10 @@ from msfser.lemf import (
     ALPHA,
     BETA,
     GAMMA,
-    ExtendedInfo,
     LemfConfig,
     WordProsody,
     aggregate_word_prosody,
     analyze_words,
-    assemble_extended_description,
     run_lemf,
     select_emphasis_indices,
     select_emphasis_segment,
@@ -28,6 +31,8 @@ from msfser.lemf import (
 from msfser.numcore import seeded_rng
 from msfser.synth import make_emphasis_case
 from msfser.textgrid import Interval
+
+DEMO_03 = Path(__file__).resolve().parents[1] / "demos" / "03_emphasis_detection.py"
 
 
 def track_from(times, log_f0, voiced, energy):
@@ -218,8 +223,18 @@ class TestSegmentSelection:
 
 
 class TestDescription:
-    def test_all_fields(self):
-        info = ExtendedInfo(
+    """The ES template lives in demo 03, its only caller; load it as a module."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        spec = importlib.util.spec_from_file_location("demo_03", DEMO_03)
+        module = importlib.util.module_from_spec(spec)
+        with contextlib.redirect_stdout(io.StringIO()):
+            spec.loader.exec_module(module)
+        return module
+
+    def test_all_fields(self, demo):
+        info = demo.ExtendedInfo(
             gender="female",
             free_label="annoyed frustration",
             constrained_label="angry",
@@ -228,7 +243,7 @@ class TestDescription:
                         "mounting irritation",
             paralinguistics="fast speech with sharp energy bursts",
         )
-        assert assemble_extended_description(info) == (
+        assert demo.assemble_extended_description(info) == (
             "This is a female speaker, expressing annoyed frustration "
             "(categorized as angry), in a customer service call. "
             "The rising pitch and clipped word endings suggest mounting "
@@ -236,28 +251,28 @@ class TestDescription:
             "The speech is characterized by fast speech with sharp energy "
             "bursts.")
 
-    def test_missing_gender_collapses(self):
-        info = ExtendedInfo(free_label="joy", constrained_label="happy")
-        assert assemble_extended_description(info) == \
+    def test_missing_gender_collapses(self, demo):
+        info = demo.ExtendedInfo(free_label="joy", constrained_label="happy")
+        assert demo.assemble_extended_description(info) == \
             "This is a speaker, expressing joy (categorized as happy)."
 
-    def test_constrained_only(self):
-        info = ExtendedInfo(constrained_label="neutral")
-        assert assemble_extended_description(info) == \
+    def test_constrained_only(self, demo):
+        info = demo.ExtendedInfo(constrained_label="neutral")
+        assert demo.assemble_extended_description(info) == \
             "This is a speaker, categorized as neutral."
 
-    def test_paralinguistics_only(self):
-        info = ExtendedInfo(paralinguistics="breathy phonation")
-        assert assemble_extended_description(info) == \
+    def test_paralinguistics_only(self, demo):
+        info = demo.ExtendedInfo(paralinguistics="breathy phonation")
+        assert demo.assemble_extended_description(info) == \
             "The speech is characterized by breathy phonation."
 
-    def test_all_empty_gives_empty(self):
-        assert assemble_extended_description(ExtendedInfo()) == ""
+    def test_all_empty_gives_empty(self, demo):
+        assert demo.assemble_extended_description(demo.ExtendedInfo()) == ""
 
-    def test_deterministic(self):
-        info = ExtendedInfo(gender="male", scenario="a lecture")
-        assert assemble_extended_description(info) == \
-            assemble_extended_description(info)
+    def test_deterministic(self, demo):
+        info = demo.ExtendedInfo(gender="male", scenario="a lecture")
+        assert demo.assemble_extended_description(info) == \
+            demo.assemble_extended_description(info)
 
 
 class TestEndToEnd:

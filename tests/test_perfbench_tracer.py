@@ -11,7 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import msfser.cli  # noqa: F401  (loads every msfser module the tracer scans)
+# every msfser module the tracer scans, loaded before it is installed
+from msfser import cli, dsp, embeddings, lemf, numcore, synth, textgrid  # noqa: F401
 from msfser import model as model_mod
 from msfser.model import ModelConfig, MsfSerModel, TrainConfig, UttExample
 from msfser.numcore import seeded_rng

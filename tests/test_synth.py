@@ -231,6 +231,23 @@ class TestLoading:
         with pytest.raises(MalformedRecord, match="'u1'"):
             read_targets_csv(path)
 
+    def test_non_numeric_target_rejected(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_text("utt_id,split,valence,arousal,dominance\n"
+                        "u0,train,0.1,0.2,0.3\n"
+                        "u1,train,0.1,x0.2,0.3\n")
+        with pytest.raises(MalformedRecord,
+                           match="targets.csv: utterance 'u1' .*not a number"):
+            read_targets_csv(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_bytes(b"utt_id,split,valence,arousal,dominance\n"
+                         b"u0,tr\xe1in,0.1,0.2,0.3\n")
+        with pytest.raises(MalformedRecord,
+                           match="targets.csv: not valid UTF-8"):
+            read_targets_csv(path)
+
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "targets.csv"
         path.write_text("utt_id,split,valence,arousal,dominance\n"
