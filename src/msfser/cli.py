@@ -32,11 +32,13 @@ from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
 from .errors import (
     EmptyInput,
     LengthMismatch,
-    MalformedRecord,
     MsfSerError,
     NumericalFailure,
     ShapeMismatch,
+    SignalTooShort,
     TextGridError,
+    read_text,
+    write_json,
 )
 
 _PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError,
@@ -114,7 +116,6 @@ def _write_history_svg(path, history) -> None:
 def _cmd_emphasis(args) -> int:
     from .dsp import prosody_to_csv, read_wav
     from .lemf import run_lemf, words_to_json
-    from .numcore import finite_json
     from .textgrid import read_textgrid_file
     audio = read_wav(args.wav)
     tg = read_textgrid_file(args.grid)
@@ -125,13 +126,13 @@ def _cmd_emphasis(args) -> int:
         phone_tier=args.phone_tier if args.phone_tier != "" else None,
         f0_min=args.f0_min, f0_max=args.f0_max,
     )
-    result = run_lemf(audio, tg, cfg)
-    doc = words_to_json(Path(args.wav).stem, result)
-    payload = finite_json(doc, args.out or "stdout", indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    try:
+        result = run_lemf(audio, tg, cfg)
+    except (TextGridError, EmptyInput) as exc:      # no such tier, no words
+        raise type(exc)(f"{args.grid}: {exc}") from None
+    except SignalTooShort as exc:
+        raise SignalTooShort(f"{args.wav}: {exc}") from None
+    write_json(words_to_json(Path(args.wav).stem, result), args.out, indent=2)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             prosody_to_csv(result.track, fh)
@@ -143,13 +144,11 @@ def _cmd_emphasis(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .numcore import finite_json
     from .synth import generate_dataset
     cfg = SynthConfig(n_utts=args.n, seed=args.seed,
                       sample_rate=args.sample_rate, les_dim=args.les_dim,
                       gs_dim=args.gs_dim, es_dim=args.es_dim)
-    manifest = generate_dataset(args.out, cfg)
-    sys.stdout.write(finite_json(manifest, "stdout", indent=2, sort_keys=True) + "\n")
+    write_json(generate_dataset(args.out, cfg), indent=2, sort_keys=True)
     return 0
 
 
@@ -166,7 +165,7 @@ _FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
 
 def _cmd_train(args) -> int:
     from .model import MsfSerModel, train_model
-    from .numcore import finite_json, save_checkpoint
+    from .numcore import save_checkpoint
     from .synth import load_examples
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             accum_steps=args.accum_steps, lr=args.lr,
@@ -200,19 +199,15 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model.params_dict(), out / "checkpoint.json")
-    run_cfg = {"model": asdict(model_cfg), "train": asdict(train_cfg),
-               "features": feats}
-    cfg_path, history_path = out / "train_config.json", out / "history.json"
-    cfg_path.write_text(finite_json(run_cfg, cfg_path, indent=2, sort_keys=True)
-                        + "\n", encoding="utf-8")
-    history_path.write_text(finite_json(history, history_path, indent=1) + "\n",
-                            encoding="utf-8")
+    write_json({"model": asdict(model_cfg), "train": asdict(train_cfg),
+                "features": feats}, out / "train_config.json", indent=2,
+               sort_keys=True)
+    write_json(history, out / "history.json", indent=1)
     if args.svg:
         _write_history_svg(args.svg, history)
-    sys.stdout.write(finite_json({
-        "out": str(out), "epochs": len(history),
-        "final_train_loss": history[-1]["train_loss"],
-        "n_params": model.n_params}, "stdout") + "\n")
+    write_json({"out": str(out), "epochs": len(history),
+                "final_train_loss": history[-1]["train_loss"],
+                "n_params": model.n_params})
     return 0
 
 
@@ -223,8 +218,8 @@ def _load_trained(model_dir):
     root = Path(model_dir)
     cfg_path = root / "train_config.json"
     try:
-        run_cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        run_cfg = json.loads(read_text(cfg_path))
+    except json.JSONDecodeError as exc:
         raise ValueError(f"{cfg_path}: not valid JSON: {exc}") from exc
     feats = run_cfg.get("features") if isinstance(run_cfg, dict) else None
     if not (isinstance(feats, dict) and set(feats) == set(_FEATURE_KEYS)
@@ -247,7 +242,6 @@ def _load_trained(model_dir):
 
 def _cmd_eval(args) -> int:
     from .model import eval_report
-    from .numcore import finite_json
     from .synth import load_examples
     model, run_cfg = _load_trained(args.model)
     dataset = load_examples(args.data, args.split, **run_cfg["features"])
@@ -255,31 +249,25 @@ def _cmd_eval(args) -> int:
                          extra_config={"train": run_cfg["train"],
                                        "features": run_cfg["features"],
                                        "split": args.split})
-    payload = finite_json(report, args.out or "stdout", indent=2,
-                          sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    sys.stdout.write(payload)
+        write_json(report, args.out, indent=2, sort_keys=True)
+    write_json(report, indent=2, sort_keys=True)
     return 0
 
 
 def _cmd_embed(args) -> int:
     from .embeddings import EmbeddingStore, toy_embedding
-    from .numcore import finite_json
     if args.dim < 1:
         raise ValueError(f"dim must be >= 1, got {args.dim}")
     if args.append and Path(args.out).exists():
         store = EmbeddingStore.load_jsonl(args.out)
     else:
         store = EmbeddingStore()
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise MalformedRecord(f"{args.input}: not valid UTF-8: {exc}") from None
+    # lines end at \n, \r\n or \r as in text mode; a \f is text, not a break
+    lines = (read_text(args.input).replace("\r\n", "\n").replace("\r", "\n")
+             .split("\n"))
     n = 0
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
         if not line.strip():
             continue
         if "\t" not in line:
@@ -290,8 +278,8 @@ def _cmd_embed(args) -> int:
                   toy_embedding(text, args.dim, args.channel))
         n += 1
     store.save_jsonl(args.out)
-    sys.stdout.write(finite_json({"written": n, "channel": args.channel,
-                                  "dim": args.dim, "out": args.out}, "stdout") + "\n")
+    write_json({"written": n, "channel": args.channel, "dim": args.dim,
+                "out": args.out})
     return 0
 
 
@@ -466,7 +454,7 @@ def main(argv=None) -> int:
         # a MemoryError may carry no message
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 3
-    except (MsfSerError, OSError, UnicodeDecodeError, ValueError) as exc:
+    except (MsfSerError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

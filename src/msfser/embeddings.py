@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import CHANNELS
-from .errors import DimMismatch, DuplicateKey, MalformedRecord, MissingEmbedding
-from .numcore import finite_json
+from .errors import (DimMismatch, DuplicateKey, MalformedRecord,
+                     MissingEmbedding, finite_json, read_text)
 
 
 def hash_token(token: str, channel: str = "") -> int:
@@ -131,11 +131,7 @@ class EmbeddingStore:
     def load_jsonl(cls, path) -> "EmbeddingStore":
         """Read a :meth:`save_jsonl` file; every error names the file."""
         store = cls()
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRecord(f"{path}: not UTF-8 text: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             if not line.strip():
                 continue
             try:

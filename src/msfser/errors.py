@@ -1,9 +1,14 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its one file boundary.
 
 Every failure mode a caller is expected to handle has its own class, so
 tests and CLI error mapping can catch precisely what they mean to catch.
-All of them derive from :class:`MsfSerError`.
+All of them derive from :class:`MsfSerError`.  :func:`read_text` decodes
+the JSON, CSV and TSV inputs, and :func:`write_json` writes every JSON
+artifact, refusing NaN and infinity.
 """
+
+import json
+from pathlib import Path
 
 
 class MsfSerError(Exception):
@@ -51,7 +56,7 @@ class EmptyInput(MsfSerError):
 # --- Embedding store --------------------------------------------------------
 
 class MalformedRecord(MsfSerError):
-    """An embedding-file line is not a valid record."""
+    """An input file, or a record in one, is not valid."""
 
 
 class DimMismatch(MsfSerError):
@@ -82,3 +87,40 @@ class TooFewUtterances(MsfSerError):
 
 class NumericalFailure(MsfSerError):
     """A non-finite value surfaced where the pipeline requires finite math."""
+
+
+# --- The file boundary ------------------------------------------------------
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, line endings kept; a byte that
+    is not UTF-8 raises MalformedRecord naming the file and its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        raise MalformedRecord(
+            f"{path}: not valid UTF-8 at line {line}: {exc}") from None
+
+
+def finite_json(obj, where, **kwargs) -> str:
+    """json.dumps(obj, **kwargs) for an artifact or report named by where.
+
+    A NaN or infinity anywhere in obj raises NumericalFailure naming
+    where; finite values encode exactly as json.dumps encodes them.
+    """
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalFailure(f"{where}: {exc}") from exc
+
+
+def write_json(obj, path=None, **json_kwargs) -> None:
+    """Write obj as JSON and a newline to the UTF-8 file at path, or to
+    stdout when path is None or empty."""
+    text = finite_json(obj, path or "stdout", **json_kwargs) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")

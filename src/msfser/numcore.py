@@ -3,8 +3,7 @@
 Everything the regression model needs lives here: affine maps, pointwise
 nonlinearities, row softmax, layer normalization, inverted dropout, the
 concordance correlation coefficient (CCC) and its loss, AdamW, central
-finite-difference gradient checking, a JSON checkpoint format, and the
-JSON encoder every artifact goes through, which refuses NaN and infinity.
+finite-difference gradient checking and a JSON checkpoint format.
 All arrays are float64 and gradients are exact analytic expressions, so
 the model is verifiable against finite differences to tight tolerances.
 
@@ -20,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalFailure, ShapeMismatch
+from .errors import NumericalFailure, ShapeMismatch, read_text, write_json
 
 LAYER_NORM_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
@@ -272,18 +270,6 @@ def grad_check(loss_fn, params) -> float:
 
 # ------------------------------------------------------------ checkpoints
 
-def finite_json(obj, where, **kwargs) -> str:
-    """json.dumps(obj, **kwargs) for an artifact or report named by where.
-
-    A NaN or infinity anywhere in obj raises NumericalFailure naming
-    where; finite values encode exactly as json.dumps encodes them.
-    """
-    try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
-    except ValueError as exc:
-        raise NumericalFailure(f"{where}: {exc}") from exc
-
-
 def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
     """Write named parameter values as versioned JSON (bitwise round-trip)."""
     blob = {"version": CHECKPOINT_VERSION, "params": {}}
@@ -296,8 +282,7 @@ def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
             "cols": arr.shape[1],
             "data": arr.reshape(-1).tolist(),
         }
-    Path(path).write_text(finite_json(blob, path, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(blob, path, indent=1, sort_keys=True)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -306,12 +291,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     Any defect in the file raises :class:`NumericalFailure`: invalid JSON,
     another version, or a parameter that is not ``{"rows", "cols",
     "data"}`` with rows * cols finite numbers.  Every message names the
-    file; text that is not UTF-8 raises ValueError.
+    file; text that is not UTF-8 raises :class:`MalformedRecord`.
     """
     try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+        blob = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise NumericalFailure(
             f"{path}: checkpoint is not valid JSON: {exc}") from exc

@@ -31,9 +31,10 @@ import numpy as np
 from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig, SynthConfig
 from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore
-from .errors import MalformedRecord, TooFewUtterances
+from .errors import (MalformedRecord, SignalTooShort, TooFewUtterances,
+                     read_text, write_json)
 from .model import UttExample
-from .numcore import finite_json, seeded_rng
+from .numcore import seeded_rng
 from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
 
 SILENCE_GAP_S = 0.05
@@ -204,9 +205,7 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
         "splits": {name: sum(1 for _, s, _ in rows if s == name)
                    for name in ("train", "dev", "test")},
     }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(finite_json(manifest, manifest_path, indent=1,
-                                         sort_keys=True) + "\n", encoding="utf-8")
+    write_json(manifest, out / "manifest.json", indent=1, sort_keys=True)
     return manifest
 
 
@@ -217,12 +216,7 @@ def read_targets_csv(path) -> list[dict]:
     utt_id, or a valence, arousal or dominance that is not a finite
     number raises MalformedRecord.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(f"{path}: not valid UTF-8: {exc}") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     need = {"utt_id", "split", "valence", "arousal", "dominance"}
     if reader.fieldnames is None or not need.issubset(reader.fieldnames):
         raise MalformedRecord(
@@ -252,7 +246,11 @@ def load_examples(data_dir, split: str | None = None,
                   hop_ms: float = FrameConfig.hop_ms, n_bands: int = N_BANDS,
                   f0_min: float = F0_MIN,
                   f0_max: float = F0_MAX) -> list[UttExample]:
-    """Materialize model-ready examples from a generated dataset directory."""
+    """Materialize model-ready examples from a generated dataset directory.
+
+    A WAV shorter than one analysis window raises SignalTooShort naming
+    the WAV and its utterance.
+    """
     frame_cfg = FrameConfig(win_ms=win_ms, hop_ms=hop_ms)
     root = Path(data_dir)
     store = EmbeddingStore.load_jsonl(root / "embeddings.jsonl")
@@ -265,9 +263,14 @@ def load_examples(data_dir, split: str | None = None,
     examples = []
     for rec in rows:
         utt_id = rec["utt_id"]
-        audio = read_wav(root / "wavs" / f"{utt_id}.wav")
-        frames = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
-                                 f0_min=f0_min, f0_max=f0_max)
+        wav = root / "wavs" / f"{utt_id}.wav"
+        audio = read_wav(wav)
+        try:
+            frames = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
+                                     f0_min=f0_min, f0_max=f0_max)
+        except SignalTooShort as exc:
+            raise SignalTooShort(
+                f"{wav} (utterance {utt_id!r}): {exc}") from None
         examples.append(UttExample(
             utt_id=utt_id, frames=frames,
             les=store.get(utt_id, "les"), gs=store.get(utt_id, "gs"),

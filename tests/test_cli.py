@@ -36,7 +36,12 @@ from msfser.lemf import (
 )
 from msfser.model import ModelConfig, TrainConfig
 from msfser.numcore import load_checkpoint, seeded_rng
-from msfser.synth import SynthConfig, load_examples, make_emphasis_case
+from msfser.synth import (
+    SynthConfig,
+    load_examples,
+    make_emphasis_case,
+    read_targets_csv,
+)
 from msfser.textgrid import serialize_textgrid
 
 GOOD_GRID = """File type = "ooTextFile"
@@ -205,6 +210,23 @@ class TestEmphasis:
                               if damage != "bad_number"
                               else f"{grid}: MalformedBody: ")
         assert out.count(str(grid)) == 1
+
+    @pytest.mark.parametrize("flag", ["--word-tier", "--phone-tier"])
+    def test_missing_tier_names_the_grid_once(self, emphasis_files, capsys,
+                                              flag):
+        wav, grid, _ = emphasis_files
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid),
+                     flag, "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {grid}: no tier named 'nope' "
+                       "(have: ['words', 'phones'])\n")
+
+    def test_cut_wav_names_the_file(self, emphasis_files, capsys):
+        wav, grid, _ = emphasis_files
+        wav.write_bytes(wav.read_bytes()[:100])
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav}: signal has 28 samples, ")
 
     def test_nonfinite_wav_sample_names_the_file(self, emphasis_files, capsys):
         wav, grid, _ = emphasis_files
@@ -444,6 +466,26 @@ class TestTrainEval:
         assert named.decode() in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_cut_wav_names_the_file_and_utterance(self, dataset, trained,
+                                                  tmp_path, capsys, command):
+        data = shutil.copytree(dataset, tmp_path / "data")
+        split = {"train": "train", "eval": "test"}[command]
+        utt_id = next(r["utt_id"] for r in read_targets_csv(
+            data / "targets.csv") if r["split"] == split)
+        wav = data / "wavs" / f"{utt_id}.wav"
+        wav.write_bytes(wav.read_bytes()[:100])
+        out = tmp_path / "run"
+        argv = {"train": ["train", "--data", str(data), "--out", str(out),
+                          "--quiet"],
+                "eval": ["eval", "--data", str(data), "--model", str(trained),
+                         "--out", str(out / "report.json")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav} (utterance {utt_id!r}): "
+                              "signal has 28 samples, ")
+        assert not out.exists()
+
     def test_nonfinite_target_exits_2(self, dataset, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
@@ -629,12 +671,24 @@ class TestEmbed:
 
     def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
         tsv = tmp_path / "in.tsv"
-        tsv.write_bytes(b"u1\thello\nu2\tw\xe1rld\n")
+        # line 2 ends at \r\n, line 3 at \r: lines count as in text mode
+        tsv.write_bytes(b"u1\thello\n\r\n\ru2\tw\xe1rld\n")
         out = tmp_path / "o.jsonl"
         assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {tsv}: not valid UTF-8")
+        assert err.startswith(f"error: {tsv}: not valid UTF-8 at line 4: ")
         assert not out.exists()
+
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # str.splitlines would also end a line at the form feed
+        tsv = tmp_path / "in.tsv"
+        tsv.write_bytes(b"u1\thello\x0cworld\r\nu2\tquiet\ru3\tx\xc2\x85y\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 0
+        store = EmbeddingStore.load_jsonl(out)
+        assert len(store) == 3
+        assert store.get("u1", "gs").tobytes() == toy_embedding(
+            "hello\x0cworld", 16, "gs").tobytes()
 
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_bad_dim_exits_2_on_empty_input(self, tmp_path, capsys, dim):
@@ -786,13 +840,20 @@ RUN_CONFIG = {
 NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
 # The input files whose bytes each command's cases damage.  textgrid-check
 # reads one to six damaged copies of the grid; the others damage at most
-# one of their files.
+# one of their files.  Paths are relative to the case's directory; train
+# reads a train-split WAV and its settings from --config, and eval reads a
+# test-split WAV.
 DAMAGEABLE = {
     "emphasis": ("utt.TextGrid", "utt.wav"),
-    "train": ("embeddings.jsonl", "targets.csv"),
-    "eval": ("checkpoint.json", "train_config.json"),
+    "train": ("data/embeddings.jsonl", "data/targets.csv",
+              "data/wavs/utt_0000.wav", "train.json"),
+    "eval": ("model/checkpoint.json", "model/train_config.json",
+             "data/wavs/utt_0001.wav"),
+    "embed": ("two.tsv",),
     "textgrid-check": ("utt.TextGrid",),
 }
+# A damaged file that names other files may fail as the file it points at
+POINTS_AT = {"targets.csv": "wavs"}
 # Byte-level damage: (how, offset, byte).  The offset wraps around the
 # file length, and a negative one counts from the end.  It is sampled, not
 # drawn as an integer, so that it does not cluster at the start of a file.
@@ -837,8 +898,9 @@ def cli_cases(draw):
 
 @pytest.fixture(scope="session")
 def contract_inputs(tmp_path_factory):
-    """One emphasis case, two TSV inputs, and a 12-utterance corpus at the
-    lowest sample rate with a 1-epoch model trained on it."""
+    """One emphasis case, two TSV inputs, train settings for --config, and
+    a 12-utterance corpus at the lowest sample rate with a 1-epoch model
+    trained on it."""
     root = tmp_path_factory.mktemp("contract-inputs")
     audio, tg, _ = make_emphasis_case(seeded_rng(5), n_words=5)
     write_wav(root / "utt.wav", audio)
@@ -846,13 +908,18 @@ def contract_inputs(tmp_path_factory):
     (root / "empty.tsv").write_text("", encoding="utf-8")
     (root / "two.tsv").write_text("u1\thello there\nu2\tquiet\n",
                                   encoding="utf-8")
-    data, model = str(root / "data"), str(root / "model")
-    assert main(["synth", "--out", data, "--n", "12", "--seed", "0",
+    (root / "train.json").write_text(json.dumps(
+        {"epochs": 1, "batch-size": 8, "accum-steps": 1, "d-model": 2,
+         "quiet": True}), encoding="utf-8")
+    data, model = root / "data", str(root / "model")
+    assert main(["synth", "--out", str(data), "--n", "12", "--seed", "0",
                  "--sample-rate", str(4 * int(F0_MAX)), "--les-dim", "2",
                  "--gs-dim", "2", "--es-dim", "2"]) == 0
-    assert main(["train", "--data", data, "--out", model, "--epochs", "1",
-                 "--batch-size", "8", "--accum-steps", "1", "--d-model", "2",
-                 "--quiet"]) == 0
+    splits = {r["utt_id"]: r["split"]
+              for r in read_targets_csv(data / "targets.csv")}
+    assert (splits["utt_0000"], splits["utt_0001"]) == ("train", "test")
+    assert main(["--config", str(root / "train.json"), "train", "--data",
+                 str(data), "--out", model]) == 0
     return root
 
 
@@ -863,34 +930,35 @@ class TestExitCodeContract:
     def test_exit_code_contract(self, contract_inputs, tmp_path_factory, case):
         """Exit 0, 2 or 3; a failure says error:, nothing prints a
         traceback or a warning, and no output file holds a non-finite
-        number."""
+        number.  A failure that damage to a file caused names that file."""
         command, flags, edits, switch, damaged = case
         inp = contract_inputs
         root = tmp_path_factory.mktemp("contract")
         out = root / "out"
         out.mkdir()
         data = inp / "data"
-        if command == "emphasis":
+        if command in ("emphasis", "embed"):
             for name in DAMAGEABLE[command]:
                 shutil.copy(inp / name, root)
-        elif command == "train" and damaged:
+        elif command == "train":
+            shutil.copy(inp / "train.json", root)
+        if command in ("train", "eval") and damaged:
             data = shutil.copytree(data, root / "data")
-        elif command == "eval":
+        if command == "eval":
             model = shutil.copytree(inp / "model", root / "model")
             cfg_path = model / "train_config.json"
             blob = json.loads(cfg_path.read_text())
             for (section, key), value in edits.items():
                 blob[section][key] = value
             cfg_path.write_text(json.dumps(blob))
-        paths = []
+        paths, intact = [], {}
         for k, (name, how) in enumerate(damaged):
             if command == "textgrid-check":         # a copy per damage
                 paths.append(root / f"utt{k}.TextGrid")
                 blob = (inp / name).read_bytes()
             else:
-                paths.append({"emphasis": root, "train": data,
-                              "eval": root / "model"}[command] / name)
-                blob = paths[-1].read_bytes()
+                paths.append(root / name)
+                blob = intact[paths[-1]] = paths[-1].read_bytes()
             paths[-1].write_bytes(damage(blob, *how))
 
         if command == "emphasis":
@@ -902,34 +970,36 @@ class TestExitCodeContract:
             argv = ["synth", "--out", out / "data", "--n", "10",
                     "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]
         elif command == "train":
-            argv = ["train", "--data", data, "--out", out / "run",
-                    "--epochs", "1", "--batch-size", "8", "--accum-steps", "1",
-                    "--d-model", "2", "--quiet", "--svg", out / "hist.svg"]
+            argv = ["--config", root / "train.json", "train", "--data", data,
+                    "--out", out / "run", "--svg", out / "hist.svg"]
             argv += ["--track-dev"] if switch else []
         elif command == "eval":
             argv = ["eval", "--data", data, "--model", root / "model",
                     "--out", out / "report.json"]
         elif command == "embed":
             argv = ["embed", "--input",
-                    inp / ("two.tsv" if switch else "empty.tsv"),
+                    root / ("two.tsv" if switch or damaged else "empty.tsv"),
                     "--out", out / "emb.jsonl"]
         else:
             argv = ["textgrid-check", *paths]
             argv += [inp / "utt.wav"] if switch else []
         argv = [str(a) for a in argv] + [f"{k}={v}" for k, v in flags.items()]
 
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:       # argparse usage errors
-                code = exc.code
-        err = stderr.getvalue()
+        def run():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:       # argparse usage errors
+                    code = exc.code
+            return code, stdout.getvalue(), stderr.getvalue()
+
+        code, stdout, err = run()
         assert code in (0, 2, 3), (argv, damaged, code, err)
         if command == "textgrid-check":             # it reports per file
-            assert all(f"{path}: " in stdout.getvalue()
-                       for path in argv[1:]), (argv, stdout.getvalue())
+            assert all(f"{path}: " in stdout for path in argv[1:]), (
+                argv, stdout)
         elif code:
             assert "error: " in err, (argv, damaged, err)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
@@ -937,6 +1007,15 @@ class TestExitCodeContract:
             if path.is_file() and path.suffix != ".wav":
                 text = path.read_text(encoding="utf-8")
                 assert not NON_FINITE.search(text), (argv, path)
+        if code and intact:
+            # the damage caused the failure when the intact file passes
+            (path, blob), = intact.items()
+            path.write_bytes(blob)
+            if run()[0] == 0:
+                pointee = POINTS_AT.get(path.name)
+                names = [path] + ([path.parent / pointee] if pointee else [])
+                assert any(str(name) in err for name in names), (
+                    argv, damaged, err)
 
 
 class TestRuntime:
@@ -965,8 +1044,17 @@ class TestRuntime:
             "emphasis", "--wav", wav, "--grid", grid,
             "--out", tmp_path / "doc.json")
         assert "msfser.lemf" in loaded
-        assert not {"msfser.model", "msfser.synth",
-                    "msfser.embeddings"} & set(loaded)
+        assert not {"msfser.model", "msfser.synth", "msfser.embeddings",
+                    "msfser.numcore"} & set(loaded)
+
+    def test_embed_loads_no_numcore(self, tmp_path):
+        tsv = tmp_path / "in.tsv"
+        tsv.write_text("u1\thello\n", encoding="utf-8")
+        loaded = self.loaded_after(
+            "from msfser.cli import main\nassert main(sys.argv[1:]) == 0",
+            "embed", "--input", tsv, "--out", tmp_path / "o.jsonl")
+        assert "msfser.embeddings" in loaded
+        assert "msfser.numcore" not in loaded
 
     def test_every_export_is_its_home_modules_object(self):
         check = """

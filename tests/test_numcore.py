@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfser.errors import NumericalFailure, ShapeMismatch
+from msfser.errors import (
+    MalformedRecord,
+    NumericalFailure,
+    ShapeMismatch,
+    finite_json,
+    write_json,
+)
 from msfser.model import ModelConfig, MsfSerModel, UttExample, make_batch
 from msfser.numcore import (
     AdamW,
@@ -17,7 +23,6 @@ from msfser.numcore import (
     ccc_columns,
     ccc_loss,
     dropout_mask,
-    finite_json,
     glorot_uniform,
     grad_check,
     layer_norm_bwd,
@@ -585,6 +590,13 @@ class TestCheckpoints:
         with pytest.raises(NumericalFailure):
             load_checkpoint(path)
 
+    def test_non_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"version":\r\n"msf-ser-ckpt-v1\xff"}')
+        with pytest.raises(MalformedRecord,
+                           match=f"^{path}: not valid UTF-8 at line 2: "):
+            load_checkpoint(path)
+
 
 class TestFiniteJson:
     @pytest.mark.parametrize("kwargs", [
@@ -598,6 +610,16 @@ class TestFiniteJson:
     def test_nonfinite_value_names_the_target(self, bad):
         with pytest.raises(NumericalFailure, match="report.json"):
             finite_json({"a": [1.0, {"b": bad}]}, "out/report.json")
+
+    def test_write_json_to_a_file_or_stdout(self, tmp_path, capsys):
+        doc = {"b": [0.5, None], "a": "s"}
+        write_json(doc, tmp_path / "doc.json", indent=1, sort_keys=True)
+        write_json(doc, indent=1, sort_keys=True)
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        assert (tmp_path / "doc.json").read_bytes() == text.encode()
+        assert capsys.readouterr().out == text
+        with pytest.raises(NumericalFailure, match="^stdout: "):
+            write_json({"a": math.nan})
 
 
 class TestMisc:
