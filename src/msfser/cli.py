@@ -30,14 +30,18 @@ from . import __version__
 from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
                      LemfConfig, ModelConfig, SynthConfig, TrainConfig)
 from .errors import (
+    BadSetting,
     EmptyInput,
     LengthMismatch,
+    MalformedRecord,
     MsfSerError,
     NumericalFailure,
     ShapeMismatch,
-    SignalTooShort,
     TextGridError,
+    TooFewUtterances,
+    UnfitSignal,
     read_text,
+    split_lines,
     write_json,
 )
 
@@ -130,8 +134,8 @@ def _cmd_emphasis(args) -> int:
         result = run_lemf(audio, tg, cfg)
     except (TextGridError, EmptyInput) as exc:      # no such tier, no words
         raise type(exc)(f"{args.grid}: {exc}") from None
-    except SignalTooShort as exc:
-        raise SignalTooShort(f"{args.wav}: {exc}") from None
+    except UnfitSignal as exc:          # too short, or sampled too low
+        raise type(exc)(f"{args.wav}: {exc}", *exc.settings) from None
     write_json(words_to_json(Path(args.wav).stem, result), args.out, indent=2)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -155,7 +159,8 @@ def _cmd_synth(args) -> int:
 def _parse_experts(text: str) -> tuple[str, ...]:
     experts = tuple(p for p in text.replace(",", "").upper())
     if not experts:
-        raise ValueError("experts must name at least one of A, B, C")
+        raise BadSetting("experts must name at least one of A, B, C",
+                         "experts")
     return experts
 
 
@@ -194,7 +199,12 @@ def _cmd_train(args) -> int:
             if "dev_ccc_avg" in row:
                 line += f"  dev_ccc {row['dev_ccc_avg']:+.4f}"
             sys.stderr.write(line + "\n")
-    history = train_model(model, train_set, train_cfg, dev_set=dev_set, log=log)
+    try:
+        history = train_model(model, train_set, train_cfg, dev_set=dev_set,
+                              log=log)
+    except TooFewUtterances as exc:     # targets.csv made a split too small
+        raise TooFewUtterances(f"{Path(args.data) / 'targets.csv'}: {exc}"
+                               ) from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,13 +240,18 @@ def _load_trained(model_dir):
                          f"objects, the latter of numbers {_FEATURE_KEYS}")
     try:
         model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{cfg_path}: bad 'model' section: {exc!r}") from exc
     # a frame is energy, log f0 and voicing, then the mel bands
     if 3 + feats["n_bands"] != model.config.acoustic_dim:
         raise ValueError(f"{cfg_path}: features.n_bands {feats['n_bands']} does "
                          f"not fit model acoustic_dim {model.config.acoustic_dim}")
-    model.load_params(load_checkpoint(root / "checkpoint.json"))
+    ckpt_path = root / "checkpoint.json"
+    try:
+        model.load_params(load_checkpoint(ckpt_path))
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{ckpt_path} does not fit {cfg_path}: {exc}"
+                            ) from None
     return model, run_cfg
 
 
@@ -244,11 +259,20 @@ def _cmd_eval(args) -> int:
     from .model import eval_report
     from .synth import load_examples
     model, run_cfg = _load_trained(args.model)
-    dataset = load_examples(args.data, args.split, **run_cfg["features"])
-    report = eval_report(model, dataset,
-                         extra_config={"train": run_cfg["train"],
-                                       "features": run_cfg["features"],
-                                       "split": args.split})
+    try:
+        dataset = load_examples(args.data, args.split, **run_cfg["features"])
+    except BadSetting as exc:       # the run's features, or them and a WAV
+        cfg_path = Path(args.model) / "train_config.json"
+        raise type(exc)(f"{exc} (features from {cfg_path})",
+                        *exc.settings) from None
+    try:
+        report = eval_report(model, dataset,
+                             extra_config={"train": run_cfg["train"],
+                                           "features": run_cfg["features"],
+                                           "split": args.split})
+    except TooFewUtterances as exc:     # targets.csv made the split too small
+        raise TooFewUtterances(f"{Path(args.data) / 'targets.csv'}: {exc}"
+                               ) from None
     if args.out:
         write_json(report, args.out, indent=2, sort_keys=True)
     write_json(report, indent=2, sort_keys=True)
@@ -258,16 +282,13 @@ def _cmd_eval(args) -> int:
 def _cmd_embed(args) -> int:
     from .embeddings import EmbeddingStore, toy_embedding
     if args.dim < 1:
-        raise ValueError(f"dim must be >= 1, got {args.dim}")
+        raise BadSetting(f"dim must be >= 1, got {args.dim}", "dim")
     if args.append and Path(args.out).exists():
         store = EmbeddingStore.load_jsonl(args.out)
     else:
         store = EmbeddingStore()
-    # lines end at \n, \r\n or \r as in text mode; a \f is text, not a break
-    lines = (read_text(args.input).replace("\r\n", "\n").replace("\r", "\n")
-             .split("\n"))
     n = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(read_text(args.input)), start=1):
         if not line.strip():
             continue
         if "\t" not in line:
@@ -392,25 +413,28 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser,
-                       commands: dict[str, argparse.ArgumentParser],
-                       argv: list[str]) -> list[str]:
-    """Pull defaults from a flat JSON file named by --config.
+def _parse_args(argv: list[str]) -> tuple[argparse.Namespace, str | None,
+                                          set[str]]:
+    """Parse argv, with defaults from a flat JSON file named by --config.
 
     Each key must name an option of some subcommand.  A flag such as
     --quiet takes true or false; any other option takes a string or a
-    number, which argparse converts with the option's type as if it had
-    been typed on the command line.
+    number, which for the command being run is converted with the
+    option's type and checked against its choices as if it had been typed
+    on the command line.  Returns the arguments, the file's path (None
+    without --config) and the settings whose values came from the file.
     """
+    parser, commands = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if known.config is None:
-        return argv
+        return parser.parse_args(argv), None, set()
     try:
-        blob = json.loads(Path(known.config).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"--config {known.config}: cannot read: {exc}")
+        blob = json.loads(read_text(known.config))
+    except (OSError, MalformedRecord) as exc:
+        detail = str(exc).removeprefix(f"{known.config}: ")
+        parser.error(f"--config {known.config}: cannot read: {detail}")
     except json.JSONDecodeError as exc:
         parser.error(f"--config {known.config}: invalid JSON: {exc}")
     if not isinstance(blob, dict):
@@ -428,23 +452,35 @@ def _apply_config_file(parser: argparse.ArgumentParser,
             if type(value) is not bool:
                 parser.error(f"--config {known.config}: {key} must be "
                              f"true or false, got {value!r}")
-        elif type(value) in (int, float):
-            # argparse passes string defaults through the option's type
-            defaults[key] = str(value)
-        elif type(value) is not str:
+        elif type(value) not in (int, float, str):
             parser.error(f"--config {known.config}: {key} must be a string "
                          f"or a number, got {value!r}")
+    plain = parser.parse_args(rest)         # the command line alone
+    # argparse neither converts nor checks a default that is not a
+    # string, so the running command's values get both here
+    for action in commands[plain.command]._actions:
+        key, value = action.dest, defaults.get(action.dest)
+        if type(value) not in (int, float, str):
+            continue
+        try:
+            value = defaults[key] = (action.type or str)(str(value))
+        except ValueError:
+            parser.error(f"--config {known.config}: {key}: invalid "
+                         f"{action.type.__name__} value {value!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"--config {known.config}: {key} must be one of "
+                         f"{', '.join(action.choices)}, got {value!r}")
     for sp in commands.values():
         sp.set_defaults(**defaults)
-    return rest
+    args = parser.parse_args(rest)
+    return args, known.config, {key for key, value in vars(args).items()
+                                if getattr(plain, key, None) != value}
 
 
 def main(argv=None) -> int:
     import numpy as np
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
-    argv = _apply_config_file(parser, commands, argv)
-    args = parser.parse_args(argv)
+    args, config, from_config = _parse_args(
+        list(sys.argv[1:] if argv is None else argv))
     try:
         # an overflow or invalid operation is a processing failure, not a
         # warning followed by inf or NaN
@@ -455,7 +491,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 3
     except (MsfSerError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        blamed = sorted(from_config.intersection(getattr(exc, "settings", ())))
+        source = (f" ({', '.join(blamed)} from --config {config})"
+                  if blamed else "")
+        sys.stderr.write(f"error: {exc}{source}\n")
         return 2
 
 

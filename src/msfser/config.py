@@ -4,12 +4,16 @@ Pure Python, no numpy, so the command line can read its flag defaults
 without loading the modules that do the work.  Each class is re-exported
 by the module that uses it (``msfser.dsp.FrameConfig``,
 ``msfser.model.ModelConfig``, ...), so those import paths keep working.
+A value out of range raises :class:`~msfser.errors.BadSetting` naming
+the setting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from .errors import BadSetting
 
 F0_MIN, F0_MAX = 70.0, 450.0        # pitch search range in Hz
 N_BANDS = 8                         # mel bands per acoustic frame
@@ -25,10 +29,11 @@ class FrameConfig:
 
     def __post_init__(self):
         if not 0 < self.hop_ms <= self.win_ms < math.inf:
-            raise ValueError(f"need finite 0 < hop_ms <= win_ms, got "
-                             f"hop_ms={self.hop_ms}, win_ms={self.win_ms}")
+            raise BadSetting(f"need finite 0 < hop_ms <= win_ms, got "
+                             f"hop_ms={self.hop_ms}, win_ms={self.win_ms}",
+                             "hop_ms", "win_ms")
         if self.window not in ("hann", "rectangular"):
-            raise ValueError(f"unknown window {self.window!r}")
+            raise BadSetting(f"unknown window {self.window!r}", "window")
 
     def win_samples(self, sample_rate: int) -> int:
         return int(round(self.win_ms * sample_rate / 1000.0))
@@ -60,11 +65,13 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("les_dim", "gs_dim", "es_dim"):
             if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise BadSetting(
+                    f"{name} must be >= 1, got {getattr(self, name)}", name)
         if not self.sample_rate >= 4 * F0_MAX:
             # the rule estimate_f0 applies when the corpus is featurised
-            raise ValueError(f"sample_rate must be >= {4 * F0_MAX:g} to resolve "
-                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}")
+            raise BadSetting(f"sample_rate must be >= {4 * F0_MAX:g} to resolve "
+                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}",
+                             "sample_rate")
 
 
 @dataclass(frozen=True)
@@ -83,17 +90,19 @@ class ModelConfig:
 
     def __post_init__(self):
         if not self.experts or any(e not in EXPERT_NAMES for e in self.experts):
-            raise ValueError(
+            raise BadSetting(
                 f"experts must be a non-empty subset of {EXPERT_NAMES}, "
-                f"got {self.experts}")
+                f"got {self.experts}", "experts")
         if len(set(self.experts)) != len(self.experts):
-            raise ValueError(f"duplicate experts in {self.experts}")
+            raise BadSetting(f"duplicate experts in {self.experts}", "experts")
         for name in ("acoustic_dim", "les_dim", "gs_dim", "es_dim", "d_model",
                      "att_dim", "film_hidden", "expert_hidden"):
             if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise BadSetting(
+                    f"{name} must be >= 1, got {getattr(self, name)}", name)
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise BadSetting(f"dropout must be in [0, 1), got {self.dropout}",
+                             "dropout")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -113,14 +122,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise BadSetting(f"epochs must be >= 1, got {self.epochs}",
+                             "epochs")
         if self.batch_size < 2:
             # a micro-batch needs two utterances for the concordance loss
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise BadSetting(
+                f"batch_size must be >= 2, got {self.batch_size}", "batch_size")
         if self.accum_steps < 1:
-            raise ValueError(f"accum_steps must be >= 1, got {self.accum_steps}")
+            raise BadSetting(
+                f"accum_steps must be >= 1, got {self.accum_steps}",
+                "accum_steps")
         if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+            raise BadSetting(f"lr must be finite and > 0, got {self.lr}", "lr")
         if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+            raise BadSetting(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}",
+                "weight_decay")

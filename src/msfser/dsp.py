@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig
-from .errors import SignalTooShort
+from .errors import BadSetting, SignalTooShort, UnfitSignal
 
 SILENCE_RMS_FLOOR = 1e-4
 VOICING_THRESHOLD = 0.3             # least NCCF peak of a voiced frame
@@ -104,21 +104,21 @@ def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
 
     Returns ``(frames, frame_times)`` where ``frames`` is a (T, W)
     read-only strided view of the samples and ``frame_times[i]`` is the
-    center of frame i in seconds.  Raises ValueError when the window is
-    under 2 samples and :class:`SignalTooShort` when the signal is
-    shorter than one window.
+    center of frame i in seconds.  Raises :class:`UnfitSignal` when the
+    window is under 2 samples and :class:`SignalTooShort` when the signal
+    is shorter than one window.
     """
     x = audio.samples
     sr = audio.sample_rate
     # compare before rounding: a huge finite win_ms scales to inf samples
     if cfg.win_ms * sr / 1000.0 >= len(x) + 1 or cfg.win_samples(sr) > len(x):
         raise SignalTooShort(f"signal has {len(x)} samples, fewer than "
-                             f"win_ms={cfg.win_ms} spans at {sr} Hz")
+                             f"win_ms={cfg.win_ms} spans at {sr} Hz", "win_ms")
     w = cfg.win_samples(sr)
     h = cfg.hop_samples(sr)
     if w < 2:
-        raise ValueError(f"win_ms={cfg.win_ms} gives a {w}-sample window at "
-                         f"{sr} Hz; need at least 2 samples")
+        raise UnfitSignal(f"win_ms={cfg.win_ms} gives a {w}-sample window at "
+                          f"{sr} Hz; need at least 2 samples", "win_ms")
     frames = np.lib.stride_tricks.sliding_window_view(x, w)[::h]
     times = (h * np.arange(len(frames)) + w / 2.0) / sr
     return frames, times
@@ -251,11 +251,13 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     search frame by frame.  The returned track carries the frame spectra.
     """
     if not 0 < f0_min < f0_max < math.inf:
-        raise ValueError(f"need finite 0 < f0_min < f0_max, got "
-                         f"f0_min={f0_min}, f0_max={f0_max}")
+        raise BadSetting(f"need finite 0 < f0_min < f0_max, got "
+                         f"f0_min={f0_min}, f0_max={f0_max}",
+                         "f0_min", "f0_max")
     sr = audio.sample_rate
     if sr < 4 * f0_max:
-        raise ValueError(f"sample rate {sr} too low to resolve f0_max={f0_max}")
+        raise UnfitSignal(
+            f"sample rate {sr} too low to resolve f0_max={f0_max}", "f0_max")
 
     frames, times = frame_signal(audio, cfg)
     mag = _magnitudes(frames, cfg.window)
@@ -298,7 +300,7 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
     The mel bands reuse the frame spectra of :func:`estimate_f0`.
     """
     if n_bands < 0:
-        raise ValueError(f"n_bands must be >= 0, got {n_bands}")
+        raise BadSetting(f"n_bands must be >= 0, got {n_bands}", "n_bands")
     track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max)
     mag = track.spectrum
     fb = mel_filterbank(n_bands, mag.shape[1], audio.sample_rate)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import CHANNELS
 from .errors import (DimMismatch, DuplicateKey, MalformedRecord,
-                     MissingEmbedding, finite_json, read_text)
+                     MissingEmbedding, finite_json, read_text, split_lines)
 
 
 def hash_token(token: str, channel: str = "") -> int:
@@ -131,7 +131,7 @@ class EmbeddingStore:
     def load_jsonl(cls, path) -> "EmbeddingStore":
         """Read a :meth:`save_jsonl` file; every error names the file."""
         store = cls()
-        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        for lineno, line in enumerate(split_lines(read_text(path)), start=1):
             if not line.strip():
                 continue
             try:

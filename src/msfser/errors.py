@@ -3,8 +3,9 @@
 Every failure mode a caller is expected to handle has its own class, so
 tests and CLI error mapping can catch precisely what they mean to catch.
 All of them derive from :class:`MsfSerError`.  :func:`read_text` decodes
-the JSON, CSV and TSV inputs, and :func:`write_json` writes every JSON
-artifact, refusing NaN and infinity.
+the JSON, CSV and TSV inputs, :func:`split_lines` splits them into lines,
+and :func:`write_json` writes every JSON artifact, refusing NaN and
+infinity.
 """
 
 import json
@@ -41,9 +42,29 @@ class UnknownTier(TextGridError):
     """Requested tier name is absent (or is not an interval tier)."""
 
 
+# --- Settings ---------------------------------------------------------------
+
+class BadSetting(MsfSerError, ValueError):
+    """A setting out of range, alone or for the input it is applied to.
+
+    ``settings`` names the settings at fault as the command line's option
+    names without dashes (``epochs``, ``batch_size``, ...), so the command
+    line can name the ``--config`` file that supplied them.
+    """
+
+    def __init__(self, message: str, *settings: str):
+        super().__init__(message)
+        self.settings = settings
+
+
 # --- DSP --------------------------------------------------------------------
 
-class SignalTooShort(MsfSerError):
+class UnfitSignal(BadSetting):
+    """The analysis settings do not fit a signal: it is too short for one
+    window, or its sample rate is too low for the window or the f0 range."""
+
+
+class SignalTooShort(UnfitSignal):
     """Signal shorter than one analysis window."""
 
 
@@ -98,10 +119,15 @@ def read_text(path) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = head.count(b"\n") + 1
+        line = len(split_lines(raw[:exc.start].decode("utf-8")))
         raise MalformedRecord(
             f"{path}: not valid UTF-8 at line {line}: {exc}") from None
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of text, each ended by \\n, \\r\\n or \\r as text-mode reading
+    ends them; unlike str.splitlines, a \\f, \\x85 or U+2028 is text."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def finite_json(obj, where, **kwargs) -> str:

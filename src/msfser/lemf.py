@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import LemfConfig
 from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
-from .errors import EmptyInput
+from .errors import BadSetting, EmptyInput
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
 
 ZSCORE_SIGMA_FLOOR = 1e-12
@@ -119,10 +119,10 @@ def select_emphasis_indices(scores, mode: str = LemfConfig.mode,
         return (start, start + 1, start + 2)
     if mode == "topk":
         if k < 1:
-            raise ValueError(f"topk mode needs k >= 1, got k={k}")
+            raise BadSetting(f"topk mode needs k >= 1, got k={k}", "k")
         order = np.argsort(-scores, kind="stable")
         return tuple(sorted(int(i) for i in order[:min(k, n)]))
-    raise ValueError(f"unknown segment mode {mode!r}")
+    raise BadSetting(f"unknown segment mode {mode!r}", "mode")
 
 
 def select_emphasis_segment(words, mode: str = LemfConfig.mode,

@@ -28,11 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig, SynthConfig
+from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
+                     SynthConfig)
 from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore
-from .errors import (MalformedRecord, SignalTooShort, TooFewUtterances,
-                     read_text, write_json)
+from .errors import (MalformedRecord, MissingEmbedding, TooFewUtterances,
+                     UnfitSignal, read_text, write_json)
 from .model import UttExample
 from .numcore import seeded_rng
 from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
@@ -248,18 +249,22 @@ def load_examples(data_dir, split: str | None = None,
                   f0_max: float = F0_MAX) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory.
 
-    A WAV shorter than one analysis window raises SignalTooShort naming
+    A split that targets.csv does not list raises TooFewUtterances, and
+    an utterance that embeddings.jsonl lacks raises MissingEmbedding, each
+    naming that file.  A WAV that the analysis settings do not fit (too
+    short for one window, or sampled too slowly) raises UnfitSignal naming
     the WAV and its utterance.
     """
     frame_cfg = FrameConfig(win_ms=win_ms, hop_ms=hop_ms)
     root = Path(data_dir)
-    store = EmbeddingStore.load_jsonl(root / "embeddings.jsonl")
-    rows = read_targets_csv(root / "targets.csv")
+    embeddings = root / "embeddings.jsonl"
+    store = EmbeddingStore.load_jsonl(embeddings)
+    targets = root / "targets.csv"
+    rows = read_targets_csv(targets)
     if split is not None:
         rows = [r for r in rows if r["split"] == split]
     if not rows:
-        raise TooFewUtterances(
-            f"no utterances in {data_dir!s} for split {split!r}")
+        raise TooFewUtterances(f"{targets}: no utterances in split {split!r}")
     examples = []
     for rec in rows:
         utt_id = rec["utt_id"]
@@ -268,11 +273,13 @@ def load_examples(data_dir, split: str | None = None,
         try:
             frames = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
                                      f0_min=f0_min, f0_max=f0_max)
-        except SignalTooShort as exc:
-            raise SignalTooShort(
-                f"{wav} (utterance {utt_id!r}): {exc}") from None
-        examples.append(UttExample(
-            utt_id=utt_id, frames=frames,
-            les=store.get(utt_id, "les"), gs=store.get(utt_id, "gs"),
-            es=store.get(utt_id, "es"), target=rec["target"]))
+        except UnfitSignal as exc:
+            raise type(exc)(f"{wav} (utterance {utt_id!r}): {exc}",
+                            *exc.settings) from None
+        try:
+            les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
+        except MissingEmbedding as exc:
+            raise MissingEmbedding(f"{embeddings}: {exc}") from None
+        examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,
+                                   gs=gs, es=es, target=rec["target"]))
     return examples

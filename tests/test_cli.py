@@ -23,9 +23,11 @@ from msfser.dsp import (
     F0_MAX,
     F0_MIN,
     N_BANDS,
+    AudioBuffer,
     FrameConfig,
     acoustic_frames,
     estimate_f0,
+    read_wav,
     write_wav,
 )
 from msfser.embeddings import EmbeddingStore, toy_embedding
@@ -130,6 +132,19 @@ class TestTextgridCheck:
         assert "MalformedBody" in out and "OK" in out
 
 
+# A WAV the analysis settings cannot take, and the start of the message
+UNFIT_WAV = [("cut", "signal has 28 samples, "),
+             ("resample", "sample rate 1000 too low to resolve f0_max=450.0")]
+
+
+def unfit(wav, how):
+    """Cut wav to 100 bytes, or relabel its samples as 1000 Hz audio."""
+    if how == "cut":
+        wav.write_bytes(wav.read_bytes()[:100])
+    else:
+        write_wav(wav, AudioBuffer(read_wav(wav).samples, 1000))
+
+
 class TestEmphasis:
     def test_json_csv_svg_outputs(self, emphasis_files, tmp_path, capsys):
         wav, grid, plant = emphasis_files
@@ -221,12 +236,14 @@ class TestEmphasis:
         assert err == (f"error: {grid}: no tier named 'nope' "
                        "(have: ['words', 'phones'])\n")
 
-    def test_cut_wav_names_the_file(self, emphasis_files, capsys):
+    @pytest.mark.parametrize("how, message", UNFIT_WAV)
+    def test_unfit_wav_names_the_file(self, emphasis_files, capsys, how,
+                                      message):
         wav, grid, _ = emphasis_files
-        wav.write_bytes(wav.read_bytes()[:100])
+        unfit(wav, how)
         assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {wav}: signal has 28 samples, ")
+        assert err.startswith(f"error: {wav}: {message}")
 
     def test_nonfinite_wav_sample_names_the_file(self, emphasis_files, capsys):
         wav, grid, _ = emphasis_files
@@ -345,6 +362,8 @@ class TestTrainEval:
             blob["params"] = [1]
         elif how == "huge_int_data":
             blob["params"][name]["data"][0] = 10 ** 400
+        elif how == "renamed_param":
+            blob["params"]["x" + name] = blob["params"].pop(name)
         return blob
 
     @staticmethod
@@ -361,6 +380,14 @@ class TestTrainEval:
             blob["features"]["win_ms"] = "20"
         elif how == "huge_win_ms":
             blob["features"]["win_ms"] = 1e308
+        elif how == "zero_hop_ms":
+            blob["features"]["hop_ms"] = 0.0
+        elif how == "f0_max_above_nyquist":
+            blob["features"]["f0_max"] = 9000.0
+        elif how == "zero_d_model":
+            blob["model"]["d_model"] = 0
+        elif how == "wider_d_model":
+            blob["model"]["d_model"] += 1
         elif how == "n_bands_mismatch":
             blob["features"]["n_bands"] += 1
         return blob
@@ -376,6 +403,7 @@ class TestTrainEval:
         ("checkpoint.json", None, 2),
         ("checkpoint.json", "huge_int_data", 3),
         ("checkpoint.json", "not_utf8", 2),
+        ("checkpoint.json", "renamed_param", 3),
         ("train_config.json", "[1]", 2),
         ("train_config.json", '{"model": {}}', 2),
         ("train_config.json", "{nope", 2),
@@ -385,6 +413,10 @@ class TestTrainEval:
         ("train_config.json", "no_features_key", 2),
         ("train_config.json", "text_feature", 2),
         ("train_config.json", "huge_win_ms", 2),
+        ("train_config.json", "zero_hop_ms", 2),
+        ("train_config.json", "f0_max_above_nyquist", 2),
+        ("train_config.json", "zero_d_model", 2),
+        ("train_config.json", "wider_d_model", 3),
         ("train_config.json", "n_bands_mismatch", 2),
         ("embeddings.jsonl", "bad_line_3", 2),
     ])
@@ -417,12 +449,11 @@ class TestTrainEval:
                      "--model", str(model)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err
         if how == "huge_win_ms":
             # a valid file whose window is longer than every utterance:
-            # featurising fails and names the setting
+            # featurising fails and names the setting too
             assert "win_ms=1e+308" in err
-        else:
-            assert str(path) in err
         if how == "n_bands_mismatch":
             assert "n_bands" in err
         if how == "bad_line_3":
@@ -466,15 +497,17 @@ class TestTrainEval:
         assert named.decode() in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("how, message", UNFIT_WAV)
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_cut_wav_names_the_file_and_utterance(self, dataset, trained,
-                                                  tmp_path, capsys, command):
+    def test_unfit_wav_names_the_file_and_utterance(self, dataset, trained,
+                                                    tmp_path, capsys, command,
+                                                    how, message):
         data = shutil.copytree(dataset, tmp_path / "data")
         split = {"train": "train", "eval": "test"}[command]
         utt_id = next(r["utt_id"] for r in read_targets_csv(
             data / "targets.csv") if r["split"] == split)
         wav = data / "wavs" / f"{utt_id}.wav"
-        wav.write_bytes(wav.read_bytes()[:100])
+        unfit(wav, how)
         out = tmp_path / "run"
         argv = {"train": ["train", "--data", str(data), "--out", str(out),
                           "--quiet"],
@@ -483,7 +516,31 @@ class TestTrainEval:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {wav} (utterance {utt_id!r}): "
-                              "signal has 28 samples, ")
+                              f"{message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["targets.csv", "embeddings.jsonl"])
+    def test_corpus_short_of_utterances_names_the_file(self, dataset, tmp_path,
+                                                       capsys, target):
+        data = shutil.copytree(dataset, tmp_path / "data")
+        rows = read_targets_csv(data / "targets.csv")
+        utt_id = next(r["utt_id"] for r in rows if r["split"] == "dev")
+        path = data / target
+        lines = path.read_text().splitlines()
+        if target == "targets.csv":         # one dev utterance is too few
+            drop = [f"{r['utt_id']}," for r in rows
+                    if r["split"] == "dev" and r["utt_id"] != utt_id]
+            message = "need at least 2 utterances to evaluate, got 1"
+        else:
+            drop = [f'{{"id":"{utt_id}","channel":"gs",']
+            message = f"no 'gs' embedding for utterance {utt_id!r}"
+        path.write_text("\n".join(line for line in lines
+                                  if not line.startswith(tuple(drop))) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--batch-size", "8", "--track-dev",
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
     def test_nonfinite_target_exits_2(self, dataset, tmp_path, capsys):
@@ -798,6 +855,48 @@ class TestConfigFile:
         assert "error: " in stderr and "Traceback" not in stderr
         assert not out.exists()
 
+    def test_rejected_config_value_names_the_file(self, dataset, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 0, "batch-size": 8}))
+        out = tmp_path / "run"
+        argv = ["--config", str(cfg), "train", "--data", str(dataset),
+                "--out", str(out), "--quiet"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: epochs must be >= 1, got 0 (epochs from --config {cfg})\n")
+        # a value typed on the command line is not the file's
+        assert main(argv + ["--epochs", "1", "--batch-size", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: batch_size must be >= 2, got 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob, message", [
+        ({"k": 2.5}, "k: invalid int value 2.5"),
+        ({"mode": "tkpk"}, "mode must be one of adjacent, topk, got 'tkpk'"),
+    ])
+    def test_config_value_flags_would_refuse_names_the_file(
+            self, emphasis_files, tmp_path, capsys, blob, message):
+        wav, grid, _ = emphasis_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "emphasis", "--wav", str(wav),
+                  "--grid", str(grid)])
+        assert err.value.code == 2
+        assert f"error: --config {cfg}: {message}\n" in capsys.readouterr().err
+        # a command without that option still takes the file
+        assert main(["--config", str(cfg), "textgrid-check", str(grid)]) == 0
+
+    def test_non_utf8_config_names_the_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 1,\r\n "mode": "t\xf6pk"}')
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "textgrid-check", "x"])
+        assert err.value.code == 2
+        assert (f"error: --config {cfg}: cannot read: not valid UTF-8 at "
+                "line 2: ") in capsys.readouterr().err
+
     def test_config_values_convert_like_flags(self, dataset, tmp_path,
                                               capsys):
         cfg = tmp_path / "cfg.json"
@@ -977,9 +1076,8 @@ class TestExitCodeContract:
             argv = ["eval", "--data", data, "--model", root / "model",
                     "--out", out / "report.json"]
         elif command == "embed":
-            argv = ["embed", "--input",
-                    root / ("two.tsv" if switch or damaged else "empty.tsv"),
-                    "--out", out / "emb.jsonl"]
+            tsv = root / "two.tsv" if switch or damaged else inp / "empty.tsv"
+            argv = ["embed", "--input", tsv, "--out", out / "emb.jsonl"]
         else:
             argv = ["textgrid-check", *paths]
             argv += [inp / "utt.wav"] if switch else []

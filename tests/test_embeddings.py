@@ -220,6 +220,20 @@ class TestJsonl:
             EmbeddingStore.load_jsonl(path)
         assert f"{path}: line 2: " in str(exc.value)
 
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # str.splitlines would also end a line at U+2028 and \x85, which
+        # JSON allows raw in a string; line numbers count \r and \r\n
+        path = tmp_path / "e.jsonl"
+        odd = "u\u2028\x85"
+        path.write_bytes((f'{{"id":"{odd}","channel":"gs","vector":[1.0]}}\r'
+                          '{"id":"u1","channel":"gs","vector":[1.0]}\r\n'
+                          '{"id":"u1","channel":"gs","vector":[2.0]}\n'
+                          ).encode("utf-8"))
+        with pytest.raises(DuplicateKey, match=f"{path}: line 3: "):
+            EmbeddingStore.load_jsonl(path)
+        path.write_bytes(path.read_bytes().rsplit(b"\r\n", 1)[0])
+        assert EmbeddingStore.load_jsonl(path).get(odd, "gs").tolist() == [1.0]
+
     def test_empty_file_loads_empty_store(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
