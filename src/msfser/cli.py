@@ -31,6 +31,8 @@ from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
                      LemfConfig, ModelConfig, SynthConfig, TrainConfig)
 from .errors import (
     BadSetting,
+    DimMismatch,
+    DuplicateKey,
     EmptyInput,
     LengthMismatch,
     MalformedRecord,
@@ -40,6 +42,8 @@ from .errors import (
     TextGridError,
     TooFewUtterances,
     UnfitSignal,
+    naming,
+    parse_json,
     read_text,
     split_lines,
     write_json,
@@ -130,12 +134,9 @@ def _cmd_emphasis(args) -> int:
         phone_tier=args.phone_tier if args.phone_tier != "" else None,
         f0_min=args.f0_min, f0_max=args.f0_max,
     )
-    try:
+    with (naming(args.grid, TextGridError, EmptyInput),    # no tier, no words
+          naming(args.wav, UnfitSignal)):       # too short, or sampled too low
         result = run_lemf(audio, tg, cfg)
-    except (TextGridError, EmptyInput) as exc:      # no such tier, no words
-        raise type(exc)(f"{args.grid}: {exc}") from None
-    except UnfitSignal as exc:          # too short, or sampled too low
-        raise type(exc)(f"{args.wav}: {exc}", *exc.settings) from None
     write_json(words_to_json(Path(args.wav).stem, result), args.out, indent=2)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -199,12 +200,10 @@ def _cmd_train(args) -> int:
             if "dev_ccc_avg" in row:
                 line += f"  dev_ccc {row['dev_ccc_avg']:+.4f}"
             sys.stderr.write(line + "\n")
-    try:
+    # targets.csv made a split too small
+    with naming(Path(args.data) / "targets.csv", TooFewUtterances):
         history = train_model(model, train_set, train_cfg, dev_set=dev_set,
                               log=log)
-    except TooFewUtterances as exc:     # targets.csv made a split too small
-        raise TooFewUtterances(f"{Path(args.data) / 'targets.csv'}: {exc}"
-                               ) from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -227,31 +226,30 @@ def _load_trained(model_dir):
     from .numcore import load_checkpoint
     root = Path(model_dir)
     cfg_path = root / "train_config.json"
-    try:
-        run_cfg = json.loads(read_text(cfg_path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{cfg_path}: not valid JSON: {exc}") from exc
-    feats = run_cfg.get("features") if isinstance(run_cfg, dict) else None
-    if not (isinstance(feats, dict) and set(feats) == set(_FEATURE_KEYS)
-            and all(type(v) in (int, float) for v in feats.values())
-            and type(feats["n_bands"]) is int
-            and isinstance(run_cfg.get("train"), dict)):
-        raise ValueError(f"{cfg_path}: expected 'train' and 'features' "
-                         f"objects, the latter of numbers {_FEATURE_KEYS}")
-    try:
-        model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{cfg_path}: bad 'model' section: {exc!r}") from exc
-    # a frame is energy, log f0 and voicing, then the mel bands
-    if 3 + feats["n_bands"] != model.config.acoustic_dim:
-        raise ValueError(f"{cfg_path}: features.n_bands {feats['n_bands']} does "
-                         f"not fit model acoustic_dim {model.config.acoustic_dim}")
+    text = read_text(cfg_path)
+    with naming(cfg_path, ValueError):
+        try:
+            run_cfg = parse_json(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
+        feats = run_cfg.get("features") if isinstance(run_cfg, dict) else None
+        if not (isinstance(feats, dict) and set(feats) == set(_FEATURE_KEYS)
+                and all(type(v) in (int, float) for v in feats.values())
+                and type(feats["n_bands"]) is int
+                and isinstance(run_cfg.get("train"), dict)):
+            raise ValueError(f"expected 'train' and 'features' objects, the "
+                             f"latter of numbers {_FEATURE_KEYS}")
+        try:
+            model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad 'model' section: {exc!r}") from exc
+        # a frame is energy, log f0 and voicing, then the mel bands
+        if 3 + feats["n_bands"] != model.config.acoustic_dim:
+            raise ValueError(f"features.n_bands {feats['n_bands']} does not "
+                             f"fit model acoustic_dim {model.config.acoustic_dim}")
     ckpt_path = root / "checkpoint.json"
-    try:
+    with naming(f"{ckpt_path} does not fit {cfg_path}", ShapeMismatch):
         model.load_params(load_checkpoint(ckpt_path))
-    except ShapeMismatch as exc:
-        raise ShapeMismatch(f"{ckpt_path} does not fit {cfg_path}: {exc}"
-                            ) from None
     return model, run_cfg
 
 
@@ -259,20 +257,23 @@ def _cmd_eval(args) -> int:
     from .model import eval_report
     from .synth import load_examples
     model, run_cfg = _load_trained(args.model)
-    try:
+    cfg_path = Path(args.model) / "train_config.json"
+    # the run's features, or them and a WAV
+    with naming(cfg_path, BadSetting):
         dataset = load_examples(args.data, args.split, **run_cfg["features"])
-    except BadSetting as exc:       # the run's features, or them and a WAV
-        cfg_path = Path(args.model) / "train_config.json"
-        raise type(exc)(f"{exc} (features from {cfg_path})",
-                        *exc.settings) from None
-    try:
+    for ch in CHANNELS:         # a store holds one size per channel
+        got = len(getattr(dataset[0], ch))
+        want = getattr(model.config, f"{ch}_dim")
+        if got != want:
+            raise DimMismatch(f"{Path(args.data) / 'embeddings.jsonl'} does "
+                              f"not fit {cfg_path}: {ch} vectors have {got} "
+                              f"dims, the model takes {want}")
+    # targets.csv made the split too small
+    with naming(Path(args.data) / "targets.csv", TooFewUtterances):
         report = eval_report(model, dataset,
                              extra_config={"train": run_cfg["train"],
                                            "features": run_cfg["features"],
                                            "split": args.split})
-    except TooFewUtterances as exc:     # targets.csv made the split too small
-        raise TooFewUtterances(f"{Path(args.data) / 'targets.csv'}: {exc}"
-                               ) from None
     if args.out:
         write_json(report, args.out, indent=2, sort_keys=True)
     write_json(report, indent=2, sort_keys=True)
@@ -291,12 +292,13 @@ def _cmd_embed(args) -> int:
     for lineno, line in enumerate(split_lines(read_text(args.input)), start=1):
         if not line.strip():
             continue
-        if "\t" not in line:
-            raise EmptyInput(
-                f"{args.input}:{lineno}: expected 'id<TAB>text'")
-        utt_id, text = line.split("\t", 1)
-        store.put(utt_id, args.channel,
-                  toy_embedding(text, args.dim, args.channel))
+        with naming(f"{args.input}: line {lineno}", EmptyInput, DuplicateKey,
+                    DimMismatch):
+            if "\t" not in line:
+                raise EmptyInput("expected 'id<TAB>text'")
+            utt_id, text = line.split("\t", 1)
+            store.put(utt_id, args.channel,
+                      toy_embedding(text, args.dim, args.channel))
         n += 1
     store.save_jsonl(args.out)
     write_json({"written": n, "channel": args.channel, "dim": args.dim,
@@ -431,7 +433,7 @@ def _parse_args(argv: list[str]) -> tuple[argparse.Namespace, str | None,
     if known.config is None:
         return parser.parse_args(argv), None, set()
     try:
-        blob = json.loads(read_text(known.config))
+        blob = parse_json(read_text(known.config))
     except (OSError, MalformedRecord) as exc:
         detail = str(exc).removeprefix(f"{known.config}: ")
         parser.error(f"--config {known.config}: cannot read: {detail}")

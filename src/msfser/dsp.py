@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig
-from .errors import BadSetting, SignalTooShort, UnfitSignal
+from .errors import BadSetting, SignalTooShort, UnfitSignal, naming
 
 SILENCE_RMS_FLOOR = 1e-4
 VOICING_THRESHOLD = 0.3             # least NCCF peak of a voiced frame
@@ -332,31 +332,30 @@ def read_wav(path) -> AudioBuffer:
     layout or sample format raises ValueError.
     """
     blob = Path(path).read_bytes()
-    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise ValueError(f"{path}: not a RIFF/WAVE file")
-    dtype, pos = None, 12
-    while pos + 8 <= len(blob):
-        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
-        body = blob[pos + 8:pos + 8 + size]
-        pos += 8 + size + (size & 1)    # chunks are padded to even length
-        if chunk_id == b"fmt " and len(body) >= 16:
-            tag, channels, sr, _, align, bits = struct.unpack_from("<HHIIHH", body)
-            if tag == 0xFFFE and body[28:40] == _GUID_TAIL:
-                tag = struct.unpack_from("<I", body, 24)[0]
-            dtype = _WAV_DTYPES.get((tag, bits))
-            if channels != 1 or dtype is None or align != dtype.itemsize:
-                raise ValueError(f"{path}: {channels}-channel {bits}-bit WAV of "
-                                 f"format {tag:#x}; use mono PCM16 or float32")
-        elif chunk_id == b"data":
-            if dtype is None:
-                raise ValueError(f"{path}: no usable fmt chunk before the data")
-            data = np.frombuffer(body, dtype, len(body) // dtype.itemsize)
-            samples = data / 32768.0 if dtype.kind == "i" else data
-            try:
+    with naming(path, ValueError):
+        if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+            raise ValueError("not a RIFF/WAVE file")
+        dtype, pos = None, 12
+        while pos + 8 <= len(blob):
+            chunk_id, size = struct.unpack_from("<4sI", blob, pos)
+            body = blob[pos + 8:pos + 8 + size]
+            pos += 8 + size + (size & 1)    # chunks are padded to even length
+            if chunk_id == b"fmt " and len(body) >= 16:
+                tag, channels, sr, _, align, bits = struct.unpack_from(
+                    "<HHIIHH", body)
+                if tag == 0xFFFE and body[28:40] == _GUID_TAIL:
+                    tag = struct.unpack_from("<I", body, 24)[0]
+                dtype = _WAV_DTYPES.get((tag, bits))
+                if channels != 1 or dtype is None or align != dtype.itemsize:
+                    raise ValueError(f"{channels}-channel {bits}-bit WAV of "
+                                     f"format {tag:#x}; use mono PCM16 or float32")
+            elif chunk_id == b"data":
+                if dtype is None:
+                    raise ValueError("no usable fmt chunk before the data")
+                data = np.frombuffer(body, dtype, len(body) // dtype.itemsize)
+                samples = data / 32768.0 if dtype.kind == "i" else data
                 return AudioBuffer(samples=samples, sample_rate=sr)
-            except ValueError as exc:       # a NaN sample or a zero rate
-                raise ValueError(f"{path}: {exc}") from None
-    raise ValueError(f"{path}: WAV file has no data chunk")
+        raise ValueError("WAV file has no data chunk")
 
 
 def write_wav(path, audio: AudioBuffer) -> None:

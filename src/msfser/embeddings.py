@@ -24,7 +24,8 @@ import numpy as np
 
 from .config import CHANNELS
 from .errors import (DimMismatch, DuplicateKey, MalformedRecord,
-                     MissingEmbedding, finite_json, read_text, split_lines)
+                     MissingEmbedding, finite_json, naming, parse_json,
+                     read_text, split_lines)
 
 
 def hash_token(token: str, channel: str = "") -> int:
@@ -59,7 +60,7 @@ def _parse_record(line: str) -> tuple[str, str, list[float]]:
     try:
         # every number as a float, so an integer too large for float64
         # reads as infinity, which put() rejects
-        obj = json.loads(line, parse_int=float)
+        obj = parse_json(line, parse_int=float)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -134,8 +135,7 @@ class EmbeddingStore:
         for lineno, line in enumerate(split_lines(read_text(path)), start=1):
             if not line.strip():
                 continue
-            try:
+            with naming(f"{path}: line {lineno}", MalformedRecord,
+                        DuplicateKey, DimMismatch):
                 store.put(*_parse_record(line))
-            except (MalformedRecord, DuplicateKey, DimMismatch) as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
         return store

@@ -2,13 +2,15 @@
 
 Every failure mode a caller is expected to handle has its own class, so
 tests and CLI error mapping can catch precisely what they mean to catch.
-All of them derive from :class:`MsfSerError`.  :func:`read_text` decodes
+All of them derive from :class:`MsfSerError`, and :func:`naming` is the
+one way an error names the input at fault.  :func:`read_text` decodes
 the JSON, CSV and TSV inputs, :func:`split_lines` splits them into lines,
-and :func:`write_json` writes every JSON artifact, refusing NaN and
-infinity.
+:func:`parse_json` parses the JSON ones, and :func:`write_json` writes
+every JSON artifact, refusing NaN and infinity.
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -112,6 +114,18 @@ class NumericalFailure(MsfSerError):
 
 # --- The file boundary ------------------------------------------------------
 
+@contextmanager
+def naming(where, *types):
+    """Put ``where: `` in front of an error of one of types that leaves the
+    block and re-raise it, with its class, settings, cause and exit code;
+    for MsfSerErrors and plain ValueErrors, whose message is args[0]."""
+    try:
+        yield
+    except types as exc:
+        exc.args = (f"{where}: {exc}", *exc.args[1:])
+        raise
+
+
 def read_text(path) -> str:
     """The UTF-8 text of the file at path, line endings kept; a byte that
     is not UTF-8 raises MalformedRecord naming the file and its line."""
@@ -128,6 +142,15 @@ def split_lines(text: str) -> list[str]:
     """The lines of text, each ended by \\n, \\r\\n or \\r as text-mode reading
     ends them; unlike str.splitlines, a \\f, \\x85 or U+2028 is text."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def parse_json(text: str, **json_kwargs):
+    """json.loads(text, **json_kwargs); JSON nested too deeply to parse
+    raises json.JSONDecodeError, as any other text that is not JSON does."""
+    try:
+        return json.loads(text, **json_kwargs)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def finite_json(obj, where, **kwargs) -> str:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ShapeMismatch, read_text, write_json
+from .errors import (NumericalFailure, ShapeMismatch, naming, parse_json,
+                     read_text, write_json)
 
 LAYER_NORM_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
@@ -293,34 +294,34 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     "data"}`` with rows * cols finite numbers.  Every message names the
     file; text that is not UTF-8 raises :class:`MalformedRecord`.
     """
-    try:
-        blob = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise NumericalFailure(
-            f"{path}: checkpoint is not valid JSON: {exc}") from exc
-    version = blob.get("version") if isinstance(blob, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise NumericalFailure(
-            f"{path}: unsupported checkpoint version {version!r}, "
-            f"expected {CHECKPOINT_VERSION!r}")
-    params = blob.get("params", {})
-    if not isinstance(params, dict):
-        raise NumericalFailure(f"{path}: 'params' must be a JSON object")
-    out = {}
-    for name, rec in params.items():
+    text = read_text(path)
+    with naming(path, NumericalFailure):
         try:
-            rows, cols = rec["rows"], rec["cols"]
-            arr = np.asarray(rec["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            blob = parse_json(text)
+        except json.JSONDecodeError as exc:
             raise NumericalFailure(
-                f"{path}: param {name!r} is malformed: {exc!r}") from exc
-        if not (type(rows) is int and type(cols) is int and rows >= 0
-                and cols >= 0 and arr.size == rows * cols):
+                f"checkpoint is not valid JSON: {exc}") from exc
+        version = blob.get("version") if isinstance(blob, dict) else None
+        if version != CHECKPOINT_VERSION:
             raise NumericalFailure(
-                f"{path}: param {name!r}: {arr.size} values for "
-                f"shape ({rows!r}, {cols!r})")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalFailure(
-                f"{path}: param {name!r} holds non-finite values")
-        out[name] = arr.reshape(rows, cols)
+                f"unsupported checkpoint version {version!r}, "
+                f"expected {CHECKPOINT_VERSION!r}")
+        params = blob.get("params", {})
+        if not isinstance(params, dict):
+            raise NumericalFailure("'params' must be a JSON object")
+        out = {}
+        for name, rec in params.items():
+            try:
+                rows, cols = rec["rows"], rec["cols"]
+                arr = np.asarray(rec["data"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise NumericalFailure(
+                    f"param {name!r} is malformed: {exc!r}") from exc
+            if not (type(rows) is int and type(cols) is int and rows >= 0
+                    and cols >= 0 and arr.size == rows * cols):
+                raise NumericalFailure(f"param {name!r}: {arr.size} values "
+                                       f"for shape ({rows!r}, {cols!r})")
+            if not np.all(np.isfinite(arr)):
+                raise NumericalFailure(f"param {name!r} holds non-finite values")
+            out[name] = arr.reshape(rows, cols)
     return out

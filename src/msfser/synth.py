@@ -33,7 +33,7 @@ from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
 from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore
 from .errors import (MalformedRecord, MissingEmbedding, TooFewUtterances,
-                     UnfitSignal, read_text, write_json)
+                     UnfitSignal, naming, read_text, write_json)
 from .model import UttExample
 from .numcore import seeded_rng
 from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
@@ -213,32 +213,39 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 def read_targets_csv(path) -> list[dict]:
     """Rows of {utt_id, split, target (3,)} in file order.
 
-    A file that is not UTF-8, or a row with a missing column, a repeated
-    utt_id, or a valence, arousal or dominance that is not a finite
-    number raises MalformedRecord.
+    A file that is not UTF-8 or not CSV, or a row with a missing column,
+    a repeated utt_id, or a valence, arousal or dominance that is not a
+    finite number raises MalformedRecord.
     """
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     need = {"utt_id", "split", "valence", "arousal", "dominance"}
-    if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-        raise MalformedRecord(
-            f"{path}: targets CSV must have columns {sorted(need)}")
     rows, seen = [], set()
-    for rec in reader:
-        utt_id = rec["utt_id"]
-        if utt_id in seen or any(rec[key] is None for key in need):
-            what = "is listed twice" if utt_id in seen else "lacks columns"
-            raise MalformedRecord(f"{path}: utterance {utt_id!r} {what}")
-        seen.add(utt_id)
+    with naming(path, MalformedRecord):
         try:
-            target = np.array([float(rec["valence"]), float(rec["arousal"]),
-                               float(rec["dominance"])])
-        except ValueError as exc:
-            raise MalformedRecord(f"{path}: utterance {utt_id!r} has a target "
-                                  f"that is not a number: {exc}") from None
-        if not np.all(np.isfinite(target)):
-            raise MalformedRecord(f"{path}: utterance {utt_id!r} has a "
-                                  f"non-finite target {target.tolist()}")
-        rows.append({"utt_id": utt_id, "split": rec["split"], "target": target})
+            fields, records = reader.fieldnames, list(reader)
+        except csv.Error as exc:    # such as a field over the size limit
+            # DictReader.line_num counts only the rows it returned
+            raise MalformedRecord(f"line {reader.reader.line_num}: {exc}"
+                                  ) from None
+        if fields is None or not need.issubset(fields):
+            raise MalformedRecord(
+                f"targets CSV must have columns {sorted(need)}")
+        for rec in records:
+            utt_id = rec["utt_id"]
+            if utt_id in seen or any(rec[key] is None for key in need):
+                what = "is listed twice" if utt_id in seen else "lacks columns"
+                raise MalformedRecord(f"utterance {utt_id!r} {what}")
+            seen.add(utt_id)
+            try:
+                target = np.array([float(rec[key]) for key in
+                                   ("valence", "arousal", "dominance")])
+            except ValueError as exc:
+                raise MalformedRecord(f"utterance {utt_id!r} has a target "
+                                      f"that is not a number: {exc}") from None
+            if not np.all(np.isfinite(target)):
+                raise MalformedRecord(f"utterance {utt_id!r} has a non-finite "
+                                      f"target {target.tolist()}")
+            rows.append(dict(utt_id=utt_id, split=rec["split"], target=target))
     return rows
 
 
@@ -270,16 +277,11 @@ def load_examples(data_dir, split: str | None = None,
         utt_id = rec["utt_id"]
         wav = root / "wavs" / f"{utt_id}.wav"
         audio = read_wav(wav)
-        try:
+        with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
             frames = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
                                      f0_min=f0_min, f0_max=f0_max)
-        except UnfitSignal as exc:
-            raise type(exc)(f"{wav} (utterance {utt_id!r}): {exc}",
-                            *exc.settings) from None
-        try:
+        with naming(embeddings, MissingEmbedding):
             les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
-        except MissingEmbedding as exc:
-            raise MissingEmbedding(f"{embeddings}: {exc}") from None
         examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,
                                    gs=gs, es=es, target=rec["target"]))
     return examples

@@ -27,6 +27,8 @@ from .errors import (
     TextGridError,
     TruncatedFile,
     UnknownTier,
+    naming,
+    split_lines,
 )
 
 # Ordering/bounds comparisons allow this much float fuzz (aligner output
@@ -169,8 +171,7 @@ class _Reader:
     """
 
     def __init__(self, text: str):
-        self.lines = iter(
-            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+        self.lines = iter(split_lines(text))
 
     def _next(self, want: str) -> str:
         """Next non-blank line, without its indentation."""
@@ -339,14 +340,13 @@ def read_textgrid_file(path) -> TextGrid:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
+    with naming(path, TextGridError):
         if raw[:2] in (b"\xfe\xff", b"\xff\xfe"):
             raise MalformedHeader("UTF-16 TextGrid input; transcode to UTF-8 first")
-        return parse_textgrid(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from None
-    except TextGridError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        try:
+            return parse_textgrid(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise MalformedHeader(f"not valid UTF-8: {exc}") from None
 
 
 def _interval_tier(tg: TextGrid, tier_name: str) -> Tier:

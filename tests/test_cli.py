@@ -66,6 +66,9 @@ item []:
             text = "hi"
 """
 
+# JSON nested deeper than the parser recurses
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture(scope="session")
 def dataset(tmp_path_factory):
@@ -404,6 +407,7 @@ class TestTrainEval:
         ("checkpoint.json", "huge_int_data", 3),
         ("checkpoint.json", "not_utf8", 2),
         ("checkpoint.json", "renamed_param", 3),
+        ("checkpoint.json", "deep", 3),
         ("train_config.json", "[1]", 2),
         ("train_config.json", '{"model": {}}', 2),
         ("train_config.json", "{nope", 2),
@@ -418,6 +422,7 @@ class TestTrainEval:
         ("train_config.json", "zero_d_model", 2),
         ("train_config.json", "wider_d_model", 3),
         ("train_config.json", "n_bands_mismatch", 2),
+        ("train_config.json", "deep", 2),
         ("embeddings.jsonl", "bad_line_3", 2),
     ])
     def test_eval_corrupt_model_exits_cleanly(self, trained, dataset, tmp_path,
@@ -428,6 +433,8 @@ class TestTrainEval:
         data, path = dataset, model / target
         if how is None:
             path.unlink()
+        elif how == "deep":
+            path.write_text(DEEP_JSON)
         elif how.startswith(("[", "{")):
             path.write_text(how)
         elif how == "not_utf8":
@@ -458,6 +465,45 @@ class TestTrainEval:
             assert "n_bands" in err
         if how == "bad_line_3":
             assert f"{path}: line 3: " in err
+        if how == "deep":
+            assert "not valid JSON: nested too deeply" in err
+
+    def test_eval_on_corpus_of_other_embedding_sizes_exits_2(
+            self, trained, tmp_path, capsys):
+        # the model was trained on 4-dim les, gs and es vectors
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n", "12", "--seed", "0",
+                     "--les-dim", "4", "--gs-dim", "4", "--es-dim", "6"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert main(["eval", "--data", str(data), "--model", str(trained),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'embeddings.jsonl'} does not fit "
+            f"{trained / 'train_config.json'}: es vectors have 6 dims, "
+            f"the model takes 4\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, line, message", [
+        pytest.param("embeddings.jsonl", DEEP_JSON,
+                     "invalid JSON: nested too deeply", id="deep-json"),
+        pytest.param("targets.csv", 'utt_0099,train,"' + "x" * 140_000,
+                     "field larger than field limit (131072)",
+                     id="oversized-csv-field"),
+    ])
+    def test_line_past_a_parser_limit_names_the_file_and_line(
+            self, dataset, tmp_path, capsys, target, line, message):
+        data = shutil.copytree(dataset, tmp_path / "data")
+        path = data / target
+        lines = path.read_text().splitlines()
+        lines[2] = line
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("row, utt_id", [
         ("utt_0099,train,0.1", "'utt_0099'"),            # short row
@@ -515,8 +561,10 @@ class TestTrainEval:
                          "--out", str(out / "report.json")]}[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {wav} (utterance {utt_id!r}): "
-                              f"{message}")
+        # eval names the run config whose features did not fit the WAV
+        fitted = {"train": "", "eval": f"{trained / 'train_config.json'}: "}
+        assert err.startswith(f"error: {fitted[command]}{wav} "
+                              f"(utterance {utt_id!r}): {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["targets.csv", "embeddings.jsonl"])
@@ -726,6 +774,29 @@ class TestEmbed:
         assert main(["embed", "--input", str(tsv),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
 
+    @pytest.mark.parametrize("text, flags, message", [
+        pytest.param("u1\thello\nno-tab-here\n", [],
+                     "line 2: expected 'id<TAB>text'", id="no-tab"),
+        pytest.param("u1\thello\n\nu1\tthere\n", [],
+                     "line 3: embedding for id 'u1' channel 'gs' already "
+                     "stored", id="repeated-id"),
+        pytest.param("u2\thello\n", ["--append", "--dim", "8"],
+                     "line 1: channel 'gs' holds 16-dim vectors, got 8 for "
+                     "id 'u2'", id="appended-dim"),
+    ])
+    def test_line_errors_name_the_tsv_and_line(self, tmp_path, capsys, text,
+                                               flags, message):
+        tsv, out = tmp_path / "in.tsv", tmp_path / "o.jsonl"
+        self.write_tsv(tsv, [("u1", "stored")])
+        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 0
+        stored = out.read_bytes()
+        capsys.readouterr()
+        tsv.write_text(text, encoding="utf-8")
+        assert main(["embed", "--input", str(tsv), "--out", str(out),
+                     *flags]) == 2
+        assert capsys.readouterr().err == f"error: {tsv}: {message}\n"
+        assert out.read_bytes() == stored
+
     def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
         tsv = tmp_path / "in.tsv"
         # line 2 ends at \r\n, line 3 at \r: lines count as in text mode
@@ -795,6 +866,15 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as err:
             main(["--config", str(cfg), "textgrid-check", "x"])
         assert err.value.code == 2
+
+    def test_too_deep_config_is_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(DEEP_JSON)
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "textgrid-check", "x"])
+        assert err.value.code == 2
+        assert (f"--config {cfg}: invalid JSON: nested too deeply"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("blob", [
         {"epochz": 3},
@@ -1100,6 +1180,11 @@ class TestExitCodeContract:
                 argv, stdout)
         elif code:
             assert "error: " in err, (argv, damaged, err)
+        if code:
+            # two blocks that each name the file would name it twice
+            report = stdout if command == "textgrid-check" else err
+            assert all(report.count(str(path)) <= 1 for path in paths), (
+                argv, damaged, report)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
         for path in out.rglob("*"):
             if path.is_file() and path.suffix != ".wav":

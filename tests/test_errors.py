@@ -1,0 +1,75 @@
+"""errors.naming, the one way an error names its input, and parse_json."""
+
+import json
+
+import pytest
+
+from msfser.errors import (BadSetting, DimMismatch, MalformedRecord,
+                           UnfitSignal, naming, parse_json)
+
+
+class TestNaming:
+    def test_keeps_the_error_its_class_settings_and_cause(self):
+        cause = KeyError("k")
+        with pytest.raises(UnfitSignal) as info:
+            with naming("a.wav", BadSetting):
+                raise UnfitSignal("too short", "win_ms", "hop_ms") from cause
+        exc = info.value
+        assert type(exc) is UnfitSignal and str(exc) == "a.wav: too short"
+        assert exc.settings == ("win_ms", "hop_ms")
+        assert exc.__cause__ is cause
+
+    def test_re_raises_the_same_object(self):
+        err = MalformedRecord("bad")
+        with pytest.raises(MalformedRecord) as info:
+            with naming("x.csv", MalformedRecord):
+                raise err
+        assert info.value is err and err.args == ("x.csv: bad",)
+
+    def test_plain_value_error(self):
+        with pytest.raises(ValueError, match=r"^x\.wav: not a RIFF/WAVE file$"):
+            with naming("x.wav", ValueError):
+                raise ValueError("not a RIFF/WAVE file")
+
+    def test_only_the_listed_types_get_the_prefix(self):
+        with pytest.raises(DimMismatch) as info:
+            with naming("x.jsonl", MalformedRecord, BadSetting):
+                raise DimMismatch("16-dim, got 8")
+        assert str(info.value) == "16-dim, got 8"
+        with pytest.raises(KeyError):
+            with naming("x.jsonl", MalformedRecord):
+                raise KeyError("k")
+
+    def test_nested_blocks_put_the_outermost_where_first(self):
+        with pytest.raises(MalformedRecord) as info:
+            with naming("outer", MalformedRecord):
+                with naming("middle", DimMismatch):
+                    with naming("inner", MalformedRecord):
+                        raise MalformedRecord("bad")
+        assert str(info.value) == "outer: inner: bad"
+
+    def test_a_block_that_raises_nothing_returns_its_value(self):
+        with naming("x", ValueError):
+            value = 3
+        assert value == 3
+
+
+class TestParseJson:
+    def test_parses_as_json_loads_does(self):
+        text = '{"a": [1, 2.5, "x"], "b": null}'
+        assert parse_json(text) == json.loads(text)
+        assert parse_json("[1, 2]", parse_int=float) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"a":' * 100_000 + "1" + "}" * 100_000])
+    def test_too_deep_is_a_decode_error(self, text):
+        with pytest.raises(json.JSONDecodeError,
+                           match=r"^nested too deeply: line 1 column 1"):
+            parse_json(text)
+
+    def test_other_bad_text_fails_as_json_loads_does(self):
+        with pytest.raises(json.JSONDecodeError) as info:
+            parse_json("{nope")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads("{nope")
+        assert str(info.value) == str(want.value)
