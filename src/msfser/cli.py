@@ -27,8 +27,9 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
-                     LemfConfig, ModelConfig, SynthConfig, TrainConfig)
+from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, SPLITS, FrameConfig,
+                     LemfConfig, ModelConfig, SynthConfig, TrainConfig,
+                     acoustic_width)
 from .errors import (
     BadSetting,
     DimMismatch,
@@ -157,14 +158,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_experts(text: str) -> tuple[str, ...]:
-    experts = tuple(p for p in text.replace(",", "").upper())
-    if not experts:
-        raise BadSetting("experts must name at least one of A, B, C",
-                         "experts")
-    return experts
-
-
 # load_examples' feature settings, as train_config.json records them
 _FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
 
@@ -183,7 +176,7 @@ def _cmd_train(args) -> int:
         acoustic_dim=1, les_dim=1, gs_dim=1, es_dim=1,
         d_model=args.d_model, att_dim=args.d_model,
         film_hidden=args.d_model, expert_hidden=args.d_model,
-        experts=_parse_experts(args.experts),
+        experts=tuple(args.experts.replace(",", "").upper()),
         dropout=args.dropout, seed=args.seed)
     train_set = load_examples(args.data, "train", **feats)
     dev_set = load_examples(args.data, "dev", **feats) if args.track_dev else None
@@ -243,8 +236,7 @@ def _load_trained(model_dir):
             model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad 'model' section: {exc!r}") from exc
-        # a frame is energy, log f0 and voicing, then the mel bands
-        if 3 + feats["n_bands"] != model.config.acoustic_dim:
+        if acoustic_width(feats["n_bands"]) != model.config.acoustic_dim:
             raise ValueError(f"features.n_bands {feats['n_bands']} does not "
                              f"fit model acoustic_dim {model.config.acoustic_dim}")
     ckpt_path = root / "checkpoint.json"
@@ -292,8 +284,8 @@ def _cmd_embed(args) -> int:
     for lineno, line in enumerate(split_lines(read_text(args.input)), start=1):
         if not line.strip():
             continue
-        with naming(f"{args.input}: line {lineno}", EmptyInput, DuplicateKey,
-                    DimMismatch):
+        with naming(f"{args.input}: line {lineno}", EmptyInput,
+                    MalformedRecord, DuplicateKey, DimMismatch):
             if "\t" not in line:
                 raise EmptyInput("expected 'id<TAB>text'")
             utt_id, text = line.split("\t", 1)
@@ -394,8 +386,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("eval", help="concordance report on a dataset split")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="directory written by train")
-    p.add_argument("--split", default="test",
-                   choices=("train", "dev", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 

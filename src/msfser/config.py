@@ -1,4 +1,5 @@
-"""Every setting's one home: shared constants and the config dataclasses.
+"""Every setting's one home: shared constants, the data rules that more
+than one module applies, and the config dataclasses.
 
 Pure Python, no numpy, so the command line can read its flag defaults
 without loading the modules that do the work.  Each class is re-exported
@@ -19,6 +20,20 @@ F0_MIN, F0_MAX = 70.0, 450.0        # pitch search range in Hz
 N_BANDS = 8                         # mel bands per acoustic frame
 EXPERT_NAMES = ("A", "B", "C")
 CHANNELS = ("les", "gs", "es")      # the text-embedding channels
+TARGET_NAMES = ("valence", "arousal", "dominance")  # the regression targets
+SPLITS = ("train", "dev", "test")   # the corpus splits targets.csv names
+
+
+def acoustic_width(n_bands: int) -> int:
+    """Columns of an acoustic frame: log-energy, log-F0-or-0 and the voiced
+    flag, then the mel bands."""
+    return 3 + n_bands
+
+
+def min_sample_rate(f0_max: float) -> float:
+    """The lowest sample rate at which the pitch tracker resolves f0 up to
+    f0_max: four samples per period."""
+    return 4 * f0_max
 
 
 @dataclass(frozen=True)
@@ -67,9 +82,9 @@ class SynthConfig:
             if not getattr(self, name) >= 1:
                 raise BadSetting(
                     f"{name} must be >= 1, got {getattr(self, name)}", name)
-        if not self.sample_rate >= 4 * F0_MAX:
-            # the rule estimate_f0 applies when the corpus is featurised
-            raise BadSetting(f"sample_rate must be >= {4 * F0_MAX:g} to resolve "
+        lowest = min_sample_rate(F0_MAX)
+        if not self.sample_rate >= lowest:
+            raise BadSetting(f"sample_rate must be >= {lowest:g} to resolve "
                              f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}",
                              "sample_rate")
 

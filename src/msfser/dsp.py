@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import F0_MAX, F0_MIN, N_BANDS, FrameConfig
+from .config import (F0_MAX, F0_MIN, N_BANDS, FrameConfig, acoustic_width,
+                     min_sample_rate)
 from .errors import BadSetting, SignalTooShort, UnfitSignal, naming
 
 SILENCE_RMS_FLOOR = 1e-4
@@ -255,7 +256,7 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
                          f"f0_min={f0_min}, f0_max={f0_max}",
                          "f0_min", "f0_max")
     sr = audio.sample_rate
-    if sr < 4 * f0_max:
+    if sr < min_sample_rate(f0_max):
         raise UnfitSignal(
             f"sample rate {sr} too low to resolve f0_max={f0_max}", "f0_max")
 
@@ -296,7 +297,8 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
                     f0_min: float = F0_MIN, f0_max: float = F0_MAX) -> np.ndarray:
     """Per-frame [log-energy, log-F0-or-0, voiced flag, mel bands].
 
-    Returns a (T, 3 + n_bands) array; T matches :func:`frame_signal`.
+    Returns a (T, acoustic_width(n_bands)) array; T matches
+    :func:`frame_signal`.
     The mel bands reuse the frame spectra of :func:`estimate_f0`.
     """
     if n_bands < 0:
@@ -306,7 +308,7 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
     fb = mel_filterbank(n_bands, mag.shape[1], audio.sample_rate)
     mel = np.log1p(mag @ fb.T)
 
-    feats = np.zeros((len(track), 3 + n_bands))
+    feats = np.zeros((len(track), acoustic_width(n_bands)))
     feats[:, 0] = np.log1p(track.energy)
     feats[:, 1] = np.where(track.voiced, track.log_f0, 0.0)
     feats[:, 2] = track.voiced.astype(np.float64)

@@ -55,6 +55,12 @@ def toy_embedding(text: str, dim: int, channel: str = "gs") -> np.ndarray:
     return acc
 
 
+def is_utt_id(value) -> bool:
+    """An utterance id is a non-empty string (whitespace included): the
+    store keys its vectors by one, and targets.csv lists one per row."""
+    return isinstance(value, str) and value != ""
+
+
 def _parse_record(line: str) -> tuple[str, str, list[float]]:
     """(id, channel, vector) of one JSONL line; put() checks the values."""
     try:
@@ -69,8 +75,6 @@ def _parse_record(line: str) -> tuple[str, str, list[float]]:
         if key not in obj:
             raise MalformedRecord(f"missing key {key!r}")
     utt_id, channel, vector = obj["id"], obj["channel"], obj["vector"]
-    if not isinstance(utt_id, str) or not utt_id:
-        raise MalformedRecord("'id' must be a non-empty string")
     if not isinstance(vector, list) or not all(type(v) is float for v in vector):
         raise MalformedRecord("'vector' must be a list of numbers")
     return utt_id, channel, vector
@@ -91,6 +95,8 @@ class EmbeddingStore:
         return len(self._vectors)
 
     def put(self, utt_id: str, channel: str, vector) -> None:
+        if not is_utt_id(utt_id):
+            raise MalformedRecord("'id' must be a non-empty string")
         if channel not in CHANNELS:
             raise MalformedRecord(
                 f"unknown channel {channel!r}, expected one of {CHANNELS}")

@@ -64,7 +64,6 @@ from .numcore import (
     tanh_bwd,
 )
 
-TARGET_NAMES = ("valence", "arousal", "dominance")
 VAR_FLOOR = 1e-9
 EVAL_BATCH = 64                              # utterances per evaluation forward
 FILM_PARAMS = ("w1", "b1", "w2", "b2")       # film_modulate's weight order
@@ -242,34 +241,32 @@ class MsfSerModel:
         values: dict[str, np.ndarray] = {}
         par = values.__setitem__
 
-        par("enc.w", glorot_uniform(rng, config.acoustic_dim, d))
-        par("enc.b", np.zeros((1, d)))
+        def layer(prefix: str, n_in: int, n_out: int, i: str = "") -> None:
+            # a linear layer: weight {prefix}.w{i}, then bias {prefix}.b{i}
+            par(f"{prefix}.w{i}", glorot_uniform(rng, n_in, n_out))
+            par(f"{prefix}.b{i}", np.zeros((1, n_out)))
+
+        layer("enc", config.acoustic_dim, d)
         par("att.w", glorot_uniform(rng, d, config.att_dim))
         par("att.v", glorot_uniform(rng, config.att_dim, 1))
 
         if "B" in config.experts:
-            par("les.w", glorot_uniform(rng, config.les_dim, d))
-            par("les.b", np.zeros((1, d)))
-            par("gs.w", glorot_uniform(rng, config.gs_dim, d))
-            par("gs.b", np.zeros((1, d)))
-            par("gate.w", glorot_uniform(rng, 2 * d, 1))
-            par("gate.b", np.zeros((1, 1)))
+            layer("les", config.les_dim, d)
+            layer("gs", config.gs_dim, d)
+            layer("gate", 2 * d, 1)
         if "C" in config.experts:
-            par("es.w", glorot_uniform(rng, config.es_dim, d))
-            par("es.b", np.zeros((1, d)))
+            layer("es", config.es_dim, d)
         for name in ("B", "C"):
             if name in config.experts:
-                par(f"film{name}.w1", glorot_uniform(rng, d, config.film_hidden))
-                par(f"film{name}.b1", np.zeros((1, config.film_hidden)))
+                layer(f"film{name}", d, config.film_hidden, "1")
                 par(f"film{name}.w2", np.zeros((config.film_hidden, 2 * p)))
                 par(f"film{name}.b2", np.zeros((1, 2 * p)))
+        h = config.expert_hidden
         for name in config.experts:
-            par(f"head{name}.w1", glorot_uniform(rng, p, config.expert_hidden))
-            par(f"head{name}.b1", np.zeros((1, config.expert_hidden)))
-            par(f"head{name}.ln_g", np.ones((1, config.expert_hidden)))
-            par(f"head{name}.ln_b", np.zeros((1, config.expert_hidden)))
-            par(f"head{name}.w2", glorot_uniform(rng, config.expert_hidden, 3))
-            par(f"head{name}.b2", np.zeros((1, 3)))
+            layer(f"head{name}", p, h, "1")
+            par(f"head{name}.ln_g", np.ones((1, h)))
+            par(f"head{name}.ln_b", np.zeros((1, h)))
+            layer(f"head{name}", h, 3, "2")
         par("route.logits", np.zeros((3, len(config.experts))))
 
         self.theta = np.concatenate([a.reshape(-1) for a in values.values()])

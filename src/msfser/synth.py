@@ -23,15 +23,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, FrameConfig,
-                     SynthConfig)
+from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, SPLITS, TARGET_NAMES,
+                     FrameConfig, SynthConfig)
 from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, is_utt_id
 from .errors import (MalformedRecord, MissingEmbedding, TooFewUtterances,
                      UnfitSignal, naming, read_text, write_json)
 from .model import UttExample
@@ -172,10 +173,9 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
     order = rng.permutation(cfg.n_utts)
     n_train = int(round(cfg.n_utts * 0.7))
     n_dev = int(round(cfg.n_utts * 0.15))
-    split_of = {}
-    for rank, idx in enumerate(order):
-        split_of[int(idx)] = ("train" if rank < n_train else
-                              "dev" if rank < n_train + n_dev else "test")
+    cuts = (n_train, n_train + n_dev)       # the first dev and test ranks
+    split_of = {int(idx): SPLITS[bisect_right(cuts, rank)]
+                for rank, idx in enumerate(order)}
 
     store = EmbeddingStore()
     rows = []
@@ -196,7 +196,7 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
     store.save_jsonl(out / "embeddings.jsonl")
     with open(out / "targets.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["utt_id", "split", "valence", "arousal", "dominance"])
+        writer.writerow(["utt_id", "split", *TARGET_NAMES])
         for utt_id, split, target in rows:
             writer.writerow([utt_id, split] + [repr(float(x)) for x in target])
 
@@ -204,7 +204,7 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
         "version": MANIFEST_VERSION,
         "config": asdict(cfg),
         "splits": {name: sum(1 for _, s, _ in rows if s == name)
-                   for name in ("train", "dev", "test")},
+                   for name in SPLITS},
     }
     write_json(manifest, out / "manifest.json", indent=1, sort_keys=True)
     return manifest
@@ -213,16 +213,18 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 def read_targets_csv(path) -> list[dict]:
     """Rows of {utt_id, split, target (3,)} in file order.
 
-    A file that is not UTF-8 or not CSV, or a row with a missing column,
-    a repeated utt_id, or a valence, arousal or dominance that is not a
-    finite number raises MalformedRecord.
+    A file that is not UTF-8 or not CSV, or a row with a blank or repeated
+    utt_id, a missing column, a split outside SPLITS, or a target that is
+    not a finite number raises MalformedRecord.
     """
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    need = {"utt_id", "split", "valence", "arousal", "dominance"}
+    need = {"utt_id", "split", *TARGET_NAMES}
     rows, seen = [], set()
     with naming(path, MalformedRecord):
         try:
-            fields, records = reader.fieldnames, list(reader)
+            fields = reader.fieldnames
+            # each row with the line it ends on
+            records = [(reader.line_num, rec) for rec in reader]
         except csv.Error as exc:    # such as a field over the size limit
             # DictReader.line_num counts only the rows it returned
             raise MalformedRecord(f"line {reader.reader.line_num}: {exc}"
@@ -230,15 +232,21 @@ def read_targets_csv(path) -> list[dict]:
         if fields is None or not need.issubset(fields):
             raise MalformedRecord(
                 f"targets CSV must have columns {sorted(need)}")
-        for rec in records:
+        for line, rec in records:
             utt_id = rec["utt_id"]
+            if not is_utt_id(utt_id):
+                raise MalformedRecord(
+                    f"line {line}: 'utt_id' must be a non-empty string")
             if utt_id in seen or any(rec[key] is None for key in need):
                 what = "is listed twice" if utt_id in seen else "lacks columns"
                 raise MalformedRecord(f"utterance {utt_id!r} {what}")
             seen.add(utt_id)
+            if rec["split"] not in SPLITS:
+                raise MalformedRecord(
+                    f"utterance {utt_id!r} has split {rec['split']!r}, "
+                    f"expected one of {SPLITS}")
             try:
-                target = np.array([float(rec[key]) for key in
-                                   ("valence", "arousal", "dominance")])
+                target = np.array([float(rec[key]) for key in TARGET_NAMES])
             except ValueError as exc:
                 raise MalformedRecord(f"utterance {utt_id!r} has a target "
                                       f"that is not a number: {exc}") from None

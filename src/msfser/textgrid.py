@@ -31,8 +31,9 @@ from .errors import (
     split_lines,
 )
 
-# Ordering/bounds comparisons allow this much float fuzz (aligner output
-# occasionally has 1-sample jitter at interval joins).
+# Containment and overlap comparisons between two spans allow this much
+# float fuzz (aligner output occasionally has 1-sample jitter at interval
+# joins).
 TIME_TOL = 1e-9
 
 # Labels of non-speech intervals: empty, silence, short pause and spoken
@@ -90,37 +91,34 @@ class TextGrid:
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_time(value: float, what: str) -> None:
-    if not (value == value and abs(value) != float("inf")):
-        raise NonMonotoneIntervals(f"{what} is not finite: {value!r}")
-    if value < 0:
-        raise NonMonotoneIntervals(f"{what} is negative: {value!r}")
+def _check_span(xmin: float, xmax: float, what: str) -> None:
+    """A span's ends are finite, non-negative and in order, compared
+    exactly; TIME_TOL applies only between two different spans."""
+    for end, value in (("xmin", xmin), ("xmax", xmax)):
+        if not (value == value and abs(value) != float("inf")):
+            raise NonMonotoneIntervals(f"{what} {end} is not finite: {value!r}")
+        if value < 0:
+            raise NonMonotoneIntervals(f"{what} {end} is negative: {value!r}")
+    if xmin > xmax:
+        raise NonMonotoneIntervals(f"{what} ({xmin}, {xmax}) has xmin > xmax")
 
 
 def validate_textgrid(tg: TextGrid) -> None:
     """Raise a typed error if ``tg`` violates any structural invariant."""
-    _check_time(tg.xmin, "file xmin")
-    _check_time(tg.xmax, "file xmax")
-    if tg.xmin > tg.xmax + TIME_TOL:
-        raise NonMonotoneIntervals("file xmin > xmax")
+    _check_span(tg.xmin, tg.xmax, "file")
     seen: set[str] = set()
     for tier in tg.tiers:
         if tier.name in seen:
             raise MalformedBody(f"duplicate tier name {tier.name!r}")
         seen.add(tier.name)
         _tier_class(tier)
-        _check_time(tier.xmin, f"tier {tier.name!r} xmin")
-        _check_time(tier.xmax, f"tier {tier.name!r} xmax")
+        _check_span(tier.xmin, tier.xmax, f"tier {tier.name!r}")
         if tier.xmin < tg.xmin - TIME_TOL or tier.xmax > tg.xmax + TIME_TOL:
             raise NonMonotoneIntervals(
                 f"tier {tier.name!r} extends outside the file time range")
         prev_end = None
         for iv in tier.intervals:
-            _check_time(iv.xmin, "interval xmin")
-            _check_time(iv.xmax, "interval xmax")
-            if iv.xmin > iv.xmax:
-                raise NonMonotoneIntervals(
-                    f"interval ({iv.xmin}, {iv.xmax}) has xmin > xmax")
+            _check_span(iv.xmin, iv.xmax, "interval")
             if iv.xmin < tier.xmin - TIME_TOL or iv.xmax > tier.xmax + TIME_TOL:
                 raise NonMonotoneIntervals(
                     f"interval ({iv.xmin}, {iv.xmax}) outside tier "

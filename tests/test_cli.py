@@ -607,6 +607,28 @@ class TestTrainEval:
         assert err.startswith("error: ") and "non-finite" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("utt_id", "", "line 3: 'utt_id' must be a non-empty string"),
+        ("split", "trian", "utterance {utt_id!r} has split 'trian', "
+                           "expected one of ('train', 'dev', 'test')"),
+    ], ids=["blank-id", "unknown-split"])
+    def test_bad_targets_row_names_the_file(self, dataset, tmp_path, capsys,
+                                            column, value, message):
+        data = shutil.copytree(dataset, tmp_path / "data")
+        path = data / "targets.csv"
+        lines = path.read_text().splitlines()
+        head, row = lines[0].split(","), lines[2].split(",")
+        utt_id = row[head.index("utt_id")]
+        row[head.index(column)] = value
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {message.format(utt_id=utt_id)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--epochs", "0"),
         ("--epochs", "-3"),
@@ -780,6 +802,8 @@ class TestEmbed:
         pytest.param("u1\thello\n\nu1\tthere\n", [],
                      "line 3: embedding for id 'u1' channel 'gs' already "
                      "stored", id="repeated-id"),
+        pytest.param("\thello\n", ["--append"],
+                     "line 1: 'id' must be a non-empty string", id="blank-id"),
         pytest.param("u2\thello\n", ["--append", "--dim", "8"],
                      "line 1: channel 'gs' holds 16-dim vectors, got 8 for "
                      "id 'u2'", id="appended-dim"),
@@ -796,6 +820,14 @@ class TestEmbed:
                      *flags]) == 2
         assert capsys.readouterr().err == f"error: {tsv}: {message}\n"
         assert out.read_bytes() == stored
+
+    def test_blank_id_writes_no_file(self, tmp_path, capsys):
+        tsv, out = tmp_path / "in.tsv", tmp_path / "o.jsonl"
+        tsv.write_text("\thello\n", encoding="utf-8")
+        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tsv}: line 1: 'id' must be a non-empty string\n")
+        assert not out.exists()
 
     def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
         tsv = tmp_path / "in.tsv"

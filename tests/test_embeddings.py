@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from msfser.embeddings import CHANNELS, EmbeddingStore, hash_token, toy_embedding
 from msfser.errors import (
@@ -115,6 +117,9 @@ class TestStore:
             store.put("u1", "gs", [])
         with pytest.raises(MalformedRecord):
             store.put("u1", "gs", [float("nan")])
+        with pytest.raises(MalformedRecord, match="'id' must be a non-empty"):
+            store.put("", "gs", [1.0])
+        assert len(store) == 0
 
     def test_ids_sorted_unique(self):
         store = EmbeddingStore()
@@ -233,6 +238,25 @@ class TestJsonl:
             EmbeddingStore.load_jsonl(path)
         path.write_bytes(path.read_bytes().rsplit(b"\r\n", 1)[0])
         assert EmbeddingStore.load_jsonl(path).get(odd, "gs").tolist() == [1.0]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(utt_id=st.text(st.characters(blacklist_categories=())
+                          | st.sampled_from(" \t\n\r\x0c\x85\u2028"),
+                          min_size=1, max_size=12),
+           channel=st.sampled_from(CHANNELS),
+           vector=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=6))
+    def test_what_put_accepts_round_trips(self, tmp_path, utt_id, channel,
+                                          vector):
+        store = EmbeddingStore()
+        store.put(utt_id, channel, vector)
+        path = tmp_path / "e.jsonl"
+        store.save_jsonl(path)
+        back = EmbeddingStore.load_jsonl(path)
+        assert len(back) == 1
+        assert back.get(utt_id, channel).tobytes() == np.asarray(
+            vector, dtype=np.float64).tobytes()
 
     def test_empty_file_loads_empty_store(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,6 +1,7 @@
 """TextGrid parsing, serialization, validation, and alignment lookups."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,19 @@ class TestValidation:
         tg = TextGrid(0.0, float("nan"), tiers=())
         with pytest.raises(NonMonotoneIntervals):
             validate_textgrid(tg)
+
+    @pytest.mark.parametrize("tg", [
+        TextGrid(0.0, 3.0, tiers=(Tier("words", 2.0, 1.0, ()),)),
+        # a span's own ends compare exactly, with no TIME_TOL slack
+        TextGrid(1.0 + 1e-10, 1.0, tiers=()),
+    ], ids=["tier", "file-within-tolerance"])
+    def test_reversed_span_rejected(self, tg):
+        span = tg.tiers[0] if tg.tiers else tg
+        message = re.escape(f"({span.xmin}, {span.xmax}) has xmin > xmax")
+        with pytest.raises(NonMonotoneIntervals, match=message):
+            validate_textgrid(tg)
+        with pytest.raises(NonMonotoneIntervals, match=message):
+            parse_textgrid(serialize_textgrid(tg))
 
     def test_valid_grid_passes(self):
         validate_textgrid(small_grid())
