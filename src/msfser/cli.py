@@ -23,13 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, SPLITS, FrameConfig,
-                     LemfConfig, ModelConfig, SynthConfig, TrainConfig,
-                     acoustic_width)
+from .config import (CHANNELS, SEGMENT_MODES, SPLITS, FeatureConfig,
+                     FrameConfig, LemfConfig, ModelConfig, SynthConfig,
+                     TrainConfig, acoustic_width)
 from .errors import (
     BadSetting,
     DimMismatch,
@@ -158,10 +158,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-# load_examples' feature settings, as train_config.json records them
-_FEATURE_KEYS = ("win_ms", "hop_ms", "n_bands", "f0_min", "f0_max")
-
-
 def _cmd_train(args) -> int:
     from .model import MsfSerModel, train_model
     from .numcore import save_checkpoint
@@ -169,7 +165,8 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             accum_steps=args.accum_steps, lr=args.lr,
                             weight_decay=args.weight_decay, seed=args.seed)
-    feats = {key: getattr(args, key) for key in _FEATURE_KEYS}
+    features = FeatureConfig(**{f.name: getattr(args, f.name)
+                                for f in fields(FeatureConfig)})
     # check the model settings before featurising; the input sizes come
     # from the data (replace runs the checks again)
     model_cfg = ModelConfig(
@@ -178,8 +175,8 @@ def _cmd_train(args) -> int:
         film_hidden=args.d_model, expert_hidden=args.d_model,
         experts=tuple(args.experts.replace(",", "").upper()),
         dropout=args.dropout, seed=args.seed)
-    train_set = load_examples(args.data, "train", **feats)
-    dev_set = load_examples(args.data, "dev", **feats) if args.track_dev else None
+    train_set = load_examples(args.data, "train", features)
+    dev_set = load_examples(args.data, "dev", features) if args.track_dev else None
     first = train_set[0]
     model_cfg = replace(model_cfg, acoustic_dim=first.frames.shape[1],
                         les_dim=len(first.les), gs_dim=len(first.gs),
@@ -202,8 +199,8 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model.params_dict(), out / "checkpoint.json")
     write_json({"model": asdict(model_cfg), "train": asdict(train_cfg),
-                "features": feats}, out / "train_config.json", indent=2,
-               sort_keys=True)
+                "features": asdict(features)}, out / "train_config.json",
+               indent=2, sort_keys=True)
     write_json(history, out / "history.json", indent=1)
     if args.svg:
         _write_history_svg(args.svg, history)
@@ -214,45 +211,41 @@ def _cmd_train(args) -> int:
 
 
 def _load_trained(model_dir):
-    """(model, run config) from a directory written by ``msfser train``."""
+    """(model, 'train' object, features) of a ``msfser train`` directory."""
     from .model import MsfSerModel
     from .numcore import load_checkpoint
     root = Path(model_dir)
     cfg_path = root / "train_config.json"
     text = read_text(cfg_path)
-    with naming(cfg_path, ValueError):
+    with naming(cfg_path, ValueError, MalformedRecord):
         try:
             run_cfg = parse_json(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
-        feats = run_cfg.get("features") if isinstance(run_cfg, dict) else None
-        if not (isinstance(feats, dict) and set(feats) == set(_FEATURE_KEYS)
-                and all(type(v) in (int, float) for v in feats.values())
-                and type(feats["n_bands"]) is int
-                and isinstance(run_cfg.get("train"), dict)):
-            raise ValueError(f"expected 'train' and 'features' objects, the "
-                             f"latter of numbers {_FEATURE_KEYS}")
+        if not (isinstance(run_cfg, dict) and type(run_cfg.get("train")) is dict):
+            raise ValueError("expected an object with a 'train' object")
+        features = FeatureConfig.from_dict(run_cfg.get("features"))
         try:
             model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad 'model' section: {exc!r}") from exc
-        if acoustic_width(feats["n_bands"]) != model.config.acoustic_dim:
-            raise ValueError(f"features.n_bands {feats['n_bands']} does not "
+        if acoustic_width(features.n_bands) != model.config.acoustic_dim:
+            raise ValueError(f"features.n_bands {features.n_bands} does not "
                              f"fit model acoustic_dim {model.config.acoustic_dim}")
     ckpt_path = root / "checkpoint.json"
     with naming(f"{ckpt_path} does not fit {cfg_path}", ShapeMismatch):
         model.load_params(load_checkpoint(ckpt_path))
-    return model, run_cfg
+    return model, run_cfg["train"], features
 
 
 def _cmd_eval(args) -> int:
     from .model import eval_report
     from .synth import load_examples
-    model, run_cfg = _load_trained(args.model)
+    model, train, features = _load_trained(args.model)
     cfg_path = Path(args.model) / "train_config.json"
     # the run's features, or them and a WAV
     with naming(cfg_path, BadSetting):
-        dataset = load_examples(args.data, args.split, **run_cfg["features"])
+        dataset = load_examples(args.data, args.split, features)
     for ch in CHANNELS:         # a store holds one size per channel
         got = len(getattr(dataset[0], ch))
         want = getattr(model.config, f"{ch}_dim")
@@ -263,8 +256,8 @@ def _cmd_eval(args) -> int:
     # targets.csv made the split too small
     with naming(Path(args.data) / "targets.csv", TooFewUtterances):
         report = eval_report(model, dataset,
-                             extra_config={"train": run_cfg["train"],
-                                           "features": run_cfg["features"],
+                             extra_config={"train": train,
+                                           "features": asdict(features),
                                            "split": args.split})
     if args.out:
         write_json(report, args.out, indent=2, sort_keys=True)
@@ -274,8 +267,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_embed(args) -> int:
     from .embeddings import EmbeddingStore, toy_embedding
-    if args.dim < 1:
-        raise BadSetting(f"dim must be >= 1, got {args.dim}", "dim")
+    toy_embedding("", args.dim, args.channel)   # checks --dim before any I/O
     if args.append and Path(args.out).exists():
         store = EmbeddingStore.load_jsonl(args.out)
     else:
@@ -330,18 +322,17 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_frame_args(p, n_bands=False):
-        p.add_argument("--win-ms", type=float, default=FrameConfig.win_ms)
-        p.add_argument("--hop-ms", type=float, default=FrameConfig.hop_ms)
-        p.add_argument("--f0-min", type=float, default=F0_MIN)
-        p.add_argument("--f0-max", type=float, default=F0_MAX)
+        p.add_argument("--win-ms", type=float, default=FeatureConfig.win_ms)
+        p.add_argument("--hop-ms", type=float, default=FeatureConfig.hop_ms)
+        p.add_argument("--f0-min", type=float, default=FeatureConfig.f0_min)
+        p.add_argument("--f0-max", type=float, default=FeatureConfig.f0_max)
         if n_bands:
-            p.add_argument("--n-bands", type=int, default=N_BANDS)
+            p.add_argument("--n-bands", type=int, default=FeatureConfig.n_bands)
 
     p = sub.add_parser("emphasis", help="score word emphasis in one utterance")
     p.add_argument("--wav", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--mode", choices=("adjacent", "topk"),
-                   default=LemfConfig.mode)
+    p.add_argument("--mode", choices=SEGMENT_MODES, default=LemfConfig.mode)
     p.add_argument("--k", type=int, default=LemfConfig.top_k)
     p.add_argument("--word-tier", default=LemfConfig.word_tier)
     p.add_argument("--phone-tier", default=LemfConfig.phone_tier,

@@ -12,9 +12,9 @@ the setting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import BadSetting
+from .errors import BadSetting, MalformedRecord
 
 F0_MIN, F0_MAX = 70.0, 450.0        # pitch search range in Hz
 N_BANDS = 8                         # mel bands per acoustic frame
@@ -22,6 +22,7 @@ EXPERT_NAMES = ("A", "B", "C")
 CHANNELS = ("les", "gs", "es")      # the text-embedding channels
 TARGET_NAMES = ("valence", "arousal", "dominance")  # the regression targets
 SPLITS = ("train", "dev", "test")   # the corpus splits targets.csv names
+SEGMENT_MODES = ("adjacent", "topk")  # how lemf picks the emphasis segment
 
 
 def acoustic_width(n_bands: int) -> int:
@@ -34,6 +35,12 @@ def min_sample_rate(f0_max: float) -> float:
     """The lowest sample rate at which the pitch tracker resolves f0 up to
     f0_max: four samples per period."""
     return 4 * f0_max
+
+
+def check_dropout(rate: float) -> None:
+    """A dropout rate lies in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise BadSetting(f"dropout must be in [0, 1), got {rate}", "dropout")
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,31 @@ class FrameConfig:
 
 
 @dataclass(frozen=True)
+class FeatureConfig:
+    """The frame-feature settings that train_config.json records for eval;
+    FrameConfig, estimate_f0 and acoustic_frames check their ranges."""
+    win_ms: float = FrameConfig.win_ms
+    hop_ms: float = FrameConfig.hop_ms
+    n_bands: int = N_BANDS
+    f0_min: float = F0_MIN
+    f0_max: float = F0_MAX
+
+    @classmethod
+    def from_dict(cls, d) -> "FeatureConfig":
+        """Exactly these keys, each a number (a bool is not), n_bands an int."""
+        names = tuple(f.name for f in fields(cls))
+        if not (isinstance(d, dict) and set(d) == set(names)
+                and all(type(v) in (int, float) for v in d.values())
+                and type(d["n_bands"]) is int):
+            raise MalformedRecord(f"'features' must map {names} to numbers, "
+                                  f"n_bands to an integer")
+        return cls(**d)
+
+
+@dataclass(frozen=True)
 class LemfConfig:
     frame: FrameConfig = field(default_factory=FrameConfig)
-    mode: str = "adjacent"          # "adjacent" | "topk"
+    mode: str = "adjacent"          # one of SEGMENT_MODES
     top_k: int = 3
     word_tier: str = "words"
     phone_tier: str | None = "phones"
@@ -115,9 +144,7 @@ class ModelConfig:
             if not getattr(self, name) >= 1:
                 raise BadSetting(
                     f"{name} must be >= 1, got {getattr(self, name)}", name)
-        if not 0.0 <= self.dropout < 1.0:
-            raise BadSetting(f"dropout must be in [0, 1), got {self.dropout}",
-                             "dropout")
+        check_dropout(self.dropout)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LemfConfig
+from .config import SEGMENT_MODES, LemfConfig
 from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
 from .errors import BadSetting, EmptyInput
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
@@ -111,18 +111,18 @@ def select_emphasis_indices(scores, mode: str = LemfConfig.mode,
     n = len(scores)
     if n == 0:
         raise EmptyInput("no words to select an emphasis segment from")
-    if mode == "adjacent":
-        if n <= 3:
-            return tuple(range(n))
-        m = int(np.argmax(scores))
-        start = min(max(m - 1, 0), n - 3)
-        return (start, start + 1, start + 2)
+    if mode not in SEGMENT_MODES:
+        raise BadSetting(f"unknown segment mode {mode!r}", "mode")
     if mode == "topk":
         if k < 1:
             raise BadSetting(f"topk mode needs k >= 1, got k={k}", "k")
         order = np.argsort(-scores, kind="stable")
         return tuple(sorted(int(i) for i in order[:min(k, n)]))
-    raise BadSetting(f"unknown segment mode {mode!r}", "mode")
+    if n <= 3:
+        return tuple(range(n))
+    m = int(np.argmax(scores))
+    start = min(max(m - 1, 0), n - 3)
+    return (start, start + 1, start + 2)
 
 
 def select_emphasis_segment(words, mode: str = LemfConfig.mode,
@@ -143,8 +143,6 @@ def select_emphasis_segment(words, mode: str = LemfConfig.mode,
 def analyze_words(track: ProsodyTrack, words,
                   phones_per_word) -> tuple[WordProsody, ...]:
     """Aggregate, standardize, and score a sentence of aligned words."""
-    if not words:
-        raise EmptyInput("sentence has no words")
     raws = [aggregate_word_prosody(track, w, ph)
             for w, ph in zip(words, phones_per_word)]
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_dropout
 from .errors import (NumericalFailure, ShapeMismatch, naming, parse_json,
                      read_text, write_json)
 
@@ -127,8 +128,7 @@ def dropout_mask(rng: np.random.Generator | None, shape, rate: float,
 
     rng is read only when training with rate > 0.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    check_dropout(rate)
     if not train or rate == 0.0:
         return np.ones(shape, dtype=np.float64)
     keep = rng.random(shape) >= rate
@@ -143,6 +143,11 @@ def _ccc_moments(p: np.ndarray, t: np.ndarray):
     gap = mu_p - mu_t; dp, dt are (D, N) residuals; population moments.
     Each column is reduced as a contiguous row, as a 1-D reduction would.
     """
+    if p.shape != t.shape or p.ndim != 2:
+        raise ShapeMismatch(
+            f"ccc: need matching 2-D arrays, got {p.shape} vs {t.shape}")
+    if len(p) == 0:
+        raise ShapeMismatch("ccc: empty input")
     p, t = np.ascontiguousarray(p.T), np.ascontiguousarray(t.T)
     mu_p = p.mean(axis=1, keepdims=True)
     mu_t = t.mean(axis=1, keepdims=True)
@@ -164,10 +169,6 @@ def ccc_columns(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"ccc: shape {pred.shape} vs {target.shape}")
-    if len(pred) == 0:
-        raise ShapeMismatch("ccc: empty input")
     *_, cov, denom = _ccc_moments(pred, target)
     ok = denom != 0.0
     return np.where(ok, 2.0 * cov / np.where(ok, denom, 1.0), 1.0)
@@ -187,13 +188,8 @@ def ccc_loss(pred: np.ndarray, target: np.ndarray):
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim != 2:
-        raise ShapeMismatch(
-            f"ccc_loss: need matching 2-D arrays, got {pred.shape} vs {target.shape}")
-    n = pred.shape[0]
-    if n == 0:
-        raise ShapeMismatch("ccc: empty input")
     gap, dp, dt, cov, denom = _ccc_moments(pred, target)
+    n = pred.shape[0]
     ok = denom != 0.0
     denom, cov, gap = denom[ok, None], cov[ok, None], gap[ok, None]
     loss = np.sum(1.0 - 2.0 * cov / denom)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (CHANNELS, F0_MAX, F0_MIN, N_BANDS, SPLITS, TARGET_NAMES,
+from .config import (CHANNELS, SPLITS, TARGET_NAMES, FeatureConfig,
                      FrameConfig, SynthConfig)
 from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore, is_utt_id
@@ -258,10 +258,7 @@ def read_targets_csv(path) -> list[dict]:
 
 
 def load_examples(data_dir, split: str | None = None,
-                  win_ms: float = FrameConfig.win_ms,
-                  hop_ms: float = FrameConfig.hop_ms, n_bands: int = N_BANDS,
-                  f0_min: float = F0_MIN,
-                  f0_max: float = F0_MAX) -> list[UttExample]:
+                  features: FeatureConfig = FeatureConfig()) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory.
 
     A split that targets.csv does not list raises TooFewUtterances, and
@@ -270,7 +267,7 @@ def load_examples(data_dir, split: str | None = None,
     short for one window, or sampled too slowly) raises UnfitSignal naming
     the WAV and its utterance.
     """
-    frame_cfg = FrameConfig(win_ms=win_ms, hop_ms=hop_ms)
+    frame_cfg = FrameConfig(win_ms=features.win_ms, hop_ms=features.hop_ms)
     root = Path(data_dir)
     embeddings = root / "embeddings.jsonl"
     store = EmbeddingStore.load_jsonl(embeddings)
@@ -286,8 +283,8 @@ def load_examples(data_dir, split: str | None = None,
         wav = root / "wavs" / f"{utt_id}.wav"
         audio = read_wav(wav)
         with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
-            frames = acoustic_frames(audio, frame_cfg, n_bands=n_bands,
-                                     f0_min=f0_min, f0_max=f0_max)
+            frames = acoustic_frames(audio, frame_cfg, n_bands=features.n_bands,
+                                     f0_min=features.f0_min, f0_max=features.f0_max)
         with naming(embeddings, MissingEmbedding):
             les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
         examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,

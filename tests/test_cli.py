@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import ast
 import contextlib
 import dataclasses
 import inspect
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msfser.cli import _FEATURE_KEYS, build_parser, main
+from msfser.cli import build_parser, main
+from msfser.config import FeatureConfig
 from msfser.dsp import (
     F0_MAX,
     F0_MIN,
@@ -40,7 +42,6 @@ from msfser.model import ModelConfig, TrainConfig
 from msfser.numcore import load_checkpoint, seeded_rng
 from msfser.synth import (
     SynthConfig,
-    load_examples,
     make_emphasis_case,
     read_targets_csv,
 )
@@ -393,6 +394,12 @@ class TestTrainEval:
             blob["model"]["d_model"] += 1
         elif how == "n_bands_mismatch":
             blob["features"]["n_bands"] += 1
+        elif how == "float_n_bands":
+            blob["features"]["n_bands"] = 8.0
+        elif how == "bool_feature":
+            blob["features"]["f0_min"] = True
+        elif how == "extra_feature_key":
+            blob["features"]["window"] = 1
         return blob
 
     @pytest.mark.parametrize("target, how, code", [
@@ -422,6 +429,9 @@ class TestTrainEval:
         ("train_config.json", "zero_d_model", 2),
         ("train_config.json", "wider_d_model", 3),
         ("train_config.json", "n_bands_mismatch", 2),
+        ("train_config.json", "float_n_bands", 2),
+        ("train_config.json", "bool_feature", 2),
+        ("train_config.json", "extra_feature_key", 2),
         ("train_config.json", "deep", 2),
         ("embeddings.jsonl", "bad_line_3", 2),
     ])
@@ -1301,6 +1311,17 @@ for name, home in homes.items():
         assert any(d.startswith("scipy") for d in
                    project["optional-dependencies"]["test"])
 
+    def test_sources_parse_as_python_3_10(self):
+        # pyproject.toml promises Python >= 3.10; this checks the grammar
+        # only, not calls into 3.11-only library functions
+        root = Path(__file__).resolve().parents[1]
+        paths = [path for top in ("src", "tests", "demos")
+                 for path in sorted((root / top).rglob("*.py"))]
+        assert len(paths) > 20
+        for path in paths:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 10))
+
 
 class TestMisc:
     def test_version_flag(self, capsys):
@@ -1317,27 +1338,25 @@ class TestMisc:
         fields = {f.name for f in dataclasses.fields(SynthConfig)}
         assert fields == {"n_utts", "sample_rate", "les_dim", "gs_dim",
                           "es_dim", "seed"}
-        for fn in (estimate_f0, acoustic_frames, load_examples):
+        for fn in (estimate_f0, acoustic_frames):
             params = inspect.signature(fn).parameters
             assert (params["f0_min"].default,
                     params["f0_max"].default) == (F0_MIN, F0_MAX), fn
         assert (LemfConfig().f0_min, LemfConfig().f0_max) == (F0_MIN, F0_MAX)
-        for fn in (acoustic_frames, load_examples):
-            assert inspect.signature(fn).parameters["n_bands"].default == N_BANDS
+        assert inspect.signature(acoustic_frames).parameters[
+            "n_bands"].default == N_BANDS
         for fn in (select_emphasis_indices, select_emphasis_segment):
             params = inspect.signature(fn).parameters
             assert (params["mode"].default,
                     params["k"].default) == (LemfConfig.mode, LemfConfig.top_k)
-        # train_config.json records exactly load_examples' feature settings,
-        # which eval passes back by name
-        params = inspect.signature(load_examples).parameters
-        features = {name: p.default for name, p in params.items()
-                    if name not in ("data_dir", "split")}
-        assert features == {"win_ms": FrameConfig.win_ms,
-                            "hop_ms": FrameConfig.hop_ms, "n_bands": N_BANDS,
-                            "f0_min": F0_MIN, "f0_max": F0_MAX}
+        # FeatureConfig's defaults are the shared constants, and
+        # train_config.json records exactly its fields
+        assert dataclasses.asdict(FeatureConfig()) == {
+            "win_ms": FrameConfig.win_ms, "hop_ms": FrameConfig.hop_ms,
+            "n_bands": N_BANDS, "f0_min": F0_MIN, "f0_max": F0_MAX}
         run_cfg = json.loads((trained / "train_config.json").read_text())
-        assert set(run_cfg["features"]) == set(_FEATURE_KEYS) == set(features)
+        assert set(run_cfg["features"]) == {
+            f.name for f in dataclasses.fields(FeatureConfig)}
         _, commands = build_parser()
         for name in ("emphasis", "train"):
             parser = commands[name]
@@ -1347,8 +1366,9 @@ class TestMisc:
 
         # every other flag default is read from the config field it sets
         homes = [
-            (FrameConfig, ("emphasis", "train"),
-             {"win_ms": "win_ms", "hop_ms": "hop_ms"}),
+            (FeatureConfig, ("emphasis", "train"),
+             {name: name for name in ("win_ms", "hop_ms", "f0_min", "f0_max")}),
+            (FeatureConfig, ("train",), {"n_bands": "n_bands"}),
             (SynthConfig, ("synth",),
              {"n": "n_utts", "sample_rate": "sample_rate",
               "les_dim": "les_dim", "gs_dim": "gs_dim", "es_dim": "es_dim"}),
