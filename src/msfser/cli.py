@@ -14,7 +14,9 @@ processing failure (numerical trouble, shape conflicts, out of memory).
 Defaults can be supplied as a flat JSON object via --config; explicit
 flags win.
 
-Flag defaults come from msfser.config; each subcommand imports the
+Options named after a FeatureConfig, SynthConfig or TrainConfig field are
+generated from it; --n, --k, --mode, --word-tier, --phone-tier, --d-model,
+--dropout and --experts are hand-written.  Each subcommand imports the
 modules it runs, so ``emphasis`` never loads the model or the corpus code.
 """
 
@@ -151,9 +153,7 @@ def _cmd_emphasis(args) -> int:
 
 def _cmd_synth(args) -> int:
     from .synth import generate_dataset
-    cfg = SynthConfig(n_utts=args.n, seed=args.seed,
-                      sample_rate=args.sample_rate, les_dim=args.les_dim,
-                      gs_dim=args.gs_dim, es_dim=args.es_dim)
+    cfg = _from_flags(SynthConfig, args, n_utts=args.n)
     write_json(generate_dataset(args.out, cfg), indent=2, sort_keys=True)
     return 0
 
@@ -162,11 +162,8 @@ def _cmd_train(args) -> int:
     from .model import MsfSerModel, train_model
     from .numcore import save_checkpoint
     from .synth import load_examples
-    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                            accum_steps=args.accum_steps, lr=args.lr,
-                            weight_decay=args.weight_decay, seed=args.seed)
-    features = FeatureConfig(**{f.name: getattr(args, f.name)
-                                for f in fields(FeatureConfig)})
+    train_cfg = _from_flags(TrainConfig, args)
+    features = _from_flags(FeatureConfig, args)
     # check the model settings before featurising; the input sizes come
     # from the data (replace runs the checks again)
     model_cfg = ModelConfig(
@@ -311,6 +308,21 @@ def _cmd_textgrid_check(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+def _add_flags(parser, config, skip=()) -> None:
+    """An option per field of config not in skip, typed and defaulted by it."""
+    for f in fields(config):
+        if f.name not in skip:
+            parser.add_argument("--" + f.name.replace("_", "-"),
+                                type={"int": int, "float": float}[f.type],
+                                default=getattr(config, f.name))
+
+
+def _from_flags(config, args, **given):
+    """config from the options _add_flags made; given fields win."""
+    return config(**{f.name: given[f.name] if f.name in given
+                     else getattr(args, f.name) for f in fields(config)})
+
+
 def build_parser() -> tuple[argparse.ArgumentParser,
                             dict[str, argparse.ArgumentParser]]:
     """The msfser parser and its subcommand parsers by name."""
@@ -321,14 +333,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_frame_args(p, n_bands=False):
-        p.add_argument("--win-ms", type=float, default=FeatureConfig.win_ms)
-        p.add_argument("--hop-ms", type=float, default=FeatureConfig.hop_ms)
-        p.add_argument("--f0-min", type=float, default=FeatureConfig.f0_min)
-        p.add_argument("--f0-max", type=float, default=FeatureConfig.f0_max)
-        if n_bands:
-            p.add_argument("--n-bands", type=int, default=FeatureConfig.n_bands)
-
     p = sub.add_parser("emphasis", help="score word emphasis in one utterance")
     p.add_argument("--wav", required=True)
     p.add_argument("--grid", required=True)
@@ -337,7 +341,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--word-tier", default=LemfConfig.word_tier)
     p.add_argument("--phone-tier", default=LemfConfig.phone_tier,
                    help="empty string to skip phone durations")
-    add_frame_args(p)
+    _add_flags(p, FeatureConfig, skip=("n_bands",))
     p.add_argument("--out", help="write the JSON document here instead of stdout")
     p.add_argument("--csv", help="also dump the frame-level prosody track")
     p.add_argument("--svg", help="also render a score bar chart")
@@ -346,31 +350,21 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=SynthConfig.n_utts)
-    p.add_argument("--seed", type=int, default=SynthConfig.seed)
-    p.add_argument("--sample-rate", type=int, default=SynthConfig.sample_rate)
-    p.add_argument("--les-dim", type=int, default=SynthConfig.les_dim)
-    p.add_argument("--gs-dim", type=int, default=SynthConfig.gs_dim)
-    p.add_argument("--es-dim", type=int, default=SynthConfig.es_dim)
+    _add_flags(p, SynthConfig, skip=("n_utts",))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train the fusion model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--accum-steps", type=int, default=TrainConfig.accum_steps)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--weight-decay", type=float,
-                   default=TrainConfig.weight_decay)
+    _add_flags(p, TrainConfig)
     p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
     p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--experts", default="".join(ModelConfig.experts),
                    help="subset of ABC, e.g. AB for the no-es ablation")
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--track-dev", action="store_true",
                    help="evaluate the dev split after every epoch")
     p.add_argument("--quiet", action="store_true")
-    add_frame_args(p, n_bands=True)
+    _add_flags(p, FeatureConfig)
     p.add_argument("--svg", help="render the training history as SVG")
     p.set_defaults(func=_cmd_train)
 

@@ -37,6 +37,14 @@ def min_sample_rate(f0_max: float) -> float:
     return 4 * f0_max
 
 
+def _at_least(cfg, low, *names) -> None:
+    """Each named setting of cfg is >= low (NaN is not)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not value >= low:
+            raise BadSetting(f"{name} must be >= {low}, got {value}", name)
+
+
 def check_dropout(rate: float) -> None:
     """A dropout rate lies in [0, 1)."""
     if not 0.0 <= rate < 1.0:
@@ -107,10 +115,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("les_dim", "gs_dim", "es_dim"):
-            if not getattr(self, name) >= 1:
-                raise BadSetting(
-                    f"{name} must be >= 1, got {getattr(self, name)}", name)
+        _at_least(self, 1, "les_dim", "gs_dim", "es_dim")
         lowest = min_sample_rate(F0_MAX)
         if not self.sample_rate >= lowest:
             raise BadSetting(f"sample_rate must be >= {lowest:g} to resolve "
@@ -139,11 +144,8 @@ class ModelConfig:
                 f"got {self.experts}", "experts")
         if len(set(self.experts)) != len(self.experts):
             raise BadSetting(f"duplicate experts in {self.experts}", "experts")
-        for name in ("acoustic_dim", "les_dim", "gs_dim", "es_dim", "d_model",
-                     "att_dim", "film_hidden", "expert_hidden"):
-            if not getattr(self, name) >= 1:
-                raise BadSetting(
-                    f"{name} must be >= 1, got {getattr(self, name)}", name)
+        _at_least(self, 1, "acoustic_dim", "les_dim", "gs_dim", "es_dim",
+                  "d_model", "att_dim", "film_hidden", "expert_hidden")
         check_dropout(self.dropout)
 
     @classmethod
@@ -163,17 +165,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise BadSetting(f"epochs must be >= 1, got {self.epochs}",
-                             "epochs")
-        if self.batch_size < 2:
-            # a micro-batch needs two utterances for the concordance loss
-            raise BadSetting(
-                f"batch_size must be >= 2, got {self.batch_size}", "batch_size")
-        if self.accum_steps < 1:
-            raise BadSetting(
-                f"accum_steps must be >= 1, got {self.accum_steps}",
-                "accum_steps")
+        _at_least(self, 1, "epochs")
+        # a micro-batch needs two utterances for the concordance loss
+        _at_least(self, 2, "batch_size")
+        _at_least(self, 1, "accum_steps")
         if not 0 < self.lr < math.inf:
             raise BadSetting(f"lr must be finite and > 0, got {self.lr}", "lr")
         if not 0 <= self.weight_decay < math.inf:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SEGMENT_MODES, LemfConfig
 from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
-from .errors import BadSetting, EmptyInput
+from .errors import BadSetting, EmptyInput, LengthMismatch
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
 
 ZSCORE_SIGMA_FLOOR = 1e-12
@@ -143,6 +143,9 @@ def select_emphasis_segment(words, mode: str = LemfConfig.mode,
 def analyze_words(track: ProsodyTrack, words,
                   phones_per_word) -> tuple[WordProsody, ...]:
     """Aggregate, standardize, and score a sentence of aligned words."""
+    if len(words) != len(phones_per_word):
+        raise LengthMismatch(f"{len(words)} words but "
+                             f"{len(phones_per_word)} phone lists")
     raws = [aggregate_word_prosody(track, w, ph)
             for w, ph in zip(words, phones_per_word)]
 

@@ -45,7 +45,7 @@ from msfser.synth import (
     make_emphasis_case,
     read_targets_csv,
 )
-from msfser.textgrid import serialize_textgrid
+from msfser.textgrid import Interval, read_textgrid_file, serialize_textgrid
 
 GOOD_GRID = """File type = "ooTextFile"
 Object class = "TextGrid"
@@ -209,7 +209,8 @@ class TestEmphasis:
         assert main(["emphasis", "--wav", "/nonexistent.wav",
                      "--grid", str(grid)]) == 2
 
-    @pytest.mark.parametrize("damage", ["bad_number", "utf16", "not_utf8"])
+    @pytest.mark.parametrize("damage", [
+        "bad_number", "utf16", "not_utf8", "after_quote", "past_tier_end"])
     def test_grid_errors_name_the_file_once(self, emphasis_files, capsys,
                                             damage):
         wav, grid, _ = emphasis_files
@@ -218,6 +219,10 @@ class TestEmphasis:
             "bad_number": text.replace("xmin = ", "xmin = zz", 1).encode(),
             "utf16": text.encode("utf-16"),
             "not_utf8": text.replace('"words"', '"w\xe1rds"').encode("latin-1"),
+            "after_quote": text.replace('text = ""', 'text = "a" b', 1).encode(),
+            # the words tier ends before its later intervals do
+            "past_tier_end": re.sub(r"xmax = \S+(\n +intervals:)",
+                                    r"xmax = 0.5\1", text, count=1).encode(),
         }[damage])
         assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
         err = capsys.readouterr().err
@@ -225,9 +230,10 @@ class TestEmphasis:
         # textgrid-check starts its report with the path, and only there
         assert main(["textgrid-check", str(grid)]) == 2
         out = capsys.readouterr().out
-        assert out.startswith(f"{grid}: MalformedHeader: "
-                              if damage != "bad_number"
-                              else f"{grid}: MalformedBody: ")
+        kind = ("MalformedHeader" if damage in ("utf16", "not_utf8")
+                else "NonMonotoneIntervals" if damage == "past_tier_end"
+                else "MalformedBody")
+        assert out.startswith(f"{grid}: {kind}: ")
         assert out.count(str(grid)) == 1
 
     @pytest.mark.parametrize("flag", ["--word-tier", "--phone-tier"])
@@ -239,6 +245,17 @@ class TestEmphasis:
         err = capsys.readouterr().err
         assert err == (f"error: {grid}: no tier named 'nope' "
                        "(have: ['words', 'phones'])\n")
+
+    def test_grid_without_words_names_the_grid(self, emphasis_files, capsys):
+        wav, grid, _ = emphasis_files
+        tg = read_textgrid_file(grid)
+        silent = dataclasses.replace(tg.tier("words"), intervals=(
+            Interval(tg.xmin, tg.xmax, "sil"),))
+        grid.write_text(serialize_textgrid(dataclasses.replace(
+            tg, tiers=(silent, tg.tier("phones")))), encoding="utf-8")
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid}: tier 'words' has no word intervals\n")
 
     @pytest.mark.parametrize("how, message", UNFIT_WAV)
     def test_unfit_wav_names_the_file(self, emphasis_files, capsys, how,
@@ -334,6 +351,22 @@ class TestTrainEval:
         summary = json.loads(capsys.readouterr().out)
         assert summary["epochs"] == 1 and summary["n_params"] > 0
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("track_dev", [False, True])
+    def test_train_logs_each_epoch_to_stderr(self, dataset, tmp_path, capsys,
+                                             track_dev):
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(dataset), "--out", str(out),
+                     "--epochs", "2", "--batch-size", "8",
+                     "--accum-steps", "1", "--lr", "1e-3", "--d-model", "4"]
+                    + ["--track-dev"] * track_dev)
+        assert code == 0
+        history = json.loads((out / "history.json").read_text())
+        assert len(history) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"epoch {row['epoch']:4d}  loss {row['train_loss']:.4f}"
+            + (f"  dev_ccc {row['dev_ccc_avg']:+.4f}" if track_dev else "")
+            for row in history]
 
     def test_eval_report(self, trained, dataset, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -1363,6 +1396,27 @@ class TestMisc:
             assert (parser.get_default("f0_min"),
                     parser.get_default("f0_max")) == (F0_MIN, F0_MAX)
         assert commands["train"].get_default("n_bands") == N_BANDS
+
+        # the flags named after a config field: option string, dest, type
+        field_flags = {
+            "emphasis": {"win_ms": float, "hop_ms": float, "f0_min": float,
+                         "f0_max": float},
+            "synth": {"sample_rate": int, "les_dim": int, "gs_dim": int,
+                      "es_dim": int, "seed": int},
+            "train": {"win_ms": float, "hop_ms": float, "n_bands": int,
+                      "f0_min": float, "f0_max": float, "epochs": int,
+                      "batch_size": int, "accum_steps": int, "lr": float,
+                      "weight_decay": float, "seed": int},
+        }
+        for command, flags in field_flags.items():
+            actions = commands[command]._option_string_actions
+            for name, kind in flags.items():
+                action = actions["--" + name.replace("_", "-")]
+                assert (action.dest, action.type) == (name, kind), name
+        assert "--n-bands" not in commands["emphasis"]._option_string_actions
+        assert "--n-utts" not in commands["synth"]._option_string_actions
+        n = commands["synth"]._option_string_actions["--n"]
+        assert (n.dest, n.type) == ("n", int)
 
         # every other flag default is read from the config field it sets
         homes = [

@@ -426,8 +426,9 @@ class TestWavIO:
         riff(wav_fmt(1, 16)),
         riff(wav_chunk(b"data", bytes(4)), wav_fmt(1, 16)),
         riff(wav_chunk(b"fmt ", bytes(8)), wav_chunk(b"data", bytes(4))),
+        riff(wav_fmt(1, 16, sr=0), wav_chunk(b"data", bytes(4))),
     ], ids=["pcm24", "float64", "pcm16_in_4_bytes", "ext_stereo", "rifx",
-            "not_riff", "no_data", "data_before_fmt", "short_fmt"])
+            "not_riff", "no_data", "data_before_fmt", "short_fmt", "zero_hz"])
     def test_bad_files_rejected(self, tmp_path, blob):
         path = tmp_path / "bad.wav"
         path.write_bytes(blob)

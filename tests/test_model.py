@@ -585,6 +585,13 @@ class TestModelBehavior:
         assert _nonfinite_report(model, 3, 2) == \
             "epoch 3, step 2: gradient of 'headB.w1' is not finite"
 
+    @pytest.mark.parametrize("field, low", [
+        ("epochs", 1), ("batch_size", 2), ("accum_steps", 1)])
+    def test_train_config_refuses_nan_counts(self, field, low):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be >= {low}, got nan$"):
+            TrainConfig(**{field: math.nan})
+
     def test_train_requires_two_utterances(self):
         model = MsfSerModel(tiny_config())
         with pytest.raises(TooFewUtterances):
