@@ -29,8 +29,8 @@ _EXPORTS = {name: module for module, names in (
     ("lemf", "EmphasisSegment LemfResult WordProsody run_lemf "
              "select_emphasis_indices select_emphasis_segment zscore_normalize"),
     ("model", "Batch MsfSerModel UttExample attentive_pool eval_report "
-              "evaluate film_modulate gated_fuse make_batch moe_combine "
-              "train_model"),
+              "evaluate expert_head film_modulate gated_fuse make_batch "
+              "moe_combine train_model"),
     ("numcore", "AdamW Param ccc ccc_loss grad_check load_checkpoint "
                 "save_checkpoint seeded_rng"),
     ("synth", "generate_dataset load_examples make_emphasis_case"),

@@ -37,10 +37,10 @@ def min_sample_rate(f0_max: float) -> float:
     return 4 * f0_max
 
 
-def _at_least(cfg, low, *names) -> None:
-    """Each named setting of cfg is >= low (NaN is not)."""
-    for name in names:
-        value = getattr(cfg, name)
+def at_least(low, settings: dict, *names) -> None:
+    """Each named setting (every one if none is named) is >= low; NaN is not."""
+    for name in names or settings:
+        value = settings[name]
         if not value >= low:
             raise BadSetting(f"{name} must be >= {low}, got {value}", name)
 
@@ -115,7 +115,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _at_least(self, 1, "les_dim", "gs_dim", "es_dim")
+        at_least(1, vars(self), "les_dim", "gs_dim", "es_dim")
+        at_least(0, vars(self), "seed")
         lowest = min_sample_rate(F0_MAX)
         if not self.sample_rate >= lowest:
             raise BadSetting(f"sample_rate must be >= {lowest:g} to resolve "
@@ -144,8 +145,9 @@ class ModelConfig:
                 f"got {self.experts}", "experts")
         if len(set(self.experts)) != len(self.experts):
             raise BadSetting(f"duplicate experts in {self.experts}", "experts")
-        _at_least(self, 1, "acoustic_dim", "les_dim", "gs_dim", "es_dim",
-                  "d_model", "att_dim", "film_hidden", "expert_hidden")
+        at_least(1, vars(self), "acoustic_dim", "les_dim", "gs_dim", "es_dim",
+                 "d_model", "att_dim", "film_hidden", "expert_hidden")
+        at_least(0, vars(self), "seed")
         check_dropout(self.dropout)
 
     @classmethod
@@ -165,10 +167,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _at_least(self, 1, "epochs")
+        at_least(1, vars(self), "epochs")
         # a micro-batch needs two utterances for the concordance loss
-        _at_least(self, 2, "batch_size")
-        _at_least(self, 1, "accum_steps")
+        at_least(2, vars(self), "batch_size")
+        at_least(1, vars(self), "accum_steps")
+        at_least(0, vars(self), "seed")
         if not 0 < self.lr < math.inf:
             raise BadSetting(f"lr must be finite and > 0, got {self.lr}", "lr")
         if not 0 <= self.weight_decay < math.inf:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (F0_MAX, F0_MIN, N_BANDS, FrameConfig, acoustic_width,
-                     min_sample_rate)
+                     at_least, min_sample_rate)
 from .errors import BadSetting, SignalTooShort, UnfitSignal, naming
 
 SILENCE_RMS_FLOOR = 1e-4
@@ -301,8 +301,7 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
     :func:`frame_signal`.
     The mel bands reuse the frame spectra of :func:`estimate_f0`.
     """
-    if n_bands < 0:
-        raise BadSetting(f"n_bands must be >= 0, got {n_bands}", "n_bands")
+    at_least(0, {"n_bands": n_bands})
     track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max)
     mag = track.spectrum
     fb = mel_filterbank(n_bands, mag.shape[1], audio.sample_rate)

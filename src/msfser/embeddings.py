@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CHANNELS
-from .errors import (BadSetting, DimMismatch, DuplicateKey, MalformedRecord,
+from .config import CHANNELS, at_least
+from .errors import (DimMismatch, DuplicateKey, MalformedRecord,
                      MissingEmbedding, finite_json, naming, parse_json,
                      read_text, split_lines)
 
@@ -41,8 +41,7 @@ def hash_token(token: str, channel: str = "") -> int:
 
 def toy_embedding(text: str, dim: int, channel: str = "gs") -> np.ndarray:
     """Deterministic bag-of-tokens vector, unit norm (zero if no tokens)."""
-    if dim < 1:
-        raise BadSetting(f"dim must be >= 1, got {dim}", "dim")
+    at_least(1, {"dim": dim})
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
     acc = np.zeros(dim, dtype=np.float64)

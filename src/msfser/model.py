@@ -10,7 +10,7 @@ Architecture, per utterance:
   expert A: head(pooled)
   expert B: head(film(pooled | h_sem))      film: y = (1 + mul)*x + add
   expert C: head(film(pooled | h_ext))
-  head: linear -> layer_norm -> tanh -> dropout -> linear -> 3
+  head (expert_head): linear -> layer_norm -> tanh -> dropout -> linear -> 3
 
   y[:, d] = sum_e pi[d, e] * expert_e[:, d]   with pi = row-softmax of a
   free (input-independent) routing logit table, one row per output dim
@@ -19,9 +19,10 @@ Architecture, per utterance:
 The FiLM generators are two-layer MLPs whose output layer starts at
 zero, so every expert begins as the plain pooled statistics and the
 modulation is learned.  Training minimizes sum_d (1 - CCC_d) with AdamW
-and gradient accumulation.  Each op's hand-written backward sits beside
-its forward and reads only its cache and weights; MsfSerModel.backward
-chains them, and each is verifiable by central finite differences.
+and gradient accumulation.  Each op reads a layer's weights in the order
+the model groups them, and its hand-written backward sits beside it and
+reads only its cache and weights; MsfSerModel.backward chains them, and
+each is verifiable by central finite differences.
 
 The encoder and attentive pooling run once per utterance, so their
 backward is the hot loop: it adds each utterance's att.* and enc.*
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig
+from .config import CHANNELS, ModelConfig, TrainConfig
 from .errors import (
     LengthMismatch,
     NumericalFailure,
@@ -66,7 +67,6 @@ from .numcore import (
 
 VAR_FLOOR = 1e-9
 EVAL_BATCH = 64                              # utterances per evaluation forward
-FILM_PARAMS = ("w1", "b1", "w2", "b2")       # film_modulate's weight order
 
 
 @dataclass
@@ -104,10 +104,9 @@ def make_batch(examples) -> Batch:
     return Batch(
         utt_ids=tuple(e.utt_id for e in examples),
         frames=[np.asarray(e.frames, dtype=np.float64) for e in examples],
-        les=np.stack([np.asarray(e.les, dtype=np.float64) for e in examples]),
-        gs=np.stack([np.asarray(e.gs, dtype=np.float64) for e in examples]),
-        es=np.stack([np.asarray(e.es, dtype=np.float64) for e in examples]),
         targets=targets,
+        **{ch: np.stack([np.asarray(getattr(e, ch), dtype=np.float64)
+                         for e in examples]) for ch in CHANNELS},
     )
 
 
@@ -210,6 +209,26 @@ def _film_bwd(cache, w1: np.ndarray, w2: np.ndarray, dy: np.ndarray):
     return dy * gamma, dcond, dw1, db1, dw2, db2
 
 
+def expert_head(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, ln_g: np.ndarray,
+                ln_b: np.ndarray, w2: np.ndarray, b2: np.ndarray, mask: np.ndarray):
+    """linear -> layer_norm -> tanh -> dropout (times mask) -> linear.
+
+    Returns (out, cache); the cache starts with x.
+    """
+    ln, ln_cache = layer_norm_fwd(linear_fwd(x, w1, b1), ln_g, ln_b)
+    act = np.tanh(ln)
+    dropped = act * mask
+    return linear_fwd(dropped, w2, b2), (x, ln_cache, act, mask, dropped)
+
+
+def _head_bwd(cache, w1: np.ndarray, w2: np.ndarray, dout: np.ndarray):
+    x, ln_cache, act, mask, dropped = cache
+    dact, dw2, db2 = linear_bwd(dropped, w2, dout)
+    dhz, dln_g, dln_b = layer_norm_bwd(ln_cache, tanh_bwd(act, dact * mask))
+    dx, dw1, db1 = linear_bwd(x, w1, dhz)
+    return dx, dw1, db1, dln_g, dln_b, dw2, db2
+
+
 def moe_combine(expert_out: np.ndarray, route_logits: np.ndarray):
     """Blend expert predictions with per-output-dim routing weights.
 
@@ -272,10 +291,12 @@ class MsfSerModel:
         self.theta = np.concatenate([a.reshape(-1) for a in values.values()])
         self.grad = np.zeros_like(self.theta)
         ends = np.cumsum([a.size for a in values.values()])[:-1]
-        self._params: dict[str, Param] = {
-            name: Param(name, t.reshape(a.shape), g.reshape(a.shape))
-            for (name, a), t, g in zip(values.items(), np.split(self.theta, ends),
-                                       np.split(self.grad, ends))}
+        self._params: dict[str, Param] = {}
+        self._layers: dict[str, list[Param]] = {}   # by name prefix
+        for (name, a), t, g in zip(values.items(), np.split(self.theta, ends),
+                                   np.split(self.grad, ends)):
+            self._params[name] = Param(name, t.reshape(a.shape), g.reshape(a.shape))
+            self._layers.setdefault(name.split(".")[0], []).append(self._params[name])
 
     # ------------------------------------------------------ accessors
 
@@ -309,39 +330,13 @@ class MsfSerModel:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    def _add_grads(self, names, grads) -> None:
-        for name, grad in zip(names, grads):
-            self._params[name].grad[...] += grad
+    def _weights(self, layer: str) -> list[np.ndarray]:
+        """The values of a layer's parameters, in its op's order."""
+        return [p.value for p in self._layers[layer]]
 
-    def _dense(self, x: np.ndarray, layer: str, i: str = "") -> np.ndarray:
-        """x @ w + b with parameters f"{layer}.w{i}" and f"{layer}.b{i}"."""
-        return linear_fwd(x, self._params[f"{layer}.w{i}"].value,
-                          self._params[f"{layer}.b{i}"].value)
-
-    def _dense_bwd(self, x: np.ndarray, layer: str, dy: np.ndarray,
-                   i: str = "") -> np.ndarray:
-        """Accumulate the weight and bias gradients of _dense; return dx."""
-        dx, dw, db = linear_bwd(x, self._params[f"{layer}.w{i}"].value, dy)
-        self._add_grads((f"{layer}.w{i}", f"{layer}.b{i}"), (dw, db))
-        return dx
-
-    def _head(self, name: str, x: np.ndarray, train: bool, rng):
-        """linear -> layer_norm -> tanh -> dropout -> linear; (out, cache)."""
-        head = f"head{name}"
-        ln_g, ln_b = (self._params[f"{head}.{k}"].value for k in ("ln_g", "ln_b"))
-        ln, ln_cache = layer_norm_fwd(self._dense(x, head, "1"), ln_g, ln_b)
-        act = np.tanh(ln)
-        mask = dropout_mask(rng, act.shape, self.config.dropout, train)
-        dropped = act * mask
-        return self._dense(dropped, head, "2"), (x, ln_cache, act, mask, dropped)
-
-    def _head_bwd(self, name: str, cache, dout: np.ndarray) -> np.ndarray:
-        x, ln_cache, act, mask, dropped = cache
-        head = f"head{name}"
-        dact = self._dense_bwd(dropped, head, dout, "2") * mask
-        dhz, *dln = layer_norm_bwd(ln_cache, tanh_bwd(act, dact))
-        self._add_grads((f"{head}.ln_g", f"{head}.ln_b"), dln)
-        return self._dense_bwd(x, head, dhz, "1")
+    def _add_grads(self, layer: str, grads) -> None:
+        for p, grad in zip(self._layers[layer], grads):
+            p.grad[...] += grad
 
     # -------------------------------------------------------- forward
 
@@ -355,12 +350,11 @@ class MsfSerModel:
             if fr.shape[0] < 1:
                 raise ShapeMismatch(
                     f"utterance {batch.utt_ids[i]!r} has no frames")
-        for name, arr, want in (("les", batch.les, cfg.les_dim),
-                                ("gs", batch.gs, cfg.gs_dim),
-                                ("es", batch.es, cfg.es_dim)):
+        for ch in CHANNELS:
+            arr, want = getattr(batch, ch), getattr(cfg, f"{ch}_dim")
             if arr.shape != (len(batch), want):
                 raise ShapeMismatch(
-                    f"{name} block has shape {arr.shape}, expected "
+                    f"{ch} block has shape {arr.shape}, expected "
                     f"({len(batch)}, {want})")
 
     def forward(self, batch: Batch, train: bool = False,
@@ -368,11 +362,10 @@ class MsfSerModel:
         """Predictions (B, 3) plus the cache needed for backward()."""
         self._check_batch(batch)
         cfg = self.config
-        v = lambda name: self._params[name].value
         if train and cfg.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
 
-        enc_w, enc_b, att_w, att_v = map(v, ("enc.w", "enc.b", "att.w", "att.v"))
+        (enc_w, enc_b), (att_w, att_v) = self._weights("enc"), self._weights("att")
         pooled_rows, enc = [], []
         for fr in batch.frames:
             h = fr @ enc_w
@@ -383,27 +376,28 @@ class MsfSerModel:
             enc.append(pool_cache)
         pooled = np.stack(pooled_rows)              # (B, 2d)
 
-        cond, sem, fuse_cache = {}, {}, None
+        sem = {ch: np.tanh(linear_fwd(getattr(batch, ch), *self._weights(ch)))
+               for ch in CHANNELS if ch in self._layers}
+        cond, fuse_cache = {}, None
         if "B" in cfg.experts:
-            sem["les"] = np.tanh(self._dense(batch.les, "les"))
-            sem["gs"] = np.tanh(self._dense(batch.gs, "gs"))
             cond["B"], fuse_cache = gated_fuse(sem["les"], sem["gs"],
-                                               v("gate.w"), v("gate.b"))
+                                               *self._weights("gate"))
         if "C" in cfg.experts:
-            sem["es"] = cond["C"] = np.tanh(self._dense(batch.es, "es"))
+            cond["C"] = sem["es"]
 
         outs, experts = [], []
         for name in cfg.experts:
             x, film_cache = pooled, None
             if name in cond:
-                x, film_cache = film_modulate(pooled, cond[name], *(
-                    v(f"film{name}.{k}") for k in FILM_PARAMS))
-            out, head_cache = self._head(name, x, train, rng)
+                x, film_cache = film_modulate(pooled, cond[name],
+                                              *self._weights(f"film{name}"))
+            mask = dropout_mask(rng, (len(batch), cfg.expert_hidden), cfg.dropout, train)
+            out, head_cache = expert_head(x, *self._weights(f"head{name}"), mask)
             outs.append(out)
             experts.append((name, film_cache, head_cache))
 
         expert_out = np.stack(outs)                 # (E, B, 3)
-        pred, pi = moe_combine(expert_out, v("route.logits"))
+        pred, pi = moe_combine(expert_out, *self._weights("route"))
         return pred, {"batch": batch, "enc": enc, "sem": sem, "fuse": fuse_cache,
                       "experts": experts, "expert_out": expert_out, "pi": pi}
 
@@ -411,36 +405,38 @@ class MsfSerModel:
 
     def backward(self, cache, dpred: np.ndarray) -> None:
         """Accumulate d(loss)/d(param) into .grad for every parameter."""
-        v = lambda name: self._params[name].value
         batch: Batch = cache["batch"]
         dout, dlogits = _moe_bwd(cache["expert_out"], cache["pi"], dpred)
-        self._add_grads(("route.logits",), (dlogits,))
+        self._add_grads("route", (dlogits,))
 
         dpooled = np.zeros((len(batch), 2 * self.config.d_model))
         dcond = {}
         for (name, film_cache, head_cache), d in zip(cache["experts"], dout):
-            dx = self._head_bwd(name, head_cache, d)
+            w1, _, _, _, w2, _ = self._weights(f"head{name}")
+            dx, *dhead = _head_bwd(head_cache, w1, w2, d)
+            self._add_grads(f"head{name}", dhead)
             if film_cache is not None:
-                film = f"film{name}"
-                dx, dcond[name], *dfilm = _film_bwd(
-                    film_cache, v(f"{film}.w1"), v(f"{film}.w2"), dx)
-                self._add_grads([f"{film}.{k}" for k in FILM_PARAMS], dfilm)
+                w1, _, w2, _ = self._weights(f"film{name}")
+                dx, dcond[name], *dfilm = _film_bwd(film_cache, w1, w2, dx)
+                self._add_grads(f"film{name}", dfilm)
             dpooled += dx
 
         dsem = {}
         if "B" in dcond:
-            dsem["les"], dsem["gs"], *dgate = _fuse_bwd(cache["fuse"], v("gate.w"),
-                                                        dcond["B"])
-            self._add_grads(("gate.w", "gate.b"), dgate)
+            dsem["les"], dsem["gs"], *dgate = _fuse_bwd(
+                cache["fuse"], self._weights("gate")[0], dcond["B"])
+            self._add_grads("gate", dgate)
         if "C" in dcond:
             dsem["es"] = dcond["C"]
-        for key, h in cache["sem"].items():
-            self._dense_bwd(getattr(batch, key), key, tanh_bwd(h, dsem[key]))
+        for ch, h in cache["sem"].items():
+            _, *dlayer = linear_bwd(getattr(batch, ch), self._weights(ch)[0],
+                                    tanh_bwd(h, dsem[ch]))
+            self._add_grads(ch, dlayer)
 
         # The encoder's input gradient is never needed, so it is not formed.
-        att_w, att_v = v("att.w"), v("att.v")
-        g_att_w, g_att_v, g_enc_w, g_enc_b = (self._params[name].grad for name in (
-            "att.w", "att.v", "enc.w", "enc.b"))
+        att_w, att_v = self._weights("att")
+        g_att_w, g_att_v, g_enc_w, g_enc_b = (
+            p.grad for layer in ("att", "enc") for p in self._layers[layer])
         for fr, pool_cache, dp in zip(batch.frames, cache["enc"], dpooled):
             dz, datt_w, datt_v = _pool_bwd(pool_cache, att_w, att_v, dp)
             g_att_w += datt_w

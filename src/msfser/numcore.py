@@ -167,8 +167,8 @@ def ccc_columns(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     Two identical constant columns are in perfect agreement (1.0); the
     degenerate zero denominator only happens in exactly that case.
     """
-    pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
-    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     *_, cov, denom = _ccc_moments(pred, target)
     ok = denom != 0.0
     return np.where(ok, 2.0 * cov / np.where(ok, denom, 1.0), 1.0)

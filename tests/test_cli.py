@@ -316,7 +316,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--sample-rate", "0"), ("--les-dim", "0"), ("--es-dim", "-2"),
-        ("--sample-rate", "100"),
+        ("--sample-rate", "100"), ("--seed", "-1"),
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -1024,6 +1024,20 @@ class TestConfigFile:
         assert main(argv + ["--epochs", "1", "--batch-size", "0"]) == 2
         assert capsys.readouterr().err == (
             "error: batch_size must be >= 2, got 0\n")
+        assert not out.exists()
+
+    def test_negative_seed_from_config_names_the_file(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def no_features(*args, **kwargs):
+            raise AssertionError("featurised before checking the seed")
+        monkeypatch.setattr("msfser.synth.load_examples", no_features)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "train", "--data", str(dataset),
+                     "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: seed must be >= 0, got -1 (seed from --config {cfg})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("blob, message", [

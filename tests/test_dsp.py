@@ -436,6 +436,27 @@ class TestWavIO:
             read_wav(path)
 
 
+class TestContainers:
+    def test_audio_must_be_mono(self):
+        with pytest.raises(ValueError, match="mono"):
+            AudioBuffer(np.zeros((100, 2)), SR)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"voiced": np.ones(3, dtype=bool)}, "equal length"),
+        ({"spectrum": np.zeros((3, 5))}, "one row per frame"),
+        ({"energy": np.array([1.0, -0.5])}, "non-negative"),
+        ({"log_f0": np.array([5.0, np.nan])}, "finite on voiced"),
+    ], ids=["lengths", "spectrum_rows", "negative_energy", "voiced_nan_f0"])
+    def test_prosody_track_invariants(self, change, message):
+        good = dict(frame_times=np.array([0.01, 0.015]),
+                    log_f0=np.array([5.0, 5.5]),
+                    voiced=np.array([True, True]),
+                    energy=np.array([1.0, 0.5]))
+        assert len(ProsodyTrack(**good)) == 2
+        with pytest.raises(ValueError, match=message):
+            ProsodyTrack(**{**good, **change})
+
+
 class TestProsodyCsv:
     def test_exact_output(self):
         track = ProsodyTrack(

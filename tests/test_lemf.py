@@ -63,6 +63,10 @@ class TestZscore:
     def test_constant_input_maps_to_zeros(self):
         assert np.array_equal(zscore_normalize([4.2, 4.2, 4.2]), np.zeros(3))
 
+    def test_spread_under_the_sigma_floor_maps_to_zeros(self):
+        # not constant, but sigma = 2**-53 is below ZSCORE_SIGMA_FLOOR
+        assert np.array_equal(zscore_normalize([1.0, 1.0 + 2**-52]), np.zeros(2))
+
     def test_single_value_is_zero(self):
         assert np.array_equal(zscore_normalize([7.0]), np.zeros(1))
 

@@ -22,12 +22,14 @@ from msfser.model import (
     _nonfinite_report,
     _film_bwd,
     _fuse_bwd,
+    _head_bwd,
     _moe_bwd,
     _pool_bwd,
     attentive_pool,
     config_hash,
     eval_report,
     evaluate,
+    expert_head,
     film_modulate,
     gated_fuse,
     make_batch,
@@ -220,6 +222,9 @@ def _pool(shapes):
             lambda cache, h, w, v, dy: _pool_bwd(cache, w, v, dy), shapes)
 
 
+# a fixed dropout mask for the head: 0 or 1 / (1 - 0.5) per hidden unit
+HEAD_MASK = np.resize([2.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0], (5, 6))
+
 # (forward, backward(cache, *inputs, dy), input shapes); each backward
 # returns one gradient per forward input, in the forward's order.
 OP_BACKWARDS = {
@@ -238,6 +243,10 @@ OP_BACKWARDS = {
     "moe": (moe_combine,
             lambda pi, expert_out, logits, dy: _moe_bwd(expert_out, pi, dy),
             [(3, 5, 2), (2, 3)]),
+    "head": (lambda x, *weights: expert_head(x, *weights, HEAD_MASK),
+             lambda cache, x, w1, b1, ln_g, ln_b, w2, b2, dy:
+                 _head_bwd(cache, w1, w2, dy),
+             [(5, 4), (4, 6), (1, 6), (1, 6), (1, 6), (6, 3), (1, 3)]),
 }
 
 
@@ -371,6 +380,8 @@ class TestModelStructure:
         for bad in (-0.1, 1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="dropout"):
                 tiny_config(dropout=bad)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            tiny_config(seed=-1)
         tiny_config(dropout=0.0)
         tiny_config(dropout=0.99)
 
@@ -403,6 +414,10 @@ class TestModelStructure:
             e.les = e.les[:2]
         with pytest.raises(ShapeMismatch):
             model.forward(make_batch(bad2))
+        empty = tiny_examples(2, model.config)
+        empty[0].frames = empty[0].frames[:0]
+        with pytest.raises(ShapeMismatch, match="^utterance 'u000' has no frames$"):
+            model.forward(make_batch(empty))
         model.forward(make_batch(good))
 
     def test_train_forward_needs_rng_when_dropping(self):

@@ -329,6 +329,9 @@ class TestCcc:
             ccc([1.0, 2.0], [1.0])
         with pytest.raises(ShapeMismatch):
             ccc([], [])
+        # a 1-D input is not read as a row of one-sample columns
+        with pytest.raises(ShapeMismatch, match="need matching 2-D arrays"):
+            ccc_columns([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=15),
@@ -563,6 +566,12 @@ class TestCheckpoints:
         blob = json.loads(path.read_text())
         assert blob["version"] == "msf-ser-ckpt-v1"
         assert blob["params"]["w"] == {"rows": 1, "cols": 1, "data": [1.0]}
+
+    def test_one_dimensional_param_is_refused(self, tmp_path):
+        path = tmp_path / "c.json"
+        with pytest.raises(ShapeMismatch, match="'w' must be 2-D"):
+            save_checkpoint({"w": np.ones(3)}, path)
+        assert not path.exists()
 
     def test_nonfinite_value_is_refused(self, tmp_path):
         path = tmp_path / "c.json"
