@@ -11,10 +11,11 @@ picks.
 Frames are a read-only strided view of the signal, never a copy.  The
 tracker is batched: frames are grouped by their lag range (all but the
 last few frames of a signal share the full range) and each group runs
-through one vectorised kernel in blocks of at most ``_PITCH_BLOCK`` frames,
-which bounds the working set.  The result is bitwise equal to a per-frame
-scalar loop, kept in the test suite as the oracle.  Each frame's magnitude
-spectrum is computed once and shared by the energy and the mel bands.
+through one vectorised kernel in blocks of at most ``_PITCH_BLOCK`` frames.
+The result is bitwise equal to a per-frame scalar loop, kept in the test
+suite as the oracle.  Each frame's magnitude spectrum is computed once, in
+blocks of the same size, and shared by the energy and the mel bands, so
+the working set beyond the kept spectrum does not grow with the signal.
 WAV I/O uses numpy and the standard library only.
 """
 
@@ -40,9 +41,10 @@ VOICING_THRESHOLD = 0.3             # least NCCF peak of a voiced frame
 # the earliest such lag is taken as the period.
 _PEAK_EQUIV = 0.97
 
-# Frames per call of the pitch kernel: large enough to amortise the numpy
-# call overhead, small enough that its (frames x FFT length) arrays stay
-# a few hundred KiB.
+# Frames per block of the spectrum pass and per call of the pitch kernel:
+# large enough to amortise the numpy call overhead, small enough that the
+# (frames x FFT length) temporaries stay a few hundred KiB however long the
+# utterance.  Only the kept spectrum grows with it.
 _PITCH_BLOCK = 64
 
 
@@ -84,8 +86,8 @@ class ProsodyTrack:
             raise ValueError("ProsodyTrack sequences must have equal length")
         if self.spectrum is not None and len(self.spectrum) != n:
             raise ValueError("ProsodyTrack spectrum must have one row per frame")
-        if np.any(self.energy < 0):
-            raise ValueError("energy must be non-negative")
+        if not np.all(np.isfinite(self.energy) & (self.energy >= 0)):
+            raise ValueError("energy must be finite and non-negative")
         if n and not np.all(np.isfinite(self.log_f0[self.voiced])):
             raise ValueError("log_f0 must be finite on voiced frames")
 
@@ -125,14 +127,19 @@ def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
     return frames, times
 
 
-def _magnitudes(frames: np.ndarray, window: str) -> np.ndarray:
-    """One-sided magnitude spectrum of each tapered frame (T x W//2+1)."""
-    tapered = frames * _taper(frames.shape[1], window)[None, :]
-    return np.abs(np.fft.rfft(tapered, axis=1))
-
-
-def _energies(mag: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(mag ** 2, axis=1))
+def _spectra(frames: np.ndarray, window: str):
+    """(mag, energy, rms): each tapered frame's one-sided magnitude spectrum
+    (T x W//2+1), its L2 norm and the frame's RMS, ``_PITCH_BLOCK`` rows at
+    a time."""
+    t, w = frames.shape
+    taper = _taper(w, window)
+    mag, energy, rms = np.empty((t, w // 2 + 1)), np.empty(t), np.empty(t)
+    for b in range(0, t, _PITCH_BLOCK):
+        rows, block = slice(b, b + _PITCH_BLOCK), frames[b:b + _PITCH_BLOCK]
+        mag[rows] = np.abs(np.fft.rfft(block * taper, axis=1))
+        energy[rows] = np.sqrt(np.sum(mag[rows] ** 2, axis=1))
+        rms[rows] = np.sqrt(np.mean(block * block, axis=1))
+    return mag, energy, rms
 
 
 def stft_energy(frame: np.ndarray, window: str = "hann") -> float:
@@ -141,7 +148,7 @@ def stft_energy(frame: np.ndarray, window: str = "hann") -> float:
     A one-row view of the batched path :func:`estimate_f0` runs.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    return float(_energies(_magnitudes(frame[None, :], window))[0])
+    return float(_spectra(frame[None, :], window)[1][0])
 
 
 def _fast_len(n: int) -> int:
@@ -168,14 +175,17 @@ def _pitch_block(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
     """
     span = w + max_lag
     seg = np.lib.stride_tricks.sliding_window_view(x, span)[starts]
-    seg = seg - seg.mean(axis=1, keepdims=True)
+    seg -= seg.mean(axis=1, keepdims=True)    # the gather made a copy
 
     n = _fast_len(span + w)
     fa = np.fft.rfft(seg[:, :w], n, axis=1)
     fs = np.fft.rfft(seg, n, axis=1)
-    corr = np.fft.irfft(np.conj(fa) * fs, n, axis=1)[:, :max_lag + 1]
+    np.multiply(np.conj(fa, out=fa), fs, out=fs)
+    del fa
+    corr = np.fft.irfft(fs, n, axis=1)[:, :max_lag + 1]
+    del fs
     sq = np.zeros((len(seg), span + 1))
-    np.cumsum(seg * seg, axis=1, out=sq[:, 1:])
+    np.cumsum(np.multiply(seg, seg, out=seg), axis=1, out=sq[:, 1:])
     denom = np.sqrt(sq[:, w:w + 1] * (sq[:, w:] - sq[:, :max_lag + 1]))
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.where(denom > 0, corr / np.maximum(denom, 1e-300), 0.0)
@@ -219,12 +229,13 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
     ref_lag = np.ones(n)    # unsearched frames stay unfound; 1 keeps sr/lag finite
     ref_val = np.zeros(n)
     found = np.zeros(n, dtype=bool)
-    for max_lag in np.unique(max_lags[live]):
+    # not np.unique: its masked-array check imports numpy.ma
+    for max_lag in sorted(set(max_lags[live].tolist())):
         group = live[max_lags[live] == max_lag]
         for b in range(0, len(group), _PITCH_BLOCK):
             idx = group[b:b + _PITCH_BLOCK]
             ref_lag[idx], ref_val[idx], found[idx] = _pitch_block(
-                x, starts[idx], w, int(max_lag), lag_min)
+                x, starts[idx], w, max_lag, lag_min)
 
     f0 = sr / ref_lag
     voiced = (found & (ref_val >= VOICING_THRESHOLD)
@@ -261,12 +272,11 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
             f"sample rate {sr} too low to resolve f0_max={f0_max}", "f0_max")
 
     frames, times = frame_signal(audio, cfg)
-    mag = _magnitudes(frames, cfg.window)
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    mag, energy, rms = _spectra(frames, cfg.window)
     voiced, log_f0 = _pitch(audio.samples, sr, cfg.win_samples(sr),
                             cfg.hop_samples(sr), rms, f0_min, f0_max)
     return ProsodyTrack(frame_times=times, log_f0=log_f0, voiced=voiced,
-                        energy=_energies(mag), spectrum=mag)
+                        energy=energy, spectrum=mag)
 
 
 # ---------------------------------------------------------------------------

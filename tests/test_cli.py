@@ -1087,12 +1087,12 @@ FLAGS = {
     "emphasis": {"--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
                  "--f0-max": FLOATS, "--k": COUNTS},
     "synth": {"--n": COUNTS, "--les-dim": COUNTS, "--gs-dim": COUNTS,
-              "--es-dim": COUNTS},
+              "--es-dim": COUNTS, "--seed": COUNTS},
     "train": {"--lr": FLOATS, "--weight-decay": FLOATS, "--dropout": FLOATS,
               "--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
               "--f0-max": FLOATS, "--epochs": COUNTS, "--batch-size": COUNTS,
               "--accum-steps": COUNTS, "--d-model": COUNTS,
-              "--n-bands": COUNTS},
+              "--n-bands": COUNTS, "--seed": COUNTS},
     "eval": {},
     "embed": {"--dim": COUNTS},
     "textgrid-check": {},
@@ -1292,11 +1292,11 @@ class TestExitCodeContract:
 
 class TestRuntime:
     @staticmethod
-    def loaded_after(statement, *argv):
-        """The msfser modules a fresh interpreter holds after statement."""
+    def loaded_after(statement, *argv, package="msfser"):
+        """The modules of package a fresh interpreter holds after statement."""
         src = Path(__import__("msfser").__file__).resolve().parents[1]
         code = (f"import sys\n{statement}\nprint(' '.join(sorted("
-                "m for m in sys.modules if m.split('.')[0] == 'msfser')))")
+                f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
         result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                                 cwd=src, capture_output=True, text=True,
                                 check=True)
@@ -1318,6 +1318,26 @@ class TestRuntime:
         assert "msfser.lemf" in loaded
         assert not {"msfser.model", "msfser.synth", "msfser.embeddings",
                     "msfser.numcore"} & set(loaded)
+
+    def test_commands_load_no_masked_arrays(self, emphasis_files, dataset,
+                                            trained, tmp_path):
+        # numpy.ma adds about 1.2 MiB to each process; np.unique's
+        # masked-array check is what imported it.  numpy < 2 imports it
+        # with numpy itself, so there is nothing to keep out.
+        if "numpy.ma" in self.loaded_after("import numpy", package="numpy"):
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        wav, grid, _ = emphasis_files
+        run = "from msfser.cli import main\nassert main(sys.argv[1:]) == 0"
+        for argv in (
+                ["emphasis", "--wav", wav, "--grid", grid,
+                 "--out", tmp_path / "doc.json"],
+                ["train", "--data", dataset, "--out", tmp_path / "run",
+                 "--epochs", "1", "--batch-size", "8", "--d-model", "4",
+                 "--quiet"],
+                ["eval", "--data", dataset, "--model", trained,
+                 "--out", tmp_path / "report.json"]):
+            loaded = self.loaded_after(run, *argv, package="numpy")
+            assert "numpy" in loaded and "numpy.ma" not in loaded, argv[0]
 
     def test_embed_loads_no_numcore(self, tmp_path):
         tsv = tmp_path / "in.tsv"

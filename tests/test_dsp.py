@@ -9,6 +9,7 @@ scipy, which the runtime does not use.
 import io
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -296,6 +297,19 @@ class TestMel:
         assert np.all(feats[voiced_col == 0.0, 1] == 0.0)
         assert np.all(feats[voiced_col == 1.0, 1] > 0.0)
 
+    def test_working_set_beyond_the_spectrum_is_bounded(self):
+        # a minute of voiced audio: the kept spectrum is 14.7 MiB, and the
+        # blocked passes may add a few hundred KiB, not whole-signal copies
+        audio, cfg = tone(150.0, dur=60.0), FrameConfig()
+        tracemalloc.start()
+        try:
+            feats = acoustic_frames(audio, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        spectrum = len(feats) * (cfg.win_samples(SR) // 2 + 1) * 8
+        assert peak < spectrum + feats.nbytes + 3 * 2**20, peak / 2**20
+
 
 def wav_chunk(chunk_id: bytes, payload: bytes) -> bytes:
     pad = b"\x00" if len(payload) % 2 else b""
@@ -445,8 +459,11 @@ class TestContainers:
         ({"voiced": np.ones(3, dtype=bool)}, "equal length"),
         ({"spectrum": np.zeros((3, 5))}, "one row per frame"),
         ({"energy": np.array([1.0, -0.5])}, "non-negative"),
+        ({"energy": np.array([np.nan, 0.5])}, "non-negative"),
+        ({"energy": np.array([1.0, np.inf])}, "non-negative"),
         ({"log_f0": np.array([5.0, np.nan])}, "finite on voiced"),
-    ], ids=["lengths", "spectrum_rows", "negative_energy", "voiced_nan_f0"])
+    ], ids=["lengths", "spectrum_rows", "negative_energy", "nan_energy",
+            "inf_energy", "voiced_nan_f0"])
     def test_prosody_track_invariants(self, change, message):
         good = dict(frame_times=np.array([0.01, 0.015]),
                     log_f0=np.array([5.0, 5.5]),
