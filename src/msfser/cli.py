@@ -18,6 +18,11 @@ Options named after a FeatureConfig, SynthConfig or TrainConfig field are
 generated from it; --n, --k, --mode, --word-tier, --phone-tier, --d-model,
 --dropout and --experts are hand-written.  Each subcommand imports the
 modules it runs, so ``emphasis`` never loads the model or the corpus code.
+argv is parsed before numpy is imported: --version, --help, usage errors
+and textgrid-check never load it.  emphasis, synth, train, eval and embed
+load numpy and run with overflow, division by zero and invalid operations
+raising (exit 3).  Only synth and train load numpy.random: eval builds its
+model from the checkpoint without drawing an initialisation.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ from .errors import (
 
 _PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError,
                    FloatingPointError)
+# the commands that run without numpy; every other one runs under the
+# floating-point guard in main
+_PURE_PYTHON = {"textgrid-check"}
 
 
 # ------------------------------------------------------------ SVG output
@@ -223,15 +231,15 @@ def _load_trained(model_dir):
             raise ValueError("expected an object with a 'train' object")
         features = FeatureConfig.from_dict(run_cfg.get("features"))
         try:
-            model = MsfSerModel(ModelConfig.from_dict(run_cfg["model"]))
+            model_cfg = ModelConfig.from_dict(run_cfg["model"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad 'model' section: {exc!r}") from exc
-        if acoustic_width(features.n_bands) != model.config.acoustic_dim:
+        if acoustic_width(features.n_bands) != model_cfg.acoustic_dim:
             raise ValueError(f"features.n_bands {features.n_bands} does not "
-                             f"fit model acoustic_dim {model.config.acoustic_dim}")
+                             f"fit model acoustic_dim {model_cfg.acoustic_dim}")
     ckpt_path = root / "checkpoint.json"
     with naming(f"{ckpt_path} does not fit {cfg_path}", ShapeMismatch):
-        model.load_params(load_checkpoint(ckpt_path))
+        model = MsfSerModel(model_cfg, load_checkpoint(ckpt_path))
     return model, run_cfg["train"], features
 
 
@@ -456,10 +464,12 @@ def _parse_args(argv: list[str]) -> tuple[argparse.Namespace, str | None,
 
 
 def main(argv=None) -> int:
-    import numpy as np
     args, config, from_config = _parse_args(
         list(sys.argv[1:] if argv is None else argv))
     try:
+        if args.command in _PURE_PYTHON:
+            return args.func(args)
+        import numpy as np
         # an overflow or invalid operation is a processing failure, not a
         # warning followed by inf or NaN
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -253,21 +253,29 @@ def _moe_bwd(expert_out: np.ndarray, pi: np.ndarray, dpred: np.ndarray):
 class MsfSerModel:
     """The gated-fusion mixture-of-experts regressor."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig,
+                 params: dict[str, np.ndarray] | None = None):
+        """Weights drawn from config.seed or, given params (a checkpoint's,
+        say), those values, and then nothing is drawn."""
         self.config = config
-        rng = seeded_rng(config.seed)
+        rng = seeded_rng(config.seed) if params is None else None
         d, p = config.d_model, 2 * config.d_model
         values: dict[str, np.ndarray] = {}
         par = values.__setitem__
 
+        def glorot(n_in: int, n_out: int) -> np.ndarray:
+            if rng is None:                 # load_params fills it
+                return np.empty((n_in, n_out))
+            return glorot_uniform(rng, n_in, n_out)
+
         def layer(prefix: str, n_in: int, n_out: int, i: str = "") -> None:
             # a linear layer: weight {prefix}.w{i}, then bias {prefix}.b{i}
-            par(f"{prefix}.w{i}", glorot_uniform(rng, n_in, n_out))
+            par(f"{prefix}.w{i}", glorot(n_in, n_out))
             par(f"{prefix}.b{i}", np.zeros((1, n_out)))
 
         layer("enc", config.acoustic_dim, d)
-        par("att.w", glorot_uniform(rng, d, config.att_dim))
-        par("att.v", glorot_uniform(rng, config.att_dim, 1))
+        par("att.w", glorot(d, config.att_dim))
+        par("att.v", glorot(config.att_dim, 1))
 
         if "B" in config.experts:
             layer("les", config.les_dim, d)
@@ -297,6 +305,8 @@ class MsfSerModel:
                                    np.split(self.grad, ends)):
             self._params[name] = Param(name, t.reshape(a.shape), g.reshape(a.shape))
             self._layers.setdefault(name.split(".")[0], []).append(self._params[name])
+        if params is not None:
+            self.load_params(params)
 
     # ------------------------------------------------------ accessors
 

@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -782,6 +783,25 @@ class TestFloatingPointTrouble:
         assert err.startswith("error: ") and "encountered" in err
         assert "Warning" not in err
 
+    def test_train_overflow_exits_3(self, dataset, tmp_path, capsys):
+        # a step this large overflows the loss; nothing is monkeypatched
+        argv = ["train", "--data", str(dataset), "--out", str(tmp_path / "run"),
+                "--epochs", "2", "--batch-size", "8", "--accum-steps", "1",
+                "--d-model", "4", "--lr", "1e300", "--quiet"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow encountered" in err
+        src = Path(__import__("msfser").__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-m", "msfser.cli", *argv],
+                                cwd=src, capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: ")
+        assert "overflow encountered" in result.stderr
+        assert "Warning" not in result.stderr
+
 
 class TestEmbed:
     def write_tsv(self, path, rows):
@@ -1295,12 +1315,37 @@ class TestRuntime:
     def loaded_after(statement, *argv, package="msfser"):
         """The modules of package a fresh interpreter holds after statement."""
         src = Path(__import__("msfser").__file__).resolve().parents[1]
-        code = (f"import sys\n{statement}\nprint(' '.join(sorted("
+        # the list goes on a line of its own, after anything statement prints
+        code = (f"import sys\n{statement}\nprint('\\n' + ' '.join(sorted("
                 f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
         result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                                 cwd=src, capture_output=True, text=True,
                                 check=True)
-        return result.stdout.split()
+        return result.stdout.splitlines()[-1].split()
+
+    @pytest.fixture(scope="class")
+    def computing_loads(self, dataset, trained, tmp_path_factory):
+        """The numpy modules a fresh process holds after each command that
+        computes, by command."""
+        tmp = tmp_path_factory.mktemp("computing")
+        audio, tg, _ = make_emphasis_case(seeded_rng(11), n_words=6)
+        write_wav(tmp / "utt.wav", audio)
+        (tmp / "utt.TextGrid").write_text(serialize_textgrid(tg),
+                                          encoding="utf-8")
+        (tmp / "in.tsv").write_text("u1\thello\n", encoding="utf-8")
+        run = "from msfser.cli import main\nassert main(sys.argv[1:]) == 0"
+        return {argv[0]: self.loaded_after(run, *argv, package="numpy")
+                for argv in (
+                    ["emphasis", "--wav", tmp / "utt.wav",
+                     "--grid", tmp / "utt.TextGrid", "--out", tmp / "doc.json"],
+                    ["synth", "--out", tmp / "data", "--n", "12"],
+                    ["train", "--data", dataset, "--out", tmp / "run",
+                     "--epochs", "1", "--batch-size", "8", "--d-model", "4",
+                     "--quiet"],
+                    ["eval", "--data", dataset, "--model", trained,
+                     "--out", tmp / "report.json"],
+                    ["embed", "--input", tmp / "in.tsv",
+                     "--out", tmp / "o.jsonl"])}
 
     def test_bare_import_loads_no_submodule(self):
         assert self.loaded_after("import msfser") == ["msfser"]
@@ -1319,25 +1364,44 @@ class TestRuntime:
         assert not {"msfser.model", "msfser.synth", "msfser.embeddings",
                     "msfser.numcore"} & set(loaded)
 
-    def test_commands_load_no_masked_arrays(self, emphasis_files, dataset,
-                                            trained, tmp_path):
+    def test_commands_load_no_masked_arrays(self, computing_loads):
         # numpy.ma adds about 1.2 MiB to each process; np.unique's
-        # masked-array check is what imported it.  numpy < 2 imports it
-        # with numpy itself, so there is nothing to keep out.
-        if "numpy.ma" in self.loaded_after("import numpy", package="numpy"):
-            pytest.skip("this numpy imports numpy.ma with numpy itself")
-        wav, grid, _ = emphasis_files
-        run = "from msfser.cli import main\nassert main(sys.argv[1:]) == 0"
-        for argv in (
-                ["emphasis", "--wav", wav, "--grid", grid,
-                 "--out", tmp_path / "doc.json"],
-                ["train", "--data", dataset, "--out", tmp_path / "run",
-                 "--epochs", "1", "--batch-size", "8", "--d-model", "4",
-                 "--quiet"],
-                ["eval", "--data", dataset, "--model", trained,
-                 "--out", tmp_path / "report.json"]):
-            loaded = self.loaded_after(run, *argv, package="numpy")
-            assert "numpy" in loaded and "numpy.ma" not in loaded, argv[0]
+        # masked-array check is what imported it
+        for command, loaded in computing_loads.items():
+            assert "numpy.ma" not in loaded, command
+
+    @pytest.mark.parametrize("argv, code", [
+        ("--version", 0),
+        ("--help", 0),
+        ("train --help", 0),
+        ("train --data d", 2),                          # --out is missing
+        ("--config {tmp}/bad.json textgrid-check {tmp}/ok.TextGrid", 2),
+        ("textgrid-check {tmp}/ok.TextGrid", 0),
+    ])
+    def test_commands_that_compute_nothing_load_no_numpy(self, tmp_path, argv,
+                                                         code):
+        (tmp_path / "ok.TextGrid").write_text(GOOD_GRID, encoding="utf-8")
+        (tmp_path / "bad.json").write_text('{"no_such_key": 1}',
+                                           encoding="utf-8")
+        run = ("from msfser.cli import main\n"
+               "try:\n    code = main(sys.argv[1:])\n"
+               "except SystemExit as exc:\n    code = exc.code\n"
+               f"assert code == {code}, code")
+        argv = argv.format(tmp=tmp_path).split()
+        assert self.loaded_after(run, *argv, package="numpy") == []
+
+    def test_commands_that_compute_load_numpy(self, computing_loads):
+        assert set(computing_loads) == {"emphasis", "synth", "train", "eval",
+                                        "embed"}
+        for command, loaded in computing_loads.items():
+            assert "numpy" in loaded, command
+
+    def test_eval_and_emphasis_draw_nothing(self, computing_loads):
+        # numpy.random and the extension modules it pulls in add about
+        # 6 MiB; eval builds its model from the checkpoint, not a draw
+        for command in ("eval", "emphasis"):
+            assert "numpy.random" not in computing_loads[command], command
+        assert "numpy.random" in computing_loads["train"]
 
     def test_embed_loads_no_numcore(self, tmp_path):
         tsv = tmp_path / "in.tsv"

@@ -453,6 +453,28 @@ class TestModelStructure:
         with pytest.raises(ShapeMismatch):
             other.load_params(wrong)
 
+    def test_model_from_params_matches_drawn_then_loaded(self, monkeypatch):
+        cfg = tiny_config()
+        saved = MsfSerModel(cfg).params_dict()
+        loaded = MsfSerModel(tiny_config(seed=9))
+        loaded.load_params(saved)
+
+        def no_draw(seed):
+            raise AssertionError("drew a random init")
+        monkeypatch.setattr("msfser.model.seeded_rng", no_draw)
+        built = MsfSerModel(tiny_config(seed=9), saved)
+        assert built.theta.tobytes() == loaded.theta.tobytes()
+        assert [p.name for p in built.params()] == [
+            p.name for p in loaded.params()]
+        assert not np.shares_memory(built.theta, saved["enc.w"])
+        partial = dict(saved)
+        partial.pop("enc.w")
+        with pytest.raises(ShapeMismatch, match="missing"):
+            MsfSerModel(cfg, partial)
+        wrong = dict(saved, **{"enc.w": saved["enc.w"][:, :2]})
+        with pytest.raises(ShapeMismatch, match="enc.w"):
+            MsfSerModel(cfg, wrong)
+
     def test_make_batch_behavior(self):
         cfg = tiny_config()
         examples = tiny_examples(3, cfg)
