@@ -3,12 +3,11 @@
 The pieces, bottom to top: every setting's defaults (:mod:`.config`),
 Praat TextGrid parsing and validation (:mod:`.textgrid`), frame-level
 prosody and spectral features (:mod:`.dsp`), word-emphasis scoring
-(:mod:`.lemf`), embedding storage plus a deterministic toy provider
-(:mod:`.embeddings`), float64 numerics with hand-written gradients
-(:mod:`.numcore`), the gated-fusion mixture-of-experts regressor with
-training and evaluation (:mod:`.model`), a synthetic labelled corpus
-generator (:mod:`.synth`), and the ``msfser`` command line
-(:mod:`.cli`).
+(:mod:`.lemf`), text-embedding storage (:mod:`.embeddings`), float64
+numerics with hand-written gradients (:mod:`.numcore`), the gated-fusion
+mixture-of-experts regressor with training and evaluation
+(:mod:`.model`), a synthetic labelled corpus generator (:mod:`.synth`),
+and the ``msfser`` command line (:mod:`.cli`).
 
 Each export is loaded from its home module on first use, so importing
 the package loads none of them.
@@ -24,7 +23,7 @@ _EXPORTS = {name: module for module, names in (
                "SynthConfig TrainConfig"),
     ("dsp", "AudioBuffer ProsodyTrack acoustic_frames estimate_f0 "
             "frame_signal mel_filterbank read_wav stft_energy write_wav"),
-    ("embeddings", "EmbeddingStore hash_token toy_embedding"),
+    ("embeddings", "EmbeddingStore"),
     ("errors", "MsfSerError"),
     ("lemf", "EmphasisSegment LemfResult WordProsody run_lemf "
              "select_emphasis_indices select_emphasis_segment zscore_normalize"),

@@ -6,7 +6,6 @@ Subcommands:
   synth           generate a labelled synthetic dataset
   train           fit the fusion model on a dataset directory
   eval            concordance report for a trained model
-  embed           deterministic toy text embeddings -> JSONL
   textgrid-check  parse and validate TextGrid files
 
 Exit codes: 0 success, 2 bad usage or unreadable/invalid input, 3 a
@@ -19,8 +18,8 @@ generated from it; --n, --k, --mode, --word-tier, --phone-tier, --d-model,
 --dropout and --experts are hand-written.  Each subcommand imports the
 modules it runs, so ``emphasis`` never loads the model or the corpus code.
 argv is parsed before numpy is imported: --version, --help, usage errors
-and textgrid-check never load it.  emphasis, synth, train, eval and embed
-load numpy and run with overflow, division by zero and invalid operations
+and textgrid-check never load it.  emphasis, synth, train and eval load
+numpy and run with overflow, division by zero and invalid operations
 raising (exit 3).  Only synth and train load numpy.random: eval builds its
 model from the checkpoint without drawing an initialisation.
 """
@@ -40,7 +39,6 @@ from .config import (CHANNELS, SEGMENT_MODES, SPLITS, FeatureConfig,
 from .errors import (
     BadSetting,
     DimMismatch,
-    DuplicateKey,
     EmptyInput,
     LengthMismatch,
     MalformedRecord,
@@ -53,7 +51,6 @@ from .errors import (
     naming,
     parse_json,
     read_text,
-    split_lines,
     write_json,
 )
 
@@ -270,31 +267,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_embed(args) -> int:
-    from .embeddings import EmbeddingStore, toy_embedding
-    toy_embedding("", args.dim, args.channel)   # checks --dim before any I/O
-    if args.append and Path(args.out).exists():
-        store = EmbeddingStore.load_jsonl(args.out)
-    else:
-        store = EmbeddingStore()
-    n = 0
-    for lineno, line in enumerate(split_lines(read_text(args.input)), start=1):
-        if not line.strip():
-            continue
-        with naming(f"{args.input}: line {lineno}", EmptyInput,
-                    MalformedRecord, DuplicateKey, DimMismatch):
-            if "\t" not in line:
-                raise EmptyInput("expected 'id<TAB>text'")
-            utt_id, text = line.split("\t", 1)
-            store.put(utt_id, args.channel,
-                      toy_embedding(text, args.dim, args.channel))
-        n += 1
-    store.save_jsonl(args.out)
-    write_json({"written": n, "channel": args.channel, "dim": args.dim,
-                "out": args.out})
-    return 0
-
-
 def _cmd_textgrid_check(args) -> int:
     from .textgrid import read_textgrid_file
     failures = 0
@@ -382,15 +354,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("embed", help="toy text embeddings -> JSONL")
-    p.add_argument("--input", required=True, help="lines of 'id<TAB>text'")
-    p.add_argument("--out", required=True)
-    p.add_argument("--channel", choices=CHANNELS, default="gs")
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--append", action="store_true",
-                   help="extend an existing JSONL instead of replacing it")
-    p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("textgrid-check", help="parse and validate TextGrids")
     p.add_argument("paths", nargs="+")

@@ -152,7 +152,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The fields in d, all experts when it names none; each int field
+        an int and dropout a number (a bool is neither)."""
         d = dict(d)
+        ints = tuple(f.name for f in fields(cls) if f.type == "int")
+        if (any(type(d.get(name, 0)) is not int for name in ints)
+                or type(d.get("dropout", 0.0)) not in (int, float)):
+            raise MalformedRecord(f"'model' must map {ints} to integers, "
+                                  f"dropout to a number")
         d["experts"] = tuple(d.get("experts", EXPERT_NAMES))
         return cls(**d)
 

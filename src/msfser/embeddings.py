@@ -1,57 +1,25 @@
 """Utterance-level text embeddings and their JSONL interchange format.
 
-Real deployments plug in large encoder models for the three text channels
-(les: emphasized-segment text, gs: full transcript, es: extended
-description).  This module provides the storage layer those vectors flow
-through, plus a deterministic toy provider so the whole pipeline can run
-hermetically: each token is hashed to a seed, the seed drives a PCG64
-generator that emits a signed vector, and the bag of token vectors is
-L2-normalized.  Same text, same dim, same channel: bitwise-identical
-output on any platform or process.
-
-Interchange is one JSON object per line:
+The model reads three text channels (les: emphasized-segment text, gs:
+full transcript, es: extended description), one vector per utterance and
+channel.  Real deployments take them from large encoder models; ``synth``
+writes them from its corpus latents.  Either way they flow through
+:class:`EmbeddingStore`, one JSON object per line:
 
     {"id": "utt_0001", "channel": "gs", "vector": [0.12, -0.3, ...]}
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .config import CHANNELS, at_least
+from .config import CHANNELS
 from .errors import (DimMismatch, DuplicateKey, MalformedRecord,
                      MissingEmbedding, finite_json, naming, parse_json,
                      read_text, split_lines)
-
-
-def hash_token(token: str, channel: str = "") -> int:
-    """Stable 64-bit hash, independent of process and platform.
-
-    The channel participates as a salt so the same token embeds
-    differently per channel.
-    """
-    payload = channel.encode("utf-8") + b"\x00" + token.encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
-def toy_embedding(text: str, dim: int, channel: str = "gs") -> np.ndarray:
-    """Deterministic bag-of-tokens vector, unit norm (zero if no tokens)."""
-    at_least(1, {"dim": dim})
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
-    acc = np.zeros(dim, dtype=np.float64)
-    for token in text.lower().split():
-        rng = np.random.Generator(np.random.PCG64(hash_token(token, channel)))
-        acc += rng.standard_normal(dim)
-    norm = float(np.linalg.norm(acc))
-    if norm > 0.0:
-        acc /= norm
-    return acc
 
 
 def is_utt_id(value) -> bool:

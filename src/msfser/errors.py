@@ -4,7 +4,7 @@ Every failure mode a caller is expected to handle has its own class, so
 tests and CLI error mapping can catch precisely what they mean to catch.
 All of them derive from :class:`MsfSerError`, and :func:`naming` is the
 one way an error names the input at fault.  :func:`read_text` decodes
-the JSON, CSV and TSV inputs, :func:`split_lines` splits them into lines,
+the JSON, JSONL and CSV inputs, :func:`split_lines` splits them into lines,
 :func:`parse_json` parses the JSON ones, and :func:`write_json` writes
 every JSON artifact, refusing NaN and infinity.
 """

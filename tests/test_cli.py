@@ -33,7 +33,6 @@ from msfser.dsp import (
     read_wav,
     write_wav,
 )
-from msfser.embeddings import EmbeddingStore, toy_embedding
 from msfser.lemf import (
     LemfConfig,
     select_emphasis_indices,
@@ -434,6 +433,21 @@ class TestTrainEval:
             blob["features"]["f0_min"] = True
         elif how == "extra_feature_key":
             blob["features"]["window"] = 1
+        elif how == "float_d_model":        # the same width as a float
+            blob["model"]["d_model"] = float(blob["model"]["d_model"])
+        elif how == "bool_d_model":
+            blob["model"]["d_model"] = True
+        elif how == "float_att_dim":
+            blob["model"]["att_dim"] += 0.5
+        elif how == "float_acoustic_dim":
+            model = blob["model"]
+            model["acoustic_dim"] = float(model["acoustic_dim"])
+        elif how == "bool_les_dim":
+            blob["model"]["les_dim"] = True
+        elif how == "float_seed":
+            blob["model"]["seed"] = 1.5
+        elif how == "bool_dropout":
+            blob["model"]["dropout"] = False
         return blob
 
     @pytest.mark.parametrize("target, how, code", [
@@ -466,6 +480,13 @@ class TestTrainEval:
         ("train_config.json", "float_n_bands", 2),
         ("train_config.json", "bool_feature", 2),
         ("train_config.json", "extra_feature_key", 2),
+        ("train_config.json", "float_d_model", 2),
+        ("train_config.json", "bool_d_model", 2),
+        ("train_config.json", "float_att_dim", 2),
+        ("train_config.json", "float_acoustic_dim", 2),
+        ("train_config.json", "bool_les_dim", 2),
+        ("train_config.json", "float_seed", 2),
+        ("train_config.json", "bool_dropout", 2),
         ("train_config.json", "deep", 2),
         ("embeddings.jsonl", "bad_line_3", 2),
     ])
@@ -803,127 +824,6 @@ class TestFloatingPointTrouble:
         assert "Warning" not in result.stderr
 
 
-class TestEmbed:
-    def write_tsv(self, path, rows):
-        path.write_text("".join(f"{i}\t{t}\n" for i, t in rows),
-                        encoding="utf-8")
-
-    def test_tsv_to_jsonl(self, tmp_path, capsys):
-        tsv = tmp_path / "in.tsv"
-        self.write_tsv(tsv, [("u1", "hello world"), ("u2", "quiet words")])
-        out = tmp_path / "emb.jsonl"
-        code = main(["embed", "--input", str(tsv), "--out", str(out),
-                     "--channel", "les", "--dim", "8"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["written"] == 2
-        store = EmbeddingStore.load_jsonl(out)
-        assert np.array_equal(store.get("u1", "les"),
-                              toy_embedding("hello world", 8, "les"))
-
-    def test_deterministic_bytes(self, tmp_path):
-        tsv = tmp_path / "in.tsv"
-        self.write_tsv(tsv, [("u1", "a b"), ("u2", "c")])
-        o1, o2 = tmp_path / "1.jsonl", tmp_path / "2.jsonl"
-        for o in (o1, o2):
-            assert main(["embed", "--input", str(tsv), "--out", str(o),
-                         "--dim", "4"]) == 0
-        assert o1.read_bytes() == o2.read_bytes()
-
-    def test_append_second_channel(self, tmp_path):
-        tsv = tmp_path / "in.tsv"
-        self.write_tsv(tsv, [("u1", "text")])
-        out = tmp_path / "emb.jsonl"
-        assert main(["embed", "--input", str(tsv), "--out", str(out),
-                     "--channel", "les", "--dim", "4"]) == 0
-        assert main(["embed", "--input", str(tsv), "--out", str(out),
-                     "--channel", "gs", "--dim", "4", "--append"]) == 0
-        store = EmbeddingStore.load_jsonl(out)
-        assert np.array_equal(store.get("u1", "les"),
-                              toy_embedding("text", 4, "les"))
-        assert np.array_equal(store.get("u1", "gs"),
-                              toy_embedding("text", 4, "gs"))
-
-    def test_duplicate_without_append_is_error(self, tmp_path, capsys):
-        tsv = tmp_path / "in.tsv"
-        self.write_tsv(tsv, [("u1", "text")])
-        out = tmp_path / "emb.jsonl"
-        assert main(["embed", "--input", str(tsv), "--out", str(out),
-                     "--channel", "les", "--dim", "4"]) == 0
-        code = main(["embed", "--input", str(tsv), "--out", str(out),
-                     "--channel", "les", "--dim", "4", "--append"])
-        assert code == 2
-
-    def test_malformed_tsv_exits_2(self, tmp_path, capsys):
-        tsv = tmp_path / "in.tsv"
-        tsv.write_text("no-tab-here\n", encoding="utf-8")
-        assert main(["embed", "--input", str(tsv),
-                     "--out", str(tmp_path / "o.jsonl")]) == 2
-
-    @pytest.mark.parametrize("text, flags, message", [
-        pytest.param("u1\thello\nno-tab-here\n", [],
-                     "line 2: expected 'id<TAB>text'", id="no-tab"),
-        pytest.param("u1\thello\n\nu1\tthere\n", [],
-                     "line 3: embedding for id 'u1' channel 'gs' already "
-                     "stored", id="repeated-id"),
-        pytest.param("\thello\n", ["--append"],
-                     "line 1: 'id' must be a non-empty string", id="blank-id"),
-        pytest.param("u2\thello\n", ["--append", "--dim", "8"],
-                     "line 1: channel 'gs' holds 16-dim vectors, got 8 for "
-                     "id 'u2'", id="appended-dim"),
-    ])
-    def test_line_errors_name_the_tsv_and_line(self, tmp_path, capsys, text,
-                                               flags, message):
-        tsv, out = tmp_path / "in.tsv", tmp_path / "o.jsonl"
-        self.write_tsv(tsv, [("u1", "stored")])
-        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 0
-        stored = out.read_bytes()
-        capsys.readouterr()
-        tsv.write_text(text, encoding="utf-8")
-        assert main(["embed", "--input", str(tsv), "--out", str(out),
-                     *flags]) == 2
-        assert capsys.readouterr().err == f"error: {tsv}: {message}\n"
-        assert out.read_bytes() == stored
-
-    def test_blank_id_writes_no_file(self, tmp_path, capsys):
-        tsv, out = tmp_path / "in.tsv", tmp_path / "o.jsonl"
-        tsv.write_text("\thello\n", encoding="utf-8")
-        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {tsv}: line 1: 'id' must be a non-empty string\n")
-        assert not out.exists()
-
-    def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
-        tsv = tmp_path / "in.tsv"
-        # line 2 ends at \r\n, line 3 at \r: lines count as in text mode
-        tsv.write_bytes(b"u1\thello\n\r\n\ru2\tw\xe1rld\n")
-        out = tmp_path / "o.jsonl"
-        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {tsv}: not valid UTF-8 at line 4: ")
-        assert not out.exists()
-
-    def test_lines_end_only_at_newlines(self, tmp_path):
-        # str.splitlines would also end a line at the form feed
-        tsv = tmp_path / "in.tsv"
-        tsv.write_bytes(b"u1\thello\x0cworld\r\nu2\tquiet\ru3\tx\xc2\x85y\n")
-        out = tmp_path / "o.jsonl"
-        assert main(["embed", "--input", str(tsv), "--out", str(out)]) == 0
-        store = EmbeddingStore.load_jsonl(out)
-        assert len(store) == 3
-        assert store.get("u1", "gs").tobytes() == toy_embedding(
-            "hello\x0cworld", 16, "gs").tobytes()
-
-    @pytest.mark.parametrize("dim", ["0", "-3"])
-    def test_bad_dim_exits_2_on_empty_input(self, tmp_path, capsys, dim):
-        tsv, out = tmp_path / "in.tsv", tmp_path / "o.jsonl"
-        tsv.write_text("", encoding="utf-8")
-        assert main(["embed", "--input", str(tsv), "--out", str(out),
-                     f"--dim={dim}"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "dim" in err
-        assert not out.exists()
-
-
 class TestConfigFile:
     def test_config_sets_defaults(self, emphasis_files, tmp_path, capsys):
         wav, grid, _ = emphasis_files
@@ -975,6 +875,7 @@ class TestConfigFile:
         {"epochz": 3},
         {"epochs": 3, "func": "x"},
         {"seed": 1, "help": True},
+        {"epochs": 3, "dim": 16},
     ])
     def test_unknown_config_key_is_usage_error(self, dataset, tmp_path,
                                                capsys, blob):
@@ -1114,7 +1015,6 @@ FLAGS = {
               "--accum-steps": COUNTS, "--d-model": COUNTS,
               "--n-bands": COUNTS, "--seed": COUNTS},
     "eval": {},
-    "embed": {"--dim": COUNTS},
     "textgrid-check": {},
 }
 # eval takes its settings from train_config.json, edited per case
@@ -1137,7 +1037,6 @@ DAMAGEABLE = {
               "data/wavs/utt_0000.wav", "train.json"),
     "eval": ("model/checkpoint.json", "model/train_config.json",
              "data/wavs/utt_0001.wav"),
-    "embed": ("two.tsv",),
     "textgrid-check": ("utt.TextGrid",),
 }
 # A damaged file that names other files may fail as the file it points at
@@ -1186,16 +1085,12 @@ def cli_cases(draw):
 
 @pytest.fixture(scope="session")
 def contract_inputs(tmp_path_factory):
-    """One emphasis case, two TSV inputs, train settings for --config, and
-    a 12-utterance corpus at the lowest sample rate with a 1-epoch model
-    trained on it."""
+    """One emphasis case, train settings for --config, and a 12-utterance
+    corpus at the lowest sample rate with a 1-epoch model trained on it."""
     root = tmp_path_factory.mktemp("contract-inputs")
     audio, tg, _ = make_emphasis_case(seeded_rng(5), n_words=5)
     write_wav(root / "utt.wav", audio)
     (root / "utt.TextGrid").write_text(serialize_textgrid(tg), encoding="utf-8")
-    (root / "empty.tsv").write_text("", encoding="utf-8")
-    (root / "two.tsv").write_text("u1\thello there\nu2\tquiet\n",
-                                  encoding="utf-8")
     (root / "train.json").write_text(json.dumps(
         {"epochs": 1, "batch-size": 8, "accum-steps": 1, "d-model": 2,
          "quiet": True}), encoding="utf-8")
@@ -1225,7 +1120,7 @@ class TestExitCodeContract:
         out = root / "out"
         out.mkdir()
         data = inp / "data"
-        if command in ("emphasis", "embed"):
+        if command == "emphasis":
             for name in DAMAGEABLE[command]:
                 shutil.copy(inp / name, root)
         elif command == "train":
@@ -1264,9 +1159,6 @@ class TestExitCodeContract:
         elif command == "eval":
             argv = ["eval", "--data", data, "--model", root / "model",
                     "--out", out / "report.json"]
-        elif command == "embed":
-            tsv = root / "two.tsv" if switch or damaged else inp / "empty.tsv"
-            argv = ["embed", "--input", tsv, "--out", out / "emb.jsonl"]
         else:
             argv = ["textgrid-check", *paths]
             argv += [inp / "utt.wav"] if switch else []
@@ -1332,7 +1224,6 @@ class TestRuntime:
         write_wav(tmp / "utt.wav", audio)
         (tmp / "utt.TextGrid").write_text(serialize_textgrid(tg),
                                           encoding="utf-8")
-        (tmp / "in.tsv").write_text("u1\thello\n", encoding="utf-8")
         run = "from msfser.cli import main\nassert main(sys.argv[1:]) == 0"
         return {argv[0]: self.loaded_after(run, *argv, package="numpy")
                 for argv in (
@@ -1343,9 +1234,7 @@ class TestRuntime:
                      "--epochs", "1", "--batch-size", "8", "--d-model", "4",
                      "--quiet"],
                     ["eval", "--data", dataset, "--model", trained,
-                     "--out", tmp / "report.json"],
-                    ["embed", "--input", tmp / "in.tsv",
-                     "--out", tmp / "o.jsonl"])}
+                     "--out", tmp / "report.json"])}
 
     def test_bare_import_loads_no_submodule(self):
         assert self.loaded_after("import msfser") == ["msfser"]
@@ -1391,8 +1280,7 @@ class TestRuntime:
         assert self.loaded_after(run, *argv, package="numpy") == []
 
     def test_commands_that_compute_load_numpy(self, computing_loads):
-        assert set(computing_loads) == {"emphasis", "synth", "train", "eval",
-                                        "embed"}
+        assert set(computing_loads) == {"emphasis", "synth", "train", "eval"}
         for command, loaded in computing_loads.items():
             assert "numpy" in loaded, command
 
@@ -1402,15 +1290,6 @@ class TestRuntime:
         for command in ("eval", "emphasis"):
             assert "numpy.random" not in computing_loads[command], command
         assert "numpy.random" in computing_loads["train"]
-
-    def test_embed_loads_no_numcore(self, tmp_path):
-        tsv = tmp_path / "in.tsv"
-        tsv.write_text("u1\thello\n", encoding="utf-8")
-        loaded = self.loaded_after(
-            "from msfser.cli import main\nassert main(sys.argv[1:]) == 0",
-            "embed", "--input", tsv, "--out", tmp_path / "o.jsonl")
-        assert "msfser.embeddings" in loaded
-        assert "msfser.numcore" not in loaded
 
     def test_every_export_is_its_home_modules_object(self):
         check = """
@@ -1464,6 +1343,19 @@ class TestMisc:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_docs_list_the_parsers_subcommands(self):
+        # README's usage block and the cli docstring name every subcommand
+        # the parser has, and no other
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        usage = readme.split("## Command line", 1)[1].split("```")[1]
+        in_readme = sorted(re.findall(r"^msfser (\S+)", usage, re.MULTILINE))
+        block = inspect.getmodule(main).__doc__.split(
+            "Subcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+        in_docstring = sorted(line.split()[0] for line in block.splitlines())
+        _, commands = build_parser()
+        assert in_readme == in_docstring == sorted(commands)
 
     def test_one_default_per_setting(self, trained, monkeypatch):
         fields = {f.name for f in dataclasses.fields(SynthConfig)}

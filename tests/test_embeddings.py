@@ -1,4 +1,4 @@
-"""Toy embedding determinism and the JSONL store contract."""
+"""The embedding store contract and its JSONL format."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msfser.embeddings import CHANNELS, EmbeddingStore, hash_token, toy_embedding
+from msfser.embeddings import CHANNELS, EmbeddingStore
 from msfser.errors import (
     DimMismatch,
     DuplicateKey,
@@ -15,63 +15,6 @@ from msfser.errors import (
     MissingEmbedding,
     NumericalFailure,
 )
-
-
-class TestHashToken:
-    def test_stable_across_calls(self):
-        assert hash_token("hello", "gs") == hash_token("hello", "gs")
-
-    def test_known_value_is_frozen(self):
-        # pins the blake2b-based scheme; must hold on every platform
-        assert hash_token("hello", "gs") == 7867214748320148553
-
-    def test_channel_salts_the_hash(self):
-        assert hash_token("hello", "gs") != hash_token("hello", "les")
-        assert hash_token("hello", "gs") != hash_token("hello", "es")
-
-    def test_no_separator_collision(self):
-        # (channel, token) pairs that concatenate equally must not collide
-        assert hash_token("ab", "c") != hash_token("b", "ca")
-
-    def test_fits_in_64_bits(self):
-        for tok in ("", "x", "long token with spaces", "日本語"):
-            assert 0 <= hash_token(tok, "es") < 2 ** 64
-
-
-class TestToyEmbedding:
-    def test_deterministic(self):
-        a = toy_embedding("the quick brown fox", 12, "gs")
-        b = toy_embedding("the quick brown fox", 12, "gs")
-        assert np.array_equal(a, b)
-
-    def test_frozen_first_component(self):
-        v = toy_embedding("hello world", 8, "gs")
-        assert v[0] == 0.12900506298050762
-
-    def test_unit_norm(self):
-        for text in ("one", "two words here", "a b c d e f"):
-            v = toy_embedding(text, 16, "les")
-            assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12
-
-    def test_empty_text_is_zero_vector(self):
-        assert np.array_equal(toy_embedding("", 8, "gs"), np.zeros(8))
-        assert np.array_equal(toy_embedding("   ", 8, "gs"), np.zeros(8))
-
-    def test_channels_differ(self):
-        vs = [toy_embedding("same text", 8, ch) for ch in CHANNELS]
-        assert not np.array_equal(vs[0], vs[1])
-        assert not np.array_equal(vs[1], vs[2])
-
-    def test_case_and_order_insensitive_bag(self):
-        a = toy_embedding("Alpha beta", 8, "gs")
-        b = toy_embedding("beta ALPHA", 8, "gs")
-        assert np.allclose(a, b, atol=1e-15)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            toy_embedding("x", 0, "gs")
-        with pytest.raises(ValueError):
-            toy_embedding("x", 8, "bogus")
 
 
 class TestStore:

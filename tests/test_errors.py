@@ -1,11 +1,13 @@
-"""errors.naming, the one way an error names its input, and parse_json."""
+"""errors.naming, the one way an error names its input, and the file
+boundary: read_text, split_lines and parse_json."""
 
 import json
 
 import pytest
 
 from msfser.errors import (BadSetting, DimMismatch, MalformedRecord,
-                           UnfitSignal, naming, parse_json)
+                           UnfitSignal, naming, parse_json, read_text,
+                           split_lines)
 
 
 class TestNaming:
@@ -73,3 +75,18 @@ class TestParseJson:
         with pytest.raises(json.JSONDecodeError) as want:
             json.loads("{nope")
         assert str(info.value) == str(want.value)
+
+
+class TestLines:
+    def test_lines_end_only_at_newlines(self):
+        # str.splitlines would also end a line at \f, \x85 and U+2028
+        assert split_lines("a\x0cb\r\nc\rd\x85e\u2028f\n") == [
+            "a\x0cb", "c", "d\x85e\u2028f", ""]
+
+    def test_non_utf8_names_the_file_and_line(self, tmp_path):
+        # line 2 ends at \r\n, line 3 at \r, as split_lines ends them
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"a\n\r\n\rw\xe1rld\n")
+        with pytest.raises(MalformedRecord,
+                           match=f"^{path}: not valid UTF-8 at line 4: "):
+            read_text(path)
