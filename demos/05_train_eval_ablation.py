@@ -6,7 +6,7 @@ Generates a labelled corpus whose dominance dimension is only readable
 from the extended-semantics vectors, trains the full model and an
 ablated one, and compares held-out concordance per dimension.
 
-Takes roughly half a minute on one core.
+Takes about 6 s on a 2 vCPU Intel Xeon.
 """
 
 import tempfile

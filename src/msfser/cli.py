@@ -15,13 +15,15 @@ flags win.
 
 Options named after a FeatureConfig, SynthConfig or TrainConfig field are
 generated from it; --n, --k, --mode, --word-tier, --phone-tier, --d-model,
---dropout and --experts are hand-written.  Each subcommand imports the
-modules it runs, so ``emphasis`` never loads the model or the corpus code.
-argv is parsed before numpy is imported: --version, --help, usage errors
-and textgrid-check never load it.  emphasis, synth, train and eval load
-numpy and run with overflow, division by zero and invalid operations
-raising (exit 3).  Only synth and train load numpy.random: eval builds its
-model from the checkpoint without drawing an initialisation.
+--dropout and --experts are hand-written.  eval reads all three sections
+of train_config.json through one rule, config.from_dict, which refuses a
+section that does not hold exactly its class's fields.  Each subcommand
+imports the modules it runs, so ``emphasis`` never loads the model or the
+corpus code.  argv is parsed before numpy is imported: --version, --help,
+usage errors and textgrid-check never load it.  emphasis, synth, train and
+eval load numpy and run with overflow, division by zero and invalid
+operations raising (exit 3).  Only synth and train load numpy.random: eval
+builds its model from the checkpoint without drawing an initialisation.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .config import (CHANNELS, SEGMENT_MODES, SPLITS, FeatureConfig,
-                     FrameConfig, LemfConfig, ModelConfig, SynthConfig,
-                     TrainConfig, acoustic_width)
+from .config import (CHANNELS, FIELD_TYPES, SEGMENT_MODES, SPLITS,
+                     FeatureConfig, FrameConfig, LemfConfig, ModelConfig,
+                     SynthConfig, TrainConfig, acoustic_width, from_dict)
 from .errors import (
     BadSetting,
     DimMismatch,
@@ -213,7 +215,7 @@ def _cmd_train(args) -> int:
 
 
 def _load_trained(model_dir):
-    """(model, 'train' object, features) of a ``msfser train`` directory."""
+    """(model, TrainConfig, FeatureConfig) of a ``msfser train`` directory."""
     from .model import MsfSerModel
     from .numcore import load_checkpoint
     root = Path(model_dir)
@@ -224,26 +226,24 @@ def _load_trained(model_dir):
             run_cfg = parse_json(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
-        if not (isinstance(run_cfg, dict) and type(run_cfg.get("train")) is dict):
-            raise ValueError("expected an object with a 'train' object")
-        features = FeatureConfig.from_dict(run_cfg.get("features"))
-        try:
-            model_cfg = ModelConfig.from_dict(run_cfg["model"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad 'model' section: {exc!r}") from exc
+        if not isinstance(run_cfg, dict):
+            raise ValueError("expected a JSON object")
+        model_cfg = from_dict(ModelConfig, run_cfg.get("model"), "model")
+        train_cfg = from_dict(TrainConfig, run_cfg.get("train"), "train")
+        features = from_dict(FeatureConfig, run_cfg.get("features"), "features")
         if acoustic_width(features.n_bands) != model_cfg.acoustic_dim:
             raise ValueError(f"features.n_bands {features.n_bands} does not "
                              f"fit model acoustic_dim {model_cfg.acoustic_dim}")
     ckpt_path = root / "checkpoint.json"
     with naming(f"{ckpt_path} does not fit {cfg_path}", ShapeMismatch):
         model = MsfSerModel(model_cfg, load_checkpoint(ckpt_path))
-    return model, run_cfg["train"], features
+    return model, train_cfg, features
 
 
 def _cmd_eval(args) -> int:
     from .model import eval_report
     from .synth import load_examples
-    model, train, features = _load_trained(args.model)
+    model, train_cfg, features = _load_trained(args.model)
     cfg_path = Path(args.model) / "train_config.json"
     # the run's features, or them and a WAV
     with naming(cfg_path, BadSetting):
@@ -258,7 +258,7 @@ def _cmd_eval(args) -> int:
     # targets.csv made the split too small
     with naming(Path(args.data) / "targets.csv", TooFewUtterances):
         report = eval_report(model, dataset,
-                             extra_config={"train": train,
+                             extra_config={"train": asdict(train_cfg),
                                            "features": asdict(features),
                                            "split": args.split})
     if args.out:
@@ -293,7 +293,7 @@ def _add_flags(parser, config, skip=()) -> None:
     for f in fields(config):
         if f.name not in skip:
             parser.add_argument("--" + f.name.replace("_", "-"),
-                                type={"int": int, "float": float}[f.type],
+                                type=FIELD_TYPES[f.type][-1],
                                 default=getattr(config, f.name))
 
 

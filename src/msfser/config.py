@@ -6,7 +6,7 @@ without loading the modules that do the work.  Each class is re-exported
 by the module that uses it (``msfser.dsp.FrameConfig``,
 ``msfser.model.ModelConfig``, ...), so those import paths keep working.
 A value out of range raises :class:`~msfser.errors.BadSetting` naming
-the setting.
+the setting; :func:`from_dict` reads a config class back from JSON.
 """
 
 from __future__ import annotations
@@ -82,17 +82,6 @@ class FeatureConfig:
     f0_min: float = F0_MIN
     f0_max: float = F0_MAX
 
-    @classmethod
-    def from_dict(cls, d) -> "FeatureConfig":
-        """Exactly these keys, each a number (a bool is not), n_bands an int."""
-        names = tuple(f.name for f in fields(cls))
-        if not (isinstance(d, dict) and set(d) == set(names)
-                and all(type(v) in (int, float) for v in d.values())
-                and type(d["n_bands"]) is int):
-            raise MalformedRecord(f"'features' must map {names} to numbers, "
-                                  f"n_bands to an integer")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class LemfConfig:
@@ -150,19 +139,6 @@ class ModelConfig:
         at_least(0, vars(self), "seed")
         check_dropout(self.dropout)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """The fields in d, all experts when it names none; each int field
-        an int and dropout a number (a bool is neither)."""
-        d = dict(d)
-        ints = tuple(f.name for f in fields(cls) if f.type == "int")
-        if (any(type(d.get(name, 0)) is not int for name in ints)
-                or type(d.get("dropout", 0.0)) not in (int, float)):
-            raise MalformedRecord(f"'model' must map {ints} to integers, "
-                                  f"dropout to a number")
-        d["experts"] = tuple(d.get("experts", EXPERT_NAMES))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -185,3 +161,22 @@ class TrainConfig:
             raise BadSetting(
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}",
                 "weight_decay")
+
+
+# The JSON value types a field of each annotation takes, the last being
+# what a command-line string converts to; a bool is none of them.
+FIELD_TYPES = {"int": (int,), "float": (int, float),
+               "tuple[str, ...]": (list, tuple)}
+
+
+def from_dict(cls, obj, section: str):
+    """The config class cls from a JSON object that holds exactly its
+    fields, each of a type FIELD_TYPES gives its annotation, or else
+    MalformedRecord naming section; cls checks the ranges."""
+    kinds = {f.name: FIELD_TYPES[f.type] for f in fields(cls)}
+    if not (isinstance(obj, dict) and set(obj) == set(kinds)
+            and all(type(obj[name]) in kinds[name] for name in kinds)):
+        raise MalformedRecord(f"'{section}' must hold exactly " + ", ".join(
+            f"{name}: {' or '.join(t.__name__ for t in types)}"
+            for name, types in kinds.items()))
+    return cls(**{k: tuple(v) if type(v) is list else v for k, v in obj.items()})

@@ -448,6 +448,18 @@ class TestTrainEval:
             blob["model"]["seed"] = 1.5
         elif how == "bool_dropout":
             blob["model"]["dropout"] = False
+        elif how == "nan_lr":
+            blob["train"]["lr"] = float("nan")
+        elif how == "unknown_train_key":
+            blob["train"]["no_such_field"] = [1, 2]
+        elif how == "missing_train_key":
+            del blob["train"]["weight_decay"]
+        elif how == "text_epochs":
+            blob["train"]["epochs"] = "many"
+        elif how == "float_epochs":         # the same count as a float
+            blob["train"]["epochs"] = float(blob["train"]["epochs"])
+        elif how == "bool_seed":
+            blob["train"]["seed"] = False
         return blob
 
     @pytest.mark.parametrize("target, how, code", [
@@ -487,6 +499,12 @@ class TestTrainEval:
         ("train_config.json", "bool_les_dim", 2),
         ("train_config.json", "float_seed", 2),
         ("train_config.json", "bool_dropout", 2),
+        ("train_config.json", "nan_lr", 2),
+        ("train_config.json", "unknown_train_key", 2),
+        ("train_config.json", "missing_train_key", 2),
+        ("train_config.json", "text_epochs", 2),
+        ("train_config.json", "float_epochs", 2),
+        ("train_config.json", "bool_seed", 2),
         ("train_config.json", "deep", 2),
         ("embeddings.jsonl", "bad_line_3", 2),
     ])
@@ -1024,6 +1042,8 @@ RUN_CONFIG = {
     "model": {"d_model": COUNTS, "att_dim": COUNTS, "film_hidden": COUNTS,
               "expert_hidden": COUNTS, "acoustic_dim": COUNTS,
               "les_dim": COUNTS, "dropout": FLOATS},
+    "train": {"epochs": COUNTS, "batch_size": COUNTS, "accum_steps": COUNTS,
+              "seed": COUNTS, "lr": FLOATS, "weight_decay": FLOATS},
 }
 NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
 # The input files whose bytes each command's cases damage.  textgrid-check

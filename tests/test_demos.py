@@ -1,4 +1,5 @@
-"""The narrative demos run to completion (all but the ~30 s training one)."""
+"""The narrative demos run to completion; the training one takes about 6 s
+on a 2 vCPU Intel Xeon."""
 
 import os
 import subprocess
@@ -16,9 +17,11 @@ DEMOS = SRC.parent / "demos"
 @pytest.mark.parametrize("name", ["01_textgrid_roundtrip.py",
                                   "02_prosody_features.py",
                                   "03_emphasis_detection.py",
-                                  "04_fusion_model.py"])
+                                  "04_fusion_model.py",
+                                  "05_train_eval_ablation.py"])
 def test_demo_runs(name, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    # TMPDIR: demo 05 keeps the corpus it writes, so it goes in tmp_path
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path,
                             env=env, capture_output=True, text=True,

@@ -1,12 +1,14 @@
 """Fusion model: composable ops vs straight-line oracles, gradient checks,
 determinism, and the training loop on a small synthetic task."""
 
+import json
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from msfser.config import FeatureConfig, from_dict
 from msfser.errors import (
     LengthMismatch,
     NumericalFailure,
@@ -386,8 +388,15 @@ class TestModelStructure:
         tiny_config(dropout=0.99)
 
     def test_config_round_trip(self):
-        cfg = tiny_config(experts=("A", "C"))
-        assert ModelConfig.from_dict(asdict(cfg)) == cfg
+        for section, cfg in (
+                ("features", FeatureConfig(25.0, 10.0, 6, 80.0, 400.0)),
+                ("model", tiny_config(experts=("A", "C"))),
+                ("train", TrainConfig(3, 8, 2, 1e-3, 1e-4, 7))):
+            obj = asdict(cfg)
+            assert from_dict(type(cfg), obj, section) == cfg
+            # as train_config.json holds it, experts a list
+            obj = json.loads(json.dumps(obj))
+            assert from_dict(type(cfg), obj, section) == cfg
 
     def test_config_hash_is_stable(self):
         h1 = config_hash({"a": 1, "b": [2, 3]})
