@@ -27,17 +27,19 @@ from msfser import (
 )
 
 t0 = time.monotonic()
-root = Path(tempfile.mkdtemp(prefix="msfser_demo_")) / "data"
 
 # The generator plants each label dimension somewhere specific:
 #   valence   -> the les and gs embedding channels
 #   arousal   -> loudness and pitch of the audio itself
 #   dominance -> the es channel only
-manifest = generate_dataset(root, SynthConfig(n_utts=160, seed=0))
-print(f"dataset: {manifest['splits']} in {root}")
+# The corpus on disk is needed only until its features are in memory.
+with tempfile.TemporaryDirectory(prefix="msfser_demo_") as tmp:
+    root = Path(tmp) / "data"
+    manifest = generate_dataset(root, SynthConfig(n_utts=160, seed=0))
+    print(f"dataset: {manifest['splits']} in {root}")
 
-train_set = load_examples(root, split="train")
-test_set = load_examples(root, split="test")
+    train_set = load_examples(root, split="train")
+    test_set = load_examples(root, split="test")
 print(f"features extracted in {time.monotonic() - t0:.1f} s")
 
 first = train_set[0]

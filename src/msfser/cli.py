@@ -10,8 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 bad usage or unreadable/invalid input, 3 a
 processing failure (numerical trouble, shape conflicts, out of memory).
-Defaults can be supplied as a flat JSON object via --config; explicit
-flags win.
+Settings come from flags only.
 
 Options named after a FeatureConfig, SynthConfig or TrainConfig field are
 generated from it; --n, --k, --mode, --word-tier, --phone-tier, --d-model,
@@ -362,73 +361,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
-def _parse_args(argv: list[str]) -> tuple[argparse.Namespace, str | None,
-                                          set[str]]:
-    """Parse argv, with defaults from a flat JSON file named by --config.
-
-    Each key must name an option of some subcommand.  A flag such as
-    --quiet takes true or false; any other option takes a string or a
-    number, which for the command being run is converted with the
-    option's type and checked against its choices as if it had been typed
-    on the command line.  Returns the arguments, the file's path (None
-    without --config) and the settings whose values came from the file.
-    """
-    parser, commands = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    if known.config is None:
-        return parser.parse_args(argv), None, set()
-    try:
-        blob = parse_json(read_text(known.config))
-    except (OSError, MalformedRecord) as exc:
-        detail = str(exc).removeprefix(f"{known.config}: ")
-        parser.error(f"--config {known.config}: cannot read: {detail}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"--config {known.config}: invalid JSON: {exc}")
-    if not isinstance(blob, dict):
-        parser.error(f"--config {known.config}: expected a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in blob.items()}
-    # argparse lists a parser's arguments only in the private _actions
-    options = {a.dest: a for sp in commands.values() for a in sp._actions
-               if a.dest != "help"}
-    unknown = sorted(set(defaults) - set(options))
-    if unknown:
-        parser.error(f"--config {known.config}: unknown keys "
-                     f"{', '.join(unknown)}")
-    for key, value in defaults.items():
-        if options[key].nargs == 0:         # a store_true flag
-            if type(value) is not bool:
-                parser.error(f"--config {known.config}: {key} must be "
-                             f"true or false, got {value!r}")
-        elif type(value) not in (int, float, str):
-            parser.error(f"--config {known.config}: {key} must be a string "
-                         f"or a number, got {value!r}")
-    plain = parser.parse_args(rest)         # the command line alone
-    # argparse neither converts nor checks a default that is not a
-    # string, so the running command's values get both here
-    for action in commands[plain.command]._actions:
-        key, value = action.dest, defaults.get(action.dest)
-        if type(value) not in (int, float, str):
-            continue
-        try:
-            value = defaults[key] = (action.type or str)(str(value))
-        except ValueError:
-            parser.error(f"--config {known.config}: {key}: invalid "
-                         f"{action.type.__name__} value {value!r}")
-        if action.choices is not None and value not in action.choices:
-            parser.error(f"--config {known.config}: {key} must be one of "
-                         f"{', '.join(action.choices)}, got {value!r}")
-    for sp in commands.values():
-        sp.set_defaults(**defaults)
-    args = parser.parse_args(rest)
-    return args, known.config, {key for key, value in vars(args).items()
-                                if getattr(plain, key, None) != value}
-
-
 def main(argv=None) -> int:
-    args, config, from_config = _parse_args(
-        list(sys.argv[1:] if argv is None else argv))
+    args = build_parser()[0].parse_args(argv)
     try:
         if args.command in _PURE_PYTHON:
             return args.func(args)
@@ -442,10 +376,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 3
     except (MsfSerError, OSError, ValueError) as exc:
-        blamed = sorted(from_config.intersection(getattr(exc, "settings", ())))
-        source = (f" ({', '.join(blamed)} from --config {config})"
-                  if blamed else "")
-        sys.stderr.write(f"error: {exc}{source}\n")
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

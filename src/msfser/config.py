@@ -42,13 +42,13 @@ def at_least(low, settings: dict, *names) -> None:
     for name in names or settings:
         value = settings[name]
         if not value >= low:
-            raise BadSetting(f"{name} must be >= {low}, got {value}", name)
+            raise BadSetting(f"{name} must be >= {low}, got {value}")
 
 
 def check_dropout(rate: float) -> None:
     """A dropout rate lies in [0, 1)."""
     if not 0.0 <= rate < 1.0:
-        raise BadSetting(f"dropout must be in [0, 1), got {rate}", "dropout")
+        raise BadSetting(f"dropout must be in [0, 1), got {rate}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ class FrameConfig:
     def __post_init__(self):
         if not 0 < self.hop_ms <= self.win_ms < math.inf:
             raise BadSetting(f"need finite 0 < hop_ms <= win_ms, got "
-                             f"hop_ms={self.hop_ms}, win_ms={self.win_ms}",
-                             "hop_ms", "win_ms")
+                             f"hop_ms={self.hop_ms}, win_ms={self.win_ms}")
         if self.window not in ("hann", "rectangular"):
-            raise BadSetting(f"unknown window {self.window!r}", "window")
+            raise BadSetting(f"unknown window {self.window!r}")
 
     def win_samples(self, sample_rate: int) -> int:
         return int(round(self.win_ms * sample_rate / 1000.0))
@@ -109,8 +108,7 @@ class SynthConfig:
         lowest = min_sample_rate(F0_MAX)
         if not self.sample_rate >= lowest:
             raise BadSetting(f"sample_rate must be >= {lowest:g} to resolve "
-                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}",
-                             "sample_rate")
+                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +129,9 @@ class ModelConfig:
         if not self.experts or any(e not in EXPERT_NAMES for e in self.experts):
             raise BadSetting(
                 f"experts must be a non-empty subset of {EXPERT_NAMES}, "
-                f"got {self.experts}", "experts")
+                f"got {self.experts}")
         if len(set(self.experts)) != len(self.experts):
-            raise BadSetting(f"duplicate experts in {self.experts}", "experts")
+            raise BadSetting(f"duplicate experts in {self.experts}")
         at_least(1, vars(self), "acoustic_dim", "les_dim", "gs_dim", "es_dim",
                  "d_model", "att_dim", "film_hidden", "expert_hidden")
         at_least(0, vars(self), "seed")
@@ -156,11 +154,10 @@ class TrainConfig:
         at_least(1, vars(self), "accum_steps")
         at_least(0, vars(self), "seed")
         if not 0 < self.lr < math.inf:
-            raise BadSetting(f"lr must be finite and > 0, got {self.lr}", "lr")
+            raise BadSetting(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.weight_decay < math.inf:
             raise BadSetting(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}",
-                "weight_decay")
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 # The JSON value types a field of each annotation takes, the last being

@@ -116,12 +116,12 @@ def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
     # compare before rounding: a huge finite win_ms scales to inf samples
     if cfg.win_ms * sr / 1000.0 >= len(x) + 1 or cfg.win_samples(sr) > len(x):
         raise SignalTooShort(f"signal has {len(x)} samples, fewer than "
-                             f"win_ms={cfg.win_ms} spans at {sr} Hz", "win_ms")
+                             f"win_ms={cfg.win_ms} spans at {sr} Hz")
     w = cfg.win_samples(sr)
     h = cfg.hop_samples(sr)
     if w < 2:
         raise UnfitSignal(f"win_ms={cfg.win_ms} gives a {w}-sample window at "
-                          f"{sr} Hz; need at least 2 samples", "win_ms")
+                          f"{sr} Hz; need at least 2 samples")
     frames = np.lib.stride_tricks.sliding_window_view(x, w)[::h]
     times = (h * np.arange(len(frames)) + w / 2.0) / sr
     return frames, times
@@ -264,12 +264,11 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     """
     if not 0 < f0_min < f0_max < math.inf:
         raise BadSetting(f"need finite 0 < f0_min < f0_max, got "
-                         f"f0_min={f0_min}, f0_max={f0_max}",
-                         "f0_min", "f0_max")
+                         f"f0_min={f0_min}, f0_max={f0_max}")
     sr = audio.sample_rate
     if sr < min_sample_rate(f0_max):
         raise UnfitSignal(
-            f"sample rate {sr} too low to resolve f0_max={f0_max}", "f0_max")
+            f"sample rate {sr} too low to resolve f0_max={f0_max}")
 
     frames, times = frame_signal(audio, cfg)
     mag, energy, rms = _spectra(frames, cfg.window)

@@ -47,16 +47,8 @@ class UnknownTier(TextGridError):
 # --- Settings ---------------------------------------------------------------
 
 class BadSetting(MsfSerError, ValueError):
-    """A setting out of range, alone or for the input it is applied to.
-
-    ``settings`` names the settings at fault as the command line's option
-    names without dashes (``epochs``, ``batch_size``, ...), so the command
-    line can name the ``--config`` file that supplied them.
-    """
-
-    def __init__(self, message: str, *settings: str):
-        super().__init__(message)
-        self.settings = settings
+    """A setting out of range, alone or for the input it is applied to;
+    the message names the setting."""
 
 
 # --- DSP --------------------------------------------------------------------
@@ -117,7 +109,7 @@ class NumericalFailure(MsfSerError):
 @contextmanager
 def naming(where, *types):
     """Put ``where: `` in front of an error of one of types that leaves the
-    block and re-raise it, with its class, settings, cause and exit code;
+    block and re-raise it, with its class, cause and exit code;
     for MsfSerErrors and plain ValueErrors, whose message is args[0]."""
     try:
         yield

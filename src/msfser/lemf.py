@@ -112,10 +112,10 @@ def select_emphasis_indices(scores, mode: str = LemfConfig.mode,
     if n == 0:
         raise EmptyInput("no words to select an emphasis segment from")
     if mode not in SEGMENT_MODES:
-        raise BadSetting(f"unknown segment mode {mode!r}", "mode")
+        raise BadSetting(f"unknown segment mode {mode!r}")
     if mode == "topk":
         if k < 1:
-            raise BadSetting(f"topk mode needs k >= 1, got k={k}", "k")
+            raise BadSetting(f"topk mode needs k >= 1, got k={k}")
         order = np.argsort(-scores, kind="stable")
         return tuple(sorted(int(i) for i in order[:min(k, n)]))
     if n <= 3:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_dropout
-from .errors import (NumericalFailure, ShapeMismatch, naming, parse_json,
-                     read_text, write_json)
+from .errors import (MalformedRecord, NumericalFailure, ShapeMismatch,
+                     naming, parse_json, read_text, write_json)
 
 LAYER_NORM_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
@@ -285,39 +285,39 @@ def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Named parameter values from a :func:`save_checkpoint` file.
 
-    Any defect in the file raises :class:`NumericalFailure`: invalid JSON,
-    another version, or a parameter that is not ``{"rows", "cols",
-    "data"}`` with rows * cols finite numbers.  Every message names the
-    file; text that is not UTF-8 raises :class:`MalformedRecord`.
+    Any defect in the file raises :class:`MalformedRecord` naming it, so
+    the command line exits 2 as for any damaged input: text that is not
+    UTF-8, invalid JSON, another version, or a parameter that is not
+    ``{"rows", "cols", "data"}`` with rows * cols finite numbers.
     """
     text = read_text(path)
-    with naming(path, NumericalFailure):
+    with naming(path, MalformedRecord):
         try:
             blob = parse_json(text)
         except json.JSONDecodeError as exc:
-            raise NumericalFailure(
+            raise MalformedRecord(
                 f"checkpoint is not valid JSON: {exc}") from exc
         version = blob.get("version") if isinstance(blob, dict) else None
         if version != CHECKPOINT_VERSION:
-            raise NumericalFailure(
+            raise MalformedRecord(
                 f"unsupported checkpoint version {version!r}, "
                 f"expected {CHECKPOINT_VERSION!r}")
         params = blob.get("params", {})
         if not isinstance(params, dict):
-            raise NumericalFailure("'params' must be a JSON object")
+            raise MalformedRecord("'params' must be a JSON object")
         out = {}
         for name, rec in params.items():
             try:
                 rows, cols = rec["rows"], rec["cols"]
                 arr = np.asarray(rec["data"], dtype=np.float64)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise NumericalFailure(
+                raise MalformedRecord(
                     f"param {name!r} is malformed: {exc!r}") from exc
             if not (type(rows) is int and type(cols) is int and rows >= 0
                     and cols >= 0 and arr.size == rows * cols):
-                raise NumericalFailure(f"param {name!r}: {arr.size} values "
-                                       f"for shape ({rows!r}, {cols!r})")
+                raise MalformedRecord(f"param {name!r}: {arr.size} values "
+                                      f"for shape ({rows!r}, {cols!r})")
             if not np.all(np.isfinite(arr)):
-                raise NumericalFailure(f"param {name!r} holds non-finite values")
+                raise MalformedRecord(f"param {name!r} holds non-finite values")
             out[name] = arr.reshape(rows, cols)
     return out

@@ -33,6 +33,7 @@ from msfser.dsp import (
     read_wav,
     write_wav,
 )
+from msfser.errors import BadSetting
 from msfser.lemf import (
     LemfConfig,
     select_emphasis_indices,
@@ -298,8 +299,7 @@ class TestSynth:
         assert sum(manifest["splits"].values()) == 12
 
     def test_seed_defaults_to_config(self, tmp_path, monkeypatch, capsys):
-        # --seed and --config are the only ways to set it; the environment
-        # is not read
+        # --seed is the only way to set it; the environment is not read
         monkeypatch.setenv("MSFSER_SEED", "7")
         a = tmp_path / "a"
         assert main(["synth", "--out", str(a), "--n", "10",
@@ -463,18 +463,18 @@ class TestTrainEval:
         return blob
 
     @pytest.mark.parametrize("target, how, code", [
-        ("checkpoint.json", "[1]", 3),
-        ("checkpoint.json", "{nope", 3),
-        ("checkpoint.json", "no_cols", 3),
-        ("checkpoint.json", "text_data", 3),
-        ("checkpoint.json", "nan_data", 3),
-        ("checkpoint.json", "float_rows", 3),
-        ("checkpoint.json", "params_list", 3),
+        ("checkpoint.json", "[1]", 2),
+        ("checkpoint.json", "{nope", 2),
+        ("checkpoint.json", "no_cols", 2),
+        ("checkpoint.json", "text_data", 2),
+        ("checkpoint.json", "nan_data", 2),
+        ("checkpoint.json", "float_rows", 2),
+        ("checkpoint.json", "params_list", 2),
         ("checkpoint.json", None, 2),
-        ("checkpoint.json", "huge_int_data", 3),
+        ("checkpoint.json", "huge_int_data", 2),
         ("checkpoint.json", "not_utf8", 2),
         ("checkpoint.json", "renamed_param", 3),
-        ("checkpoint.json", "deep", 3),
+        ("checkpoint.json", "deep", 2),
         ("train_config.json", "[1]", 2),
         ("train_config.json", '{"model": {}}', 2),
         ("train_config.json", "{nope", 2),
@@ -842,182 +842,6 @@ class TestFloatingPointTrouble:
         assert "Warning" not in result.stderr
 
 
-class TestConfigFile:
-    def test_config_sets_defaults(self, emphasis_files, tmp_path, capsys):
-        wav, grid, _ = emphasis_files
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "topk", "k": 2}))
-        code = main(["--config", str(cfg), "emphasis",
-                     "--wav", str(wav), "--grid", str(grid)])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["segment"]["mode"] == "topk"
-        assert len(doc["segment"]["indices"]) == 2
-
-    def test_explicit_flag_beats_config(self, emphasis_files, tmp_path,
-                                        capsys):
-        wav, grid, _ = emphasis_files
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "topk", "k": 2}))
-        code = main(["--config", str(cfg), "emphasis", "--wav", str(wav),
-                     "--grid", str(grid), "--mode", "adjacent"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["segment"]["mode"] == "adjacent"
-
-    def test_missing_config_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(tmp_path / "missing.json"),
-                  "textgrid-check", "x"])
-        assert err.value.code == 2
-        stderr = capsys.readouterr().err
-        assert "missing.json" in stderr and "Traceback" not in stderr
-
-    def test_invalid_config_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(cfg), "textgrid-check", "x"])
-        assert err.value.code == 2
-
-    def test_too_deep_config_is_invalid_json(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(DEEP_JSON)
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(cfg), "textgrid-check", "x"])
-        assert err.value.code == 2
-        assert (f"--config {cfg}: invalid JSON: nested too deeply"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("blob", [
-        {"epochz": 3},
-        {"epochs": 3, "func": "x"},
-        {"seed": 1, "help": True},
-        {"epochs": 3, "dim": 16},
-    ])
-    def test_unknown_config_key_is_usage_error(self, dataset, tmp_path,
-                                               capsys, blob):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(blob))
-        out = tmp_path / "run"
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(cfg), "train", "--data", str(dataset),
-                  "--out", str(out), "--quiet"])
-        assert err.value.code == 2
-        stderr = capsys.readouterr().err
-        bad = sorted(set(blob) - {"epochs", "seed"})
-        assert f"unknown keys {', '.join(bad)}" in stderr
-        assert "Traceback" not in stderr and not out.exists()
-
-    def test_key_of_another_subcommand_is_accepted(self, dataset, tmp_path,
-                                                   capsys):
-        # seed is shared by synth and train; mode belongs to emphasis only
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 4, "mode": "topk", "epochs": 1,
-                                   "batch-size": 8, "d_model": 4}))
-        out = tmp_path / "run"
-        assert main(["--config", str(cfg), "train", "--data", str(dataset),
-                     "--out", str(out), "--quiet"]) == 0
-        run_cfg = json.loads((out / "train_config.json").read_text())
-        assert run_cfg["train"]["seed"] == 4
-        assert run_cfg["train"]["epochs"] == 1
-        assert run_cfg["train"]["batch_size"] == 8
-
-
-    @pytest.mark.parametrize("blob", [
-        {"epochs": 2.5},
-        {"epochs": True},
-        {"epochs": "two"},
-        {"experts": 5},
-        {"lr": [1e-3]},
-        {"seed": None},
-        {"quiet": "yes"},
-        {"quiet": 1},
-        {"track_dev": {}},
-    ])
-    def test_bad_config_value_exits_2(self, dataset, tmp_path, capsys, blob):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(blob))
-        out = tmp_path / "run"
-        try:
-            code = main(["--config", str(cfg), "train", "--data", str(dataset),
-                         "--out", str(out), "--quiet"])
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
-        stderr = capsys.readouterr().err
-        assert "error: " in stderr and "Traceback" not in stderr
-        assert not out.exists()
-
-    def test_rejected_config_value_names_the_file(self, dataset, tmp_path,
-                                                  capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 0, "batch-size": 8}))
-        out = tmp_path / "run"
-        argv = ["--config", str(cfg), "train", "--data", str(dataset),
-                "--out", str(out), "--quiet"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: epochs must be >= 1, got 0 (epochs from --config {cfg})\n")
-        # a value typed on the command line is not the file's
-        assert main(argv + ["--epochs", "1", "--batch-size", "0"]) == 2
-        assert capsys.readouterr().err == (
-            "error: batch_size must be >= 2, got 0\n")
-        assert not out.exists()
-
-    def test_negative_seed_from_config_names_the_file(
-            self, dataset, tmp_path, capsys, monkeypatch):
-        def no_features(*args, **kwargs):
-            raise AssertionError("featurised before checking the seed")
-        monkeypatch.setattr("msfser.synth.load_examples", no_features)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": -1}))
-        out = tmp_path / "run"
-        assert main(["--config", str(cfg), "train", "--data", str(dataset),
-                     "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: seed must be >= 0, got -1 (seed from --config {cfg})\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("blob, message", [
-        ({"k": 2.5}, "k: invalid int value 2.5"),
-        ({"mode": "tkpk"}, "mode must be one of adjacent, topk, got 'tkpk'"),
-    ])
-    def test_config_value_flags_would_refuse_names_the_file(
-            self, emphasis_files, tmp_path, capsys, blob, message):
-        wav, grid, _ = emphasis_files
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(blob))
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(cfg), "emphasis", "--wav", str(wav),
-                  "--grid", str(grid)])
-        assert err.value.code == 2
-        assert f"error: --config {cfg}: {message}\n" in capsys.readouterr().err
-        # a command without that option still takes the file
-        assert main(["--config", str(cfg), "textgrid-check", str(grid)]) == 0
-
-    def test_non_utf8_config_names_the_file_and_line(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b'{"seed": 1,\r\n "mode": "t\xf6pk"}')
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(cfg), "textgrid-check", "x"])
-        assert err.value.code == 2
-        assert (f"error: --config {cfg}: cannot read: not valid UTF-8 at "
-                "line 2: ") in capsys.readouterr().err
-
-    def test_config_values_convert_like_flags(self, dataset, tmp_path,
-                                              capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "lr": 0.002, "quiet": True,
-                                   "batch_size": "8", "d_model": 4}))
-        out = tmp_path / "run"
-        assert main(["--config", str(cfg), "train", "--data", str(dataset),
-                     "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        train = json.loads((out / "train_config.json").read_text())["train"]
-        assert (train["epochs"], train["lr"], train["batch_size"]) == (1, 0.002, 8)
-
-
 # Edge-case numbers for the exit-code contract.  Count and size flags get
 # only small values: large ones really allocate memory or loop.
 FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-300)
@@ -1045,16 +869,18 @@ RUN_CONFIG = {
     "train": {"epochs": COUNTS, "batch_size": COUNTS, "accum_steps": COUNTS,
               "seed": COUNTS, "lr": FLOATS, "weight_decay": FLOATS},
 }
+# train's settings; a case's own flags come after them, so they win
+TRAIN_FLAGS = ("--epochs", "1", "--batch-size", "8", "--accum-steps", "1",
+               "--d-model", "2", "--quiet")
 NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
 # The input files whose bytes each command's cases damage.  textgrid-check
 # reads one to six damaged copies of the grid; the others damage at most
 # one of their files.  Paths are relative to the case's directory; train
-# reads a train-split WAV and its settings from --config, and eval reads a
-# test-split WAV.
+# reads a train-split WAV, and eval reads a test-split WAV.
 DAMAGEABLE = {
     "emphasis": ("utt.TextGrid", "utt.wav"),
     "train": ("data/embeddings.jsonl", "data/targets.csv",
-              "data/wavs/utt_0000.wav", "train.json"),
+              "data/wavs/utt_0000.wav"),
     "eval": ("model/checkpoint.json", "model/train_config.json",
              "data/wavs/utt_0001.wav"),
     "textgrid-check": ("utt.TextGrid",),
@@ -1105,15 +931,12 @@ def cli_cases(draw):
 
 @pytest.fixture(scope="session")
 def contract_inputs(tmp_path_factory):
-    """One emphasis case, train settings for --config, and a 12-utterance
-    corpus at the lowest sample rate with a 1-epoch model trained on it."""
+    """One emphasis case and a 12-utterance corpus at the lowest sample
+    rate with a 1-epoch model trained on it."""
     root = tmp_path_factory.mktemp("contract-inputs")
     audio, tg, _ = make_emphasis_case(seeded_rng(5), n_words=5)
     write_wav(root / "utt.wav", audio)
     (root / "utt.TextGrid").write_text(serialize_textgrid(tg), encoding="utf-8")
-    (root / "train.json").write_text(json.dumps(
-        {"epochs": 1, "batch-size": 8, "accum-steps": 1, "d-model": 2,
-         "quiet": True}), encoding="utf-8")
     data, model = root / "data", str(root / "model")
     assert main(["synth", "--out", str(data), "--n", "12", "--seed", "0",
                  "--sample-rate", str(4 * int(F0_MAX)), "--les-dim", "2",
@@ -1121,8 +944,8 @@ def contract_inputs(tmp_path_factory):
     splits = {r["utt_id"]: r["split"]
               for r in read_targets_csv(data / "targets.csv")}
     assert (splits["utt_0000"], splits["utt_0001"]) == ("train", "test")
-    assert main(["--config", str(root / "train.json"), "train", "--data",
-                 str(data), "--out", model]) == 0
+    assert main(["train", "--data", str(data), "--out", model,
+                 *TRAIN_FLAGS]) == 0
     return root
 
 
@@ -1133,9 +956,12 @@ class TestExitCodeContract:
     def test_exit_code_contract(self, contract_inputs, tmp_path_factory, case):
         """Exit 0, 2 or 3; a failure says error:, nothing prints a
         traceback or a warning, and no output file holds a non-finite
-        number.  A failure that damage to a file caused names that file."""
+        number.  A failure that damage to a file caused names that file.
+        eval refuses a run config whose settings the config classes
+        refuse."""
         command, flags, edits, switch, damaged = case
         inp = contract_inputs
+        refused = None
         root = tmp_path_factory.mktemp("contract")
         out = root / "out"
         out.mkdir()
@@ -1143,8 +969,6 @@ class TestExitCodeContract:
         if command == "emphasis":
             for name in DAMAGEABLE[command]:
                 shutil.copy(inp / name, root)
-        elif command == "train":
-            shutil.copy(inp / "train.json", root)
         if command in ("train", "eval") and damaged:
             data = shutil.copytree(data, root / "data")
         if command == "eval":
@@ -1154,6 +978,12 @@ class TestExitCodeContract:
             for (section, key), value in edits.items():
                 blob[section][key] = value
             cfg_path.write_text(json.dumps(blob))
+            try:            # a setting the config classes refuse
+                TrainConfig(**blob["train"])
+                ModelConfig(**{**blob["model"],
+                               "experts": tuple(blob["model"]["experts"])})
+            except BadSetting as exc:
+                refused = exc
         paths, intact = [], {}
         for k, (name, how) in enumerate(damaged):
             if command == "textgrid-check":         # a copy per damage
@@ -1173,8 +1003,8 @@ class TestExitCodeContract:
             argv = ["synth", "--out", out / "data", "--n", "10",
                     "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]
         elif command == "train":
-            argv = ["--config", root / "train.json", "train", "--data", data,
-                    "--out", out / "run", "--svg", out / "hist.svg"]
+            argv = ["train", "--data", data, "--out", out / "run",
+                    "--svg", out / "hist.svg", *TRAIN_FLAGS]
             argv += ["--track-dev"] if switch else []
         elif command == "eval":
             argv = ["eval", "--data", data, "--model", root / "model",
@@ -1196,6 +1026,9 @@ class TestExitCodeContract:
 
         code, stdout, err = run()
         assert code in (0, 2, 3), (argv, damaged, code, err)
+        if refused is not None and (
+                "model/train_config.json" not in dict(damaged)):
+            assert code == 2, (edits, refused, code, err)
         if command == "textgrid-check":             # it reports per file
             assert all(f"{path}: " in stdout for path in argv[1:]), (
                 argv, stdout)
@@ -1284,14 +1117,13 @@ class TestRuntime:
         ("--help", 0),
         ("train --help", 0),
         ("train --data d", 2),                          # --out is missing
+        # an option no parser has
         ("--config {tmp}/bad.json textgrid-check {tmp}/ok.TextGrid", 2),
         ("textgrid-check {tmp}/ok.TextGrid", 0),
     ])
     def test_commands_that_compute_nothing_load_no_numpy(self, tmp_path, argv,
                                                          code):
         (tmp_path / "ok.TextGrid").write_text(GOOD_GRID, encoding="utf-8")
-        (tmp_path / "bad.json").write_text('{"no_such_key": 1}',
-                                           encoding="utf-8")
         run = ("from msfser.cli import main\n"
                "try:\n    code = main(sys.argv[1:])\n"
                "except SystemExit as exc:\n    code = exc.code\n"

@@ -20,10 +20,12 @@ DEMOS = SRC.parent / "demos"
                                   "04_fusion_model.py",
                                   "05_train_eval_ablation.py"])
 def test_demo_runs(name, tmp_path):
-    # TMPDIR: demo 05 keeps the corpus it writes, so it goes in tmp_path
+    # TMPDIR: a demo's temporary files go in tmp_path, where the test can
+    # see that none is left behind
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path,
                             env=env, capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("msfser_demo_*"))

@@ -11,14 +11,13 @@ from msfser.errors import (BadSetting, DimMismatch, MalformedRecord,
 
 
 class TestNaming:
-    def test_keeps_the_error_its_class_settings_and_cause(self):
+    def test_keeps_the_error_its_class_and_cause(self):
         cause = KeyError("k")
         with pytest.raises(UnfitSignal) as info:
             with naming("a.wav", BadSetting):
-                raise UnfitSignal("too short", "win_ms", "hop_ms") from cause
+                raise UnfitSignal("too short") from cause
         exc = info.value
         assert type(exc) is UnfitSignal and str(exc) == "a.wav: too short"
-        assert exc.settings == ("win_ms", "hop_ms")
         assert exc.__cause__ is cause
 
     def test_re_raises_the_same_object(self):

@@ -582,13 +582,13 @@ class TestCheckpoints:
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"version": "msf-ser-ckpt-v0", "params": {}}')
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(MalformedRecord, match="c.json: unsupported"):
             load_checkpoint(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
-        with pytest.raises(NumericalFailure, match="c.json: "):
+        with pytest.raises(MalformedRecord, match="c.json: "):
             load_checkpoint(path)
 
     def test_size_conflict_rejected(self, tmp_path):
@@ -596,7 +596,7 @@ class TestCheckpoints:
         path.write_text(json.dumps({
             "version": "msf-ser-ckpt-v1",
             "params": {"w": {"rows": 2, "cols": 2, "data": [1.0, 2.0]}}}))
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(MalformedRecord, match="c.json: param 'w'"):
             load_checkpoint(path)
 
     def test_non_utf8_names_the_file_and_line(self, tmp_path):
