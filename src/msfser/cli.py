@@ -28,6 +28,7 @@ builds its model from the checkpoint without drawing an initialisation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -302,15 +303,41 @@ def _from_flags(config, args, **given):
                      else getattr(args, f.name) for f in fields(config)})
 
 
+class _TopParser(argparse.ArgumentParser):
+    """Names an option that msfser lacks when it comes before the subcommand.
+
+    argparse would read the word after such an option as the subcommand
+    and report that word as an invalid choice.  --help and --version exit
+    before the subcommand is read, so when the first word is no subcommand
+    every option ahead of it is unknown.
+    """
+
+    commands: dict[str, argparse.ArgumentParser]
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        lead = list(itertools.takewhile(
+            lambda a: a.startswith("-") and a != "--", self.argv))
+        word = self.argv[len(lead):len(lead) + 1]
+        if lead and word and word[0] not in self.commands:
+            message = f"unrecognized arguments: {' '.join(lead)}"
+        super().error(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser,
                             dict[str, argparse.ArgumentParser]]:
     """The msfser parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _TopParser(
         prog="msfser",
         description="Speech emotion tooling: emphasis detection, synthetic "
                     "data, fusion-model training and evaluation.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    parser.commands = sub.choices
 
     p = sub.add_parser("emphasis", help="score word emphasis in one utterance")
     p.add_argument("--wav", required=True)

@@ -287,8 +287,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     Any defect in the file raises :class:`MalformedRecord` naming it, so
     the command line exits 2 as for any damaged input: text that is not
-    UTF-8, invalid JSON, another version, or a parameter that is not
-    ``{"rows", "cols", "data"}`` with rows * cols finite numbers.
+    UTF-8, invalid JSON, another version, no ``params`` object, or a
+    parameter that is not ``{"rows", "cols", "data"}`` with rows * cols
+    finite numbers.
     """
     text = read_text(path)
     with naming(path, MalformedRecord):
@@ -302,7 +303,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise MalformedRecord(
                 f"unsupported checkpoint version {version!r}, "
                 f"expected {CHECKPOINT_VERSION!r}")
-        params = blob.get("params", {})
+        params = blob.get("params")
         if not isinstance(params, dict):
             raise MalformedRecord("'params' must be a JSON object")
         out = {}

@@ -31,7 +31,8 @@ import numpy as np
 
 from .config import (CHANNELS, SPLITS, TARGET_NAMES, FeatureConfig,
                      FrameConfig, SynthConfig)
-from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
+from .dsp import (AudioBuffer, Workspace, acoustic_frames, read_wav,
+                  write_wav)
 from .embeddings import EmbeddingStore, is_utt_id
 from .errors import (MalformedRecord, MissingEmbedding, TooFewUtterances,
                      UnfitSignal, naming, read_text, write_json)
@@ -277,14 +278,15 @@ def load_examples(data_dir, split: str | None = None,
         rows = [r for r in rows if r["split"] == split]
     if not rows:
         raise TooFewUtterances(f"{targets}: no utterances in split {split!r}")
-    examples = []
+    examples, work = [], Workspace()
     for rec in rows:
         utt_id = rec["utt_id"]
         wav = root / "wavs" / f"{utt_id}.wav"
         audio = read_wav(wav)
         with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
             frames = acoustic_frames(audio, frame_cfg, n_bands=features.n_bands,
-                                     f0_min=features.f0_min, f0_max=features.f0_max)
+                                     f0_min=features.f0_min, f0_max=features.f0_max,
+                                     work=work)
         with naming(embeddings, MissingEmbedding):
             les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
         examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,

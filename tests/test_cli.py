@@ -470,6 +470,7 @@ class TestTrainEval:
         ("checkpoint.json", "nan_data", 2),
         ("checkpoint.json", "float_rows", 2),
         ("checkpoint.json", "params_list", 2),
+        ("checkpoint.json", '{"version": "msf-ser-ckpt-v1"}', 2),
         ("checkpoint.json", None, 2),
         ("checkpoint.json", "huge_int_data", 2),
         ("checkpoint.json", "not_utf8", 2),
@@ -1195,6 +1196,19 @@ class TestMisc:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv, message", [
+        # argparse alone reports "invalid choice: 'x.json'" here
+        ("--config x.json train --data d --out o",
+         "unrecognized arguments: --config\n"),
+        ("--bogus emphasis --wav w --grid g", "unrecognized arguments: --bogus\n"),
+        ("x.json train", "invalid choice: 'x.json'"),
+    ])
+    def test_usage_error_names_the_unknown_word(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_docs_list_the_parsers_subcommands(self):
         # README's usage block and the cli docstring name every subcommand

@@ -18,9 +18,11 @@ from scipy.fft import next_fast_len
 from scipy.io import wavfile
 
 from msfser.dsp import (
+    SILENCE_RMS_FLOOR,
     AudioBuffer,
     FrameConfig,
     ProsodyTrack,
+    Workspace,
     _fast_len,
     acoustic_frames,
     estimate_f0,
@@ -32,6 +34,7 @@ from msfser.dsp import (
     write_wav,
 )
 from msfser.errors import SignalTooShort
+from msfser.synth import SynthConfig, generate_dataset, load_examples
 
 SR = 16000
 
@@ -309,6 +312,49 @@ class TestMel:
             tracemalloc.stop()
         spectrum = len(feats) * (cfg.win_samples(SR) // 2 + 1) * 8
         assert peak < spectrum + feats.nbytes + 3 * 2**20, peak / 2**20
+
+
+class TestWorkspace:
+    """One workspace serves every utterance of a run; nothing it held for
+    one signal may reach the features of another."""
+
+    def test_load_examples_equals_separate_calls(self, tmp_path):
+        root = tmp_path / "data"
+        generate_dataset(root, SynthConfig(n_utts=10, seed=5))
+        wavs = sorted((root / "wavs").glob("*.wav"))
+        cfg = FrameConfig()
+        # a long file grows the arenas before shorter ones reuse them; the
+        # last frames of the 4.5-s one have lag ranges 180, 100 and 20
+        write_wav(wavs[0], tone(130.0, dur=2.5))
+        write_wav(wavs[2], AudioBuffer(np.full(SR // 3, 2e-5), SR))
+        write_wav(wavs[4], tone(260.0, dur=(320 + 80 * 900 + 20) / SR))
+        write_wav(wavs[6], tone(95.0, dur=0.05))
+        silent = read_wav(wavs[2])
+        rms = np.sqrt(np.mean(frame_signal(silent, cfg)[0] ** 2, axis=1))
+        assert np.all(rms <= SILENCE_RMS_FLOOR)
+
+        examples = load_examples(root)
+        assert {len(ex.frames) for ex in examples} >= {497, 901, 7}
+        for ex in examples:
+            alone = acoustic_frames(read_wav(root / "wavs" / f"{ex.utt_id}.wav"),
+                                    cfg)
+            assert ex.frames.tobytes() == alone.tobytes(), ex.utt_id
+
+    def test_returned_arrays_outlive_the_next_signal(self):
+        work, cfg = Workspace(), FrameConfig()
+        first = tone(150.0, dur=1.0)
+        track = estimate_f0(first, cfg, work=work)
+        feats = acoustic_frames(first, cfg, work=work)
+        kept = [track.spectrum, track.energy, track.log_f0, track.voiced, feats]
+        before = [a.tobytes() for a in kept]
+        rng = np.random.default_rng(3)
+        # shorter first, so it lands in the arenas the first signal used
+        for other in (AudioBuffer(0.2 * rng.standard_normal(SR // 2), SR),
+                      tone(310.0, dur=3.0, amp=0.9)):
+            estimate_f0(other, cfg, work=work)
+            acoustic_frames(other, cfg, work=work)
+        assert [a.tobytes() for a in kept] == before
+        assert acoustic_frames(first, cfg, work=work).tobytes() == before[-1]
 
 
 def wav_chunk(chunk_id: bytes, payload: bytes) -> bytes:

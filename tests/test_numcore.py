@@ -591,6 +591,14 @@ class TestCheckpoints:
         with pytest.raises(MalformedRecord, match="c.json: "):
             load_checkpoint(path)
 
+    def test_missing_params_rejected(self, tmp_path):
+        # read as no parameters, this failed later as a ShapeMismatch (exit 3)
+        path = tmp_path / "c.json"
+        path.write_text('{"version": "msf-ser-ckpt-v1"}')
+        with pytest.raises(MalformedRecord,
+                           match="c.json: 'params' must be a JSON object"):
+            load_checkpoint(path)
+
     def test_size_conflict_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
