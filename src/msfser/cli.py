@@ -13,9 +13,9 @@ processing failure (numerical trouble, shape conflicts, out of memory).
 Settings come from flags only.
 
 Options named after a FeatureConfig, SynthConfig or TrainConfig field are
-generated from it; --n, --k, --mode, --word-tier, --phone-tier, --d-model,
---dropout and --experts are hand-written.  eval reads all three sections
-of train_config.json through one rule, config.from_dict, which refuses a
+generated from it; --n, --word-tier, --phone-tier, --d-model, --dropout
+and --experts are hand-written.  eval reads all three sections of
+train_config.json through one rule, config.from_dict, which refuses a
 section that does not hold exactly its class's fields.  Each subcommand
 imports the modules it runs, so ``emphasis`` never loads the model or the
 corpus code.  argv is parsed before numpy is imported: --version, --help,
@@ -35,9 +35,9 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .config import (CHANNELS, FIELD_TYPES, SEGMENT_MODES, SPLITS,
-                     FeatureConfig, FrameConfig, LemfConfig, ModelConfig,
-                     SynthConfig, TrainConfig, acoustic_width, from_dict)
+from .config import (CHANNELS, FIELD_TYPES, SPLITS, FeatureConfig,
+                     FrameConfig, LemfConfig, ModelConfig, SynthConfig,
+                     TrainConfig, acoustic_width, from_dict)
 from .errors import (
     BadSetting,
     DimMismatch,
@@ -139,7 +139,6 @@ def _cmd_emphasis(args) -> int:
     tg = read_textgrid_file(args.grid)
     cfg = LemfConfig(
         frame=FrameConfig(win_ms=args.win_ms, hop_ms=args.hop_ms),
-        mode=args.mode, top_k=args.k,
         word_tier=args.word_tier,
         phone_tier=args.phone_tier if args.phone_tier != "" else None,
         f0_min=args.f0_min, f0_max=args.f0_max,
@@ -342,8 +341,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("emphasis", help="score word emphasis in one utterance")
     p.add_argument("--wav", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--mode", choices=SEGMENT_MODES, default=LemfConfig.mode)
-    p.add_argument("--k", type=int, default=LemfConfig.top_k)
     p.add_argument("--word-tier", default=LemfConfig.word_tier)
     p.add_argument("--phone-tier", default=LemfConfig.phone_tier,
                    help="empty string to skip phone durations")

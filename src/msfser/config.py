@@ -22,7 +22,6 @@ EXPERT_NAMES = ("A", "B", "C")
 CHANNELS = ("les", "gs", "es")      # the text-embedding channels
 TARGET_NAMES = ("valence", "arousal", "dominance")  # the regression targets
 SPLITS = ("train", "dev", "test")   # the corpus splits targets.csv names
-SEGMENT_MODES = ("adjacent", "topk")  # how lemf picks the emphasis segment
 
 
 def acoustic_width(n_bands: int) -> int:
@@ -85,9 +84,7 @@ class FeatureConfig:
 @dataclass(frozen=True)
 class LemfConfig:
     frame: FrameConfig = field(default_factory=FrameConfig)
-    mode: str = "adjacent"          # one of SEGMENT_MODES
-    top_k: int = 3
-    word_tier: str = "words"
+    word_tier: str = "words"            # the tiers synth writes
     phone_tier: str | None = "phones"
     f0_min: float = F0_MIN
     f0_max: float = F0_MAX

@@ -7,7 +7,7 @@ per sentence, and fused into an emphasis score
     s(w) = ALPHA * z_pitch(w) + BETA * z_energy(w) + GAMMA * z_duration(w)
 
 with the fixed constant weights (1.0, 1.2, 0.8).  The top-scoring word plus
-its two neighbours forms the emphasis segment (a top-k mode is also available).
+its two neighbours forms the emphasis segment.
 Degenerate sentences are handled by explicit rules rather than NaNs: a
 constant feature column z-scores to zeros, a word without voiced frames
 takes the sentence-mean pitch (so its pitch z-score is 0), and a word
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SEGMENT_MODES, LemfConfig
+from .config import LemfConfig
 from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
-from .errors import BadSetting, EmptyInput, LengthMismatch
+from .errors import EmptyInput, LengthMismatch
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
 
 ZSCORE_SIGMA_FLOOR = 1e-12
@@ -50,7 +50,6 @@ class EmphasisSegment:
     word_indices: tuple[int, ...]
     words: tuple[str, ...]
     time_span: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -99,25 +98,15 @@ def zscore_normalize(values) -> np.ndarray:
     return (values - mu) / sigma
 
 
-def select_emphasis_indices(scores, mode: str = LemfConfig.mode,
-                            k: int = LemfConfig.top_k) -> tuple[int, ...]:
-    """Indices of the emphasis segment words, sorted ascending.
-
-    adjacent: argmax (earliest on ties) plus neighbours, extended inward
-    at sentence boundaries to keep min(3, N) words.  topk: the k highest
-    scores, earliest index winning ties.
+def select_emphasis_indices(scores) -> tuple[int, ...]:
+    """Indices of the emphasis segment words, sorted ascending: the argmax
+    (earliest on ties) plus its neighbours, extended inward at sentence
+    boundaries to keep min(3, N) words.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if n == 0:
         raise EmptyInput("no words to select an emphasis segment from")
-    if mode not in SEGMENT_MODES:
-        raise BadSetting(f"unknown segment mode {mode!r}")
-    if mode == "topk":
-        if k < 1:
-            raise BadSetting(f"topk mode needs k >= 1, got k={k}")
-        order = np.argsort(-scores, kind="stable")
-        return tuple(sorted(int(i) for i in order[:min(k, n)]))
     if n <= 3:
         return tuple(range(n))
     m = int(np.argmax(scores))
@@ -125,10 +114,9 @@ def select_emphasis_indices(scores, mode: str = LemfConfig.mode,
     return (start, start + 1, start + 2)
 
 
-def select_emphasis_segment(words, mode: str = LemfConfig.mode,
-                            k: int = LemfConfig.top_k) -> EmphasisSegment:
+def select_emphasis_segment(words) -> EmphasisSegment:
     """Build the emphasis segment from scored words."""
-    indices = select_emphasis_indices([w.score for w in words], mode=mode, k=k)
+    indices = select_emphasis_indices([w.score for w in words])
     chosen = [words[i] for i in indices]
     span = max(w.interval.xmax for w in chosen) - min(w.interval.xmin
                                                       for w in chosen)
@@ -136,7 +124,6 @@ def select_emphasis_segment(words, mode: str = LemfConfig.mode,
         word_indices=indices,
         words=tuple(w.word for w in chosen),
         time_span=span,
-        mode=mode,
     )
 
 
@@ -186,7 +173,7 @@ def run_lemf(audio: AudioBuffer, tg: TextGrid,
     else:
         phones_per_word = [() for _ in words]
     scored = analyze_words(track, words, phones_per_word)
-    segment = select_emphasis_segment(scored, mode=cfg.mode, k=cfg.top_k)
+    segment = select_emphasis_segment(scored)
     return LemfResult(words=scored, segment=segment, track=track)
 
 
@@ -210,7 +197,7 @@ def words_to_json(utt_id: str, result: LemfResult) -> dict:
             for w in result.words
         ],
         "segment": {
-            "mode": result.segment.mode,
+            "mode": "adjacent",
             "indices": list(result.segment.word_indices),
             "words": list(result.segment.words),
         },

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (CHANNELS, SPLITS, TARGET_NAMES, FeatureConfig,
-                     FrameConfig, SynthConfig)
+                     FrameConfig, LemfConfig, SynthConfig)
 from .dsp import (AudioBuffer, Workspace, acoustic_frames, read_wav,
                   write_wav)
 from .embeddings import EmbeddingStore, is_utt_id
@@ -98,8 +98,10 @@ def _assemble(words: list[tuple[str, float, float, float]],
         return tuple(full)
 
     tg = TextGrid(xmin=0.0, xmax=xmax, tiers=(
-        Tier(name="words", xmin=0.0, xmax=xmax, intervals=with_gaps(word_iv)),
-        Tier(name="phones", xmin=0.0, xmax=xmax, intervals=with_gaps(phone_iv)),
+        Tier(name=LemfConfig.word_tier, xmin=0.0, xmax=xmax,
+             intervals=with_gaps(word_iv)),
+        Tier(name=LemfConfig.phone_tier, xmin=0.0, xmax=xmax,
+             intervals=with_gaps(phone_iv)),
     ))
     return AudioBuffer(samples=samples, sample_rate=sample_rate), tg
 

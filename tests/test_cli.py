@@ -3,10 +3,12 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -34,11 +36,7 @@ from msfser.dsp import (
     write_wav,
 )
 from msfser.errors import BadSetting
-from msfser.lemf import (
-    LemfConfig,
-    select_emphasis_indices,
-    select_emphasis_segment,
-)
+from msfser.lemf import LemfConfig
 from msfser.model import ModelConfig, TrainConfig
 from msfser.numcore import load_checkpoint, seeded_rng
 from msfser.synth import (
@@ -175,22 +173,13 @@ class TestEmphasis:
         doc = json.loads(capsys.readouterr().out)
         assert doc["segment"]["mode"] == "adjacent"
 
-    def test_topk_mode_flag(self, emphasis_files, capsys):
-        wav, grid, _ = emphasis_files
-        code = main(["emphasis", "--wav", str(wav), "--grid", str(grid),
-                     "--mode", "topk", "--k", "2"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["segment"]["mode"] == "topk"
-        assert len(doc["segment"]["indices"]) == 2
-
     @pytest.mark.parametrize("flags, field", [
         (["--win-ms", "0.01", "--hop-ms", "0.01"], "win_ms"),
         (["--f0-min", "0"], "f0_min"),
         (["--f0-min", "-5"], "f0_min"),
         (["--f0-max", "inf"], "f0_max"),
-        (["--mode", "topk", "--k", "0"], "k=0"),
-        (["--mode", "topk", "--k", "-2"], "k=-2"),
+        (["--hop-ms", "30"], "hop_ms"),         # above the 20-ms window
+        (["--f0-min", "500"], "f0_min"),        # above f0_max
         (["--win-ms", "inf"], "win_ms"),
         (["--win-ms", "1e308"], "win_ms"),
     ])
@@ -849,7 +838,7 @@ FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-300)
 COUNTS = (-1, 0, 1, 2)
 FLAGS = {
     "emphasis": {"--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
-                 "--f0-max": FLOATS, "--k": COUNTS},
+                 "--f0-max": FLOATS},
     "synth": {"--n": COUNTS, "--les-dim": COUNTS, "--gs-dim": COUNTS,
               "--es-dim": COUNTS, "--seed": COUNTS},
     "train": {"--lr": FLOATS, "--weight-decay": FLOATS, "--dropout": FLOATS,
@@ -999,7 +988,7 @@ class TestExitCodeContract:
             argv = ["emphasis", "--wav", root / "utt.wav",
                     "--grid", root / "utt.TextGrid", "--out", out / "doc.json",
                     "--csv", out / "track.csv", "--svg", out / "scores.svg"]
-            argv += ["--mode", "topk"] if switch else []
+            argv += ["--phone-tier", ""] if switch else []
         elif command == "synth":
             argv = ["synth", "--out", out / "data", "--n", "10",
                     "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]
@@ -1054,6 +1043,53 @@ class TestExitCodeContract:
                 names = [path] + ([path.parent / pointee] if pointee else [])
                 assert any(str(name) in err for name in names), (
                     argv, damaged, err)
+
+
+# One small run of every command, each a process of its own.  Paths are
+# relative to the run's directory, so the two runs name the same files.
+CROSS_PROCESS_RUN = (
+    ["synth", "--out", "data", "--n", "24", "--seed", "3",
+     "--les-dim", "6", "--gs-dim", "6", "--es-dim", "6"],
+    # C8's train flags
+    ["train", "--data", "data", "--out", "run", "--epochs", "4",
+     "--batch-size", "8", "--accum-steps", "1", "--lr", "1e-3",
+     "--d-model", "6", "--dropout", "0.3", "--seed", "3", "--quiet",
+     "--svg", "history.svg"],
+    ["eval", "--data", "data", "--model", "run", "--split", "test",
+     "--out", "report.json"],
+    ["emphasis", "--wav", "data/wavs/utt_0000.wav",
+     "--grid", "data/grids/utt_0000.TextGrid", "--out", "emphasis.json",
+     "--csv", "track.csv", "--svg", "scores.svg"],
+    ["textgrid-check"] + [f"data/grids/utt_{i:04d}.TextGrid" for i in range(24)],
+)
+
+
+class TestCrossProcessDeterminism:
+    def test_every_artifact_and_stdout_is_byte_stable(self, tmp_path):
+        """Two runs in fresh processes, in different directories and under
+        different hash seeds, write the same bytes to every file and to
+        stdout."""
+        src = Path(__import__("msfser").__file__).resolve().parents[1]
+        runs = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / f"seed{hash_seed}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+            stdouts = [subprocess.run(
+                [sys.executable, "-m", "msfser.cli", *argv], cwd=cwd, env=env,
+                capture_output=True, check=True).stdout
+                for argv in CROSS_PROCESS_RUN]
+            files = {str(path.relative_to(cwd)):
+                     hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in sorted(cwd.rglob("*")) if path.is_file()}
+            runs.append((stdouts, files))
+        (stdouts, files), again = runs
+        # 24 WAVs and grids, 3 corpus tables, 3 run files, 5 other outputs
+        assert len(files) == 2 * 24 + 3 + 3 + 5
+        assert b'"out": "run"' in stdouts[1]
+        assert (stdouts, files) == again
 
 
 class TestRuntime:
@@ -1203,6 +1239,8 @@ class TestMisc:
          "unrecognized arguments: --config\n"),
         ("--bogus emphasis --wav w --grid g", "unrecognized arguments: --bogus\n"),
         ("x.json train", "invalid choice: 'x.json'"),
+        ("emphasis --wav w --grid g --mode topk",
+         "unrecognized arguments: --mode topk\n"),
     ])
     def test_usage_error_names_the_unknown_word(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
@@ -1234,10 +1272,6 @@ class TestMisc:
         assert (LemfConfig().f0_min, LemfConfig().f0_max) == (F0_MIN, F0_MAX)
         assert inspect.signature(acoustic_frames).parameters[
             "n_bands"].default == N_BANDS
-        for fn in (select_emphasis_indices, select_emphasis_segment):
-            params = inspect.signature(fn).parameters
-            assert (params["mode"].default,
-                    params["k"].default) == (LemfConfig.mode, LemfConfig.top_k)
         # FeatureConfig's defaults are the shared constants, and
         # train_config.json records exactly its fields
         assert dataclasses.asdict(FeatureConfig()) == {
@@ -1289,8 +1323,7 @@ class TestMisc:
              {"d_model": "d_model", "dropout": "dropout",
               "experts": "experts"}),
             (LemfConfig, ("emphasis",),
-             {"mode": "mode", "k": "top_k", "word_tier": "word_tier",
-              "phone_tier": "phone_tier"}),
+             {"word_tier": "word_tier", "phone_tier": "phone_tier"}),
         ]
         for config, _, fields in homes:
             for name in fields.values():

@@ -501,6 +501,12 @@ class TestContainers:
         with pytest.raises(ValueError, match="mono"):
             AudioBuffer(np.zeros((100, 2)), SR)
 
+    def test_audio_sample_rate_must_be_positive(self):
+        assert AudioBuffer(np.zeros(4), sample_rate=1).sample_rate == 1
+        for rate in (0, -8000):
+            with pytest.raises(ValueError, match="sample_rate must be positive"):
+                AudioBuffer(np.zeros(4), sample_rate=rate)
+
     @pytest.mark.parametrize("change, message", [
         ({"voiced": np.ones(3, dtype=bool)}, "equal length"),
         ({"spectrum": np.zeros((3, 5))}, "one row per frame"),

@@ -622,6 +622,25 @@ class TestModelBehavior:
                                                  accum_steps=1, lr=1e-3))
         assert np.array_equal(model.theta, before)
 
+    def test_nonfinite_gradient_under_a_finite_loss_stops_training(
+            self, monkeypatch):
+        # the loss stays finite; only one parameter's gradient turns NaN
+        real_backward = MsfSerModel.backward
+
+        def backward(model, cache, dpred):
+            real_backward(model, cache, dpred)
+            model.param("headB.w1").grad[0, 0] = np.nan
+
+        monkeypatch.setattr(MsfSerModel, "backward", backward)
+        model = MsfSerModel(tiny_config(dropout=0.0))
+        data = tiny_examples(4, model.config, seed=3)
+        before = model.theta.copy()
+        with pytest.raises(NumericalFailure,
+                           match=r"epoch 1, step 1: gradient of 'headB.w1'"):
+            train_model(model, data, TrainConfig(epochs=2, batch_size=4,
+                                                 accum_steps=1, lr=1e-3))
+        assert np.array_equal(model.theta, before)
+
     def test_nonfinite_report_finds_parameter_by_offset(self):
         model = MsfSerModel(tiny_config())
         assert _nonfinite_report(model, 3, 2) == \
