@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -50,8 +49,8 @@ from .errors import (
     TextGridError,
     TooFewUtterances,
     UnfitSignal,
+    json_object,
     naming,
-    parse_json,
     read_text,
     write_json,
 )
@@ -221,12 +220,7 @@ def _load_trained(model_dir):
     cfg_path = root / "train_config.json"
     text = read_text(cfg_path)
     with naming(cfg_path, ValueError, MalformedRecord):
-        try:
-            run_cfg = parse_json(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-        if not isinstance(run_cfg, dict):
-            raise ValueError("expected a JSON object")
+        run_cfg = json_object(text)
         model_cfg = from_dict(ModelConfig, run_cfg.get("model"), "model")
         train_cfg = from_dict(TrainConfig, run_cfg.get("train"), "train")
         features = from_dict(FeatureConfig, run_cfg.get("features"), "features")
@@ -326,9 +320,8 @@ class _TopParser(argparse.ArgumentParser):
         super().error(message)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser,
-                            dict[str, argparse.ArgumentParser]]:
-    """The msfser parser and its subcommand parsers by name."""
+def build_parser() -> _TopParser:
+    """The msfser parser; its subcommand parsers by name are .commands."""
     parser = _TopParser(
         prog="msfser",
         description="Speech emotion tooling: emphasis detection, synthetic "
@@ -382,11 +375,11 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("paths", nargs="+")
     p.set_defaults(func=_cmd_textgrid_check)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser()[0].parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command in _PURE_PYTHON:
             return args.func(args)

@@ -11,14 +11,13 @@ writes them from its corpus latents.  Either way they flow through
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .config import CHANNELS
 from .errors import (DimMismatch, DuplicateKey, MalformedRecord,
-                     MissingEmbedding, finite_json, naming, parse_json,
+                     MissingEmbedding, finite_json, json_object, naming,
                      read_text, split_lines)
 
 
@@ -30,14 +29,9 @@ def is_utt_id(value) -> bool:
 
 def _parse_record(line: str) -> tuple[str, str, list[float]]:
     """(id, channel, vector) of one JSONL line; put() checks the values."""
-    try:
-        # every number as a float, so an integer too large for float64
-        # reads as infinity, which put() rejects
-        obj = parse_json(line, parse_int=float)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedRecord("expected a JSON object")
+    # every number as a float, so an integer too large for float64
+    # reads as infinity, which put() rejects
+    obj = json_object(line, parse_int=float)
     for key in ("id", "channel", "vector"):
         if key not in obj:
             raise MalformedRecord(f"missing key {key!r}")

@@ -5,8 +5,9 @@ tests and CLI error mapping can catch precisely what they mean to catch.
 All of them derive from :class:`MsfSerError`, and :func:`naming` is the
 one way an error names the input at fault.  :func:`read_text` decodes
 the JSON, JSONL and CSV inputs, :func:`split_lines` splits them into lines,
-:func:`parse_json` parses the JSON ones, and :func:`write_json` writes
-every JSON artifact, refusing NaN and infinity.
+:func:`json_object` parses every JSON input, and :func:`write_json` writes
+every JSON artifact, refusing NaN and infinity.  This is the only module
+that imports json.
 """
 
 import json
@@ -136,13 +137,19 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def parse_json(text: str, **json_kwargs):
-    """json.loads(text, **json_kwargs); JSON nested too deeply to parse
-    raises json.JSONDecodeError, as any other text that is not JSON does."""
+def json_object(text: str, **json_kwargs) -> dict:
+    """json.loads(text, **json_kwargs), which must be a JSON object; text
+    that is not JSON, JSON nested too deeply to parse and JSON of another
+    type raise MalformedRecord."""
     try:
-        return json.loads(text, **json_kwargs)
+        obj = json.loads(text, **json_kwargs)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"not valid JSON: {exc}") from exc
     except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+        raise MalformedRecord("not valid JSON: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord("expected a JSON object")
+    return obj
 
 
 def finite_json(obj, where, **kwargs) -> str:

@@ -34,7 +34,6 @@ encoder's input gradient, which nothing reads.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
     TooFewUtterances,
+    finite_json,
 )
 from .numcore import (
     AdamW,
@@ -112,7 +112,7 @@ def make_batch(examples) -> Batch:
 
 def config_hash(obj) -> str:
     """Short stable digest of a JSON-serializable config."""
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    canon = finite_json(obj, "config", sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 

@@ -16,7 +16,6 @@ same order as the forward inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .config import check_dropout
 from .errors import (MalformedRecord, NumericalFailure, ShapeMismatch,
-                     naming, parse_json, read_text, write_json)
+                     json_object, naming, read_text, write_json)
 
 LAYER_NORM_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
@@ -287,18 +286,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     Any defect in the file raises :class:`MalformedRecord` naming it, so
     the command line exits 2 as for any damaged input: text that is not
-    UTF-8, invalid JSON, another version, no ``params`` object, or a
+    UTF-8, not a JSON object, another version, no ``params`` object, or a
     parameter that is not ``{"rows", "cols", "data"}`` with rows * cols
     finite numbers.
     """
     text = read_text(path)
     with naming(path, MalformedRecord):
-        try:
-            blob = parse_json(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(
-                f"checkpoint is not valid JSON: {exc}") from exc
-        version = blob.get("version") if isinstance(blob, dict) else None
+        blob = json_object(text)
+        version = blob.get("version")
         if version != CHECKPOINT_VERSION:
             raise MalformedRecord(
                 f"unsupported checkpoint version {version!r}, "

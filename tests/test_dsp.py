@@ -24,6 +24,7 @@ from msfser.dsp import (
     ProsodyTrack,
     Workspace,
     _fast_len,
+    _pick_peaks,
     acoustic_frames,
     estimate_f0,
     frame_signal,
@@ -229,6 +230,16 @@ class TestF0:
         with pytest.raises(ValueError):
             estimate_f0(AudioBuffer(np.zeros(4000), 1000), FrameConfig(),
                         f0_max=400.0)
+
+    def test_refinement_step_is_clipped_to_half_a_lag(self):
+        # the right neighbour equals the peak, so the vertex is half a lag
+        # to the right; rounding puts the unclipped step at 0.5 + 1 ulp
+        rm, r0 = 0.26148788476467855, 0.6542454457705611
+        r = np.array([[1.0, 0.5, rm, r0, r0, 0.2, 0.1]])
+        assert 0.5 * (rm - r0) / (rm - 2.0 * r0 + r0) > 0.5
+        lag, value, found = _pick_peaks(r, 1)
+        assert lag.tolist() == [3.5] and found.tolist() == [True]
+        assert value.tolist() == [0.7033401408962964]
 
 
 def mel_band_centers(n_bands, sample_rate):

@@ -1,12 +1,12 @@
 """errors.naming, the one way an error names its input, and the file
-boundary: read_text, split_lines and parse_json."""
+boundary: read_text, split_lines and json_object."""
 
 import json
 
 import pytest
 
 from msfser.errors import (BadSetting, DimMismatch, MalformedRecord,
-                           UnfitSignal, naming, parse_json, read_text,
+                           UnfitSignal, json_object, naming, read_text,
                            split_lines)
 
 
@@ -55,25 +55,34 @@ class TestNaming:
         assert value == 3
 
 
-class TestParseJson:
+class TestJsonObject:
     def test_parses_as_json_loads_does(self):
-        text = '{"a": [1, 2.5, "x"], "b": null}'
-        assert parse_json(text) == json.loads(text)
-        assert parse_json("[1, 2]", parse_int=float) == [1.0, 2.0]
+        text = '{"a": [1, 2.5, "x"], "b": null, "c": {"d": 3}}'
+        assert json_object(text) == json.loads(text)
+        got = json_object('{"v": [1, 2]}', parse_int=float)
+        assert got == {"v": [1.0, 2.0]}
+        assert all(type(v) is float for v in got["v"])
 
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
                                       '{"a":' * 100_000 + "1" + "}" * 100_000])
-    def test_too_deep_is_a_decode_error(self, text):
-        with pytest.raises(json.JSONDecodeError,
-                           match=r"^nested too deeply: line 1 column 1"):
-            parse_json(text)
+    def test_too_deep_is_not_valid_json(self, text):
+        with pytest.raises(MalformedRecord) as info:
+            json_object(text)
+        assert str(info.value) == "not valid JSON: nested too deeply"
 
-    def test_other_bad_text_fails_as_json_loads_does(self):
-        with pytest.raises(json.JSONDecodeError) as info:
-            parse_json("{nope")
+    def test_other_bad_text_names_the_decode_error(self):
+        with pytest.raises(MalformedRecord) as info:
+            json_object("{nope")
         with pytest.raises(json.JSONDecodeError) as want:
             json.loads("{nope")
-        assert str(info.value) == str(want.value)
+        assert str(info.value) == f"not valid JSON: {want.value}"
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+    def test_json_of_another_type_is_refused(self, text):
+        with pytest.raises(MalformedRecord) as info:
+            json_object(text)
+        assert str(info.value) == "expected a JSON object"
 
 
 class TestLines:

@@ -404,6 +404,17 @@ class TestModelStructure:
         assert h1 == h2 and len(h1) == 12
         assert h1 != config_hash({"a": 2, "b": [2, 3]})
 
+    def test_config_hash_bytes_are_pinned(self):
+        # the eval report's config_hash for a README-sized run; a change to
+        # the canonical encoding changes every report
+        cfg = {"model": asdict(ModelConfig(acoustic_dim=11, les_dim=16,
+                                           gs_dim=16, es_dim=16)),
+               "train": asdict(TrainConfig()),
+               "features": asdict(FeatureConfig()), "split": "test"}
+        assert config_hash(cfg) == "fc584e4975b9"
+        with pytest.raises(NumericalFailure, match="^config: "):
+            config_hash({"lr": float("nan")})
+
     def test_init_is_deterministic(self):
         p1 = MsfSerModel(tiny_config()).params_dict()
         p2 = MsfSerModel(tiny_config()).params_dict()
