@@ -405,8 +405,8 @@ class TestModelStructure:
         assert h1 != config_hash({"a": 2, "b": [2, 3]})
 
     def test_config_hash_bytes_are_pinned(self):
-        # the eval report's config_hash for a README-sized run; a change to
-        # the canonical encoding changes every report
+        # an eval report's config at the default settings with 16-dim text
+        # channels; a change to the canonical encoding changes every report
         cfg = {"model": asdict(ModelConfig(acoustic_dim=11, les_dim=16,
                                            gs_dim=16, es_dim=16)),
                "train": asdict(TrainConfig()),
