@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 # export name -> the module that defines it
 _EXPORTS = {name: module for module, names in (
-    ("config", "CHANNELS FeatureConfig FrameConfig LemfConfig ModelConfig "
-               "SynthConfig TrainConfig"),
+    ("config", "CHANNELS FrameConfig LemfConfig ModelConfig SynthConfig "
+               "TrainConfig"),
     ("dsp", "AudioBuffer ProsodyTrack acoustic_frames estimate_f0 "
             "frame_signal mel_filterbank read_wav stft_energy write_wav"),
     ("embeddings", "EmbeddingStore"),

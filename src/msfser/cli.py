@@ -12,17 +12,19 @@ Exit codes: 0 success, 2 bad usage or unreadable/invalid input, 3 a
 processing failure (numerical trouble, shape conflicts, out of memory).
 Settings come from flags only.
 
-Options named after a FeatureConfig, SynthConfig or TrainConfig field are
-generated from it; --n, --word-tier, --phone-tier, --d-model, --dropout
-and --experts are hand-written.  eval reads all three sections of
-train_config.json through one rule, config.from_dict, which refuses a
-section that does not hold exactly its class's fields.  Each subcommand
-imports the modules it runs, so ``emphasis`` never loads the model or the
-corpus code.  argv is parsed before numpy is imported: --version, --help,
-usage errors and textgrid-check never load it.  emphasis, synth, train and
-eval load numpy and run with overflow, division by zero and invalid
-operations raising (exit 3).  Only synth and train load numpy.random: eval
-builds its model from the checkpoint without drawing an initialisation.
+Options named after a SynthConfig or TrainConfig field are generated
+from it; --n, --word-tier, --phone-tier, --d-model, --dropout and
+--experts are hand-written.  None sets the front end, config.FEATURES.
+eval reads the model and train sections of train_config.json through
+config.from_dict, which refuses a section that does not hold exactly its
+class's fields, and refuses a features section other than FEATURES.
+Each subcommand imports the modules it runs, so ``emphasis`` never loads
+the model or the corpus code.  argv is parsed before numpy is imported:
+--version, --help, usage errors and textgrid-check never load it.
+emphasis, synth, train and eval load numpy and run with overflow,
+division by zero and invalid operations raising (exit 3).  Only synth and
+train load numpy.random: eval builds its model from the checkpoint
+without drawing an initialisation.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .config import (CHANNELS, FIELD_TYPES, SPLITS, FeatureConfig,
-                     FrameConfig, LemfConfig, ModelConfig, SynthConfig,
-                     TrainConfig, acoustic_width, from_dict)
+from .config import (CHANNELS, FEATURES, FIELD_TYPES, N_BANDS, SPLITS,
+                     LemfConfig, ModelConfig, SynthConfig, TrainConfig,
+                     acoustic_width, from_dict)
 from .errors import (
-    BadSetting,
     DimMismatch,
     EmptyInput,
     LengthMismatch,
@@ -85,6 +86,8 @@ def _write_score_svg(path, labels, scores, highlight) -> None:
     body = [f'<line x1="20" y1="{y_of(0.0):.1f}" x2="{width - 20}" '
             f'y2="{y_of(0.0):.1f}" stroke="#999"/>']
     for i, (label, s) in enumerate(zip(labels, scores)):
+        label = label.replace("&", "&amp;").replace("<", "&lt;")
+        label = label.replace(">", "&gt;")
         x = 20 + i * slot + slot * 0.15
         y0, y1 = sorted((y_of(0.0), y_of(s)))
         fill = "#1f4e79" if i in highlight else "#8fb4d9"
@@ -136,12 +139,8 @@ def _cmd_emphasis(args) -> int:
     from .textgrid import read_textgrid_file
     audio = read_wav(args.wav)
     tg = read_textgrid_file(args.grid)
-    cfg = LemfConfig(
-        frame=FrameConfig(win_ms=args.win_ms, hop_ms=args.hop_ms),
-        word_tier=args.word_tier,
-        phone_tier=args.phone_tier if args.phone_tier != "" else None,
-        f0_min=args.f0_min, f0_max=args.f0_max,
-    )
+    cfg = LemfConfig(word_tier=args.word_tier,
+                     phone_tier=args.phone_tier or None)
     with (naming(args.grid, TextGridError, EmptyInput),    # no tier, no words
           naming(args.wav, UnfitSignal)):       # too short, or sampled too low
         result = run_lemf(audio, tg, cfg)
@@ -168,7 +167,6 @@ def _cmd_train(args) -> int:
     from .numcore import save_checkpoint
     from .synth import load_examples
     train_cfg = _from_flags(TrainConfig, args)
-    features = _from_flags(FeatureConfig, args)
     # check the model settings before featurising; the input sizes come
     # from the data (replace runs the checks again)
     model_cfg = ModelConfig(
@@ -177,8 +175,8 @@ def _cmd_train(args) -> int:
         film_hidden=args.d_model, expert_hidden=args.d_model,
         experts=tuple(args.experts.replace(",", "").upper()),
         dropout=args.dropout, seed=args.seed)
-    train_set = load_examples(args.data, "train", features)
-    dev_set = load_examples(args.data, "dev", features) if args.track_dev else None
+    train_set = load_examples(args.data, "train")
+    dev_set = load_examples(args.data, "dev") if args.track_dev else None
     first = train_set[0]
     model_cfg = replace(model_cfg, acoustic_dim=first.frames.shape[1],
                         les_dim=len(first.les), gs_dim=len(first.gs),
@@ -201,7 +199,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model.params_dict(), out / "checkpoint.json")
     write_json({"model": asdict(model_cfg), "train": asdict(train_cfg),
-                "features": asdict(features)}, out / "train_config.json",
+                "features": FEATURES}, out / "train_config.json",
                indent=2, sort_keys=True)
     write_json(history, out / "history.json", indent=1)
     if args.svg:
@@ -213,7 +211,7 @@ def _cmd_train(args) -> int:
 
 
 def _load_trained(model_dir):
-    """(model, TrainConfig, FeatureConfig) of a ``msfser train`` directory."""
+    """(model, TrainConfig) of a ``msfser train`` directory."""
     from .model import MsfSerModel
     from .numcore import load_checkpoint
     root = Path(model_dir)
@@ -223,24 +221,26 @@ def _load_trained(model_dir):
         run_cfg = json_object(text)
         model_cfg = from_dict(ModelConfig, run_cfg.get("model"), "model")
         train_cfg = from_dict(TrainConfig, run_cfg.get("train"), "train")
-        features = from_dict(FeatureConfig, run_cfg.get("features"), "features")
-        if acoustic_width(features.n_bands) != model_cfg.acoustic_dim:
-            raise ValueError(f"features.n_bands {features.n_bands} does not "
-                             f"fit model acoustic_dim {model_cfg.acoustic_dim}")
+        features = run_cfg.get("features")
+        # each value of its type too: 8.0 bands is not 8
+        if features != FEATURES or any(type(features[k]) is not type(v)
+                                       for k, v in FEATURES.items()):
+            raise MalformedRecord(f"'features' must be {FEATURES}")
+        if acoustic_width(N_BANDS) != model_cfg.acoustic_dim:
+            raise ValueError(f"model acoustic_dim {model_cfg.acoustic_dim} "
+                             f"does not fit {N_BANDS} mel bands")
     ckpt_path = root / "checkpoint.json"
     with naming(f"{ckpt_path} does not fit {cfg_path}", ShapeMismatch):
         model = MsfSerModel(model_cfg, load_checkpoint(ckpt_path))
-    return model, train_cfg, features
+    return model, train_cfg
 
 
 def _cmd_eval(args) -> int:
     from .model import eval_report
     from .synth import load_examples
-    model, train_cfg, features = _load_trained(args.model)
+    model, train_cfg = _load_trained(args.model)
     cfg_path = Path(args.model) / "train_config.json"
-    # the run's features, or them and a WAV
-    with naming(cfg_path, BadSetting):
-        dataset = load_examples(args.data, args.split, features)
+    dataset = load_examples(args.data, args.split)
     for ch in CHANNELS:         # a store holds one size per channel
         got = len(getattr(dataset[0], ch))
         want = getattr(model.config, f"{ch}_dim")
@@ -252,7 +252,7 @@ def _cmd_eval(args) -> int:
     with naming(Path(args.data) / "targets.csv", TooFewUtterances):
         report = eval_report(model, dataset,
                              extra_config={"train": asdict(train_cfg),
-                                           "features": asdict(features),
+                                           "features": FEATURES,
                                            "split": args.split})
     if args.out:
         write_json(report, args.out, indent=2, sort_keys=True)
@@ -337,7 +337,6 @@ def build_parser() -> _TopParser:
     p.add_argument("--word-tier", default=LemfConfig.word_tier)
     p.add_argument("--phone-tier", default=LemfConfig.phone_tier,
                    help="empty string to skip phone durations")
-    _add_flags(p, FeatureConfig, skip=("n_bands",))
     p.add_argument("--out", help="write the JSON document here instead of stdout")
     p.add_argument("--csv", help="also dump the frame-level prosody track")
     p.add_argument("--svg", help="also render a score bar chart")
@@ -360,7 +359,6 @@ def build_parser() -> _TopParser:
     p.add_argument("--track-dev", action="store_true",
                    help="evaluate the dev split after every epoch")
     p.add_argument("--quiet", action="store_true")
-    _add_flags(p, FeatureConfig)
     p.add_argument("--svg", help="render the training history as SVG")
     p.set_defaults(func=_cmd_train)
 

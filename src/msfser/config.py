@@ -1,5 +1,5 @@
 """Every setting's one home: shared constants, the data rules that more
-than one module applies, and the config dataclasses.
+than one module applies, the config dataclasses and FEATURES.
 
 Pure Python, no numpy, so the command line can read its flag defaults
 without loading the modules that do the work.  Each class is re-exported
@@ -70,15 +70,9 @@ class FrameConfig:
         return max(1, int(round(self.hop_ms * sample_rate / 1000.0)))
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """The frame-feature settings that train_config.json records for eval;
-    FrameConfig, estimate_f0 and acoustic_frames check their ranges."""
-    win_ms: float = FrameConfig.win_ms
-    hop_ms: float = FrameConfig.hop_ms
-    n_bands: int = N_BANDS
-    f0_min: float = F0_MIN
-    f0_max: float = F0_MAX
+# the one front end of every command, as train_config.json records it
+FEATURES = {"win_ms": FrameConfig.win_ms, "hop_ms": FrameConfig.hop_ms,
+            "n_bands": N_BANDS, "f0_min": F0_MIN, "f0_max": F0_MAX}
 
 
 @dataclass(frozen=True)

@@ -287,8 +287,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     Any defect in the file raises :class:`MalformedRecord` naming it, so
     the command line exits 2 as for any damaged input: text that is not
     UTF-8, not a JSON object, another version, no ``params`` object, or a
-    parameter that is not ``{"rows", "cols", "data"}`` with rows * cols
-    finite numbers.
+    parameter that is not ``{"rows", "cols", "data"}`` with ``data`` a flat
+    list of rows * cols finite numbers.
     """
     text = read_text(path)
     with naming(path, MalformedRecord):
@@ -304,9 +304,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         out = {}
         for name, rec in params.items():
             try:
-                rows, cols = rec["rows"], rec["cols"]
-                arr = np.asarray(rec["data"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                rows, cols, data = rec["rows"], rec["cols"], rec["data"]
+                # numpy would also read a bool, a string or a nested list
+                if type(data) is not list or {*map(type, data)} - {int, float}:
+                    raise MalformedRecord(
+                        f"param {name!r}: 'data' must be a list of numbers")
+                arr = np.asarray(data, dtype=np.float64)
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise MalformedRecord(
                     f"param {name!r} is malformed: {exc!r}") from exc
             if not (type(rows) is int and type(cols) is int and rows >= 0

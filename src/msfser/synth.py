@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (CHANNELS, SPLITS, TARGET_NAMES, FeatureConfig,
-                     FrameConfig, LemfConfig, SynthConfig)
+from .config import (CHANNELS, SPLITS, TARGET_NAMES, FrameConfig,
+                     LemfConfig, SynthConfig)
 from .dsp import (AudioBuffer, Workspace, acoustic_frames, read_wav,
                   write_wav)
 from .embeddings import EmbeddingStore, is_utt_id
@@ -260,17 +260,16 @@ def read_targets_csv(path) -> list[dict]:
     return rows
 
 
-def load_examples(data_dir, split: str | None = None,
-                  features: FeatureConfig = FeatureConfig()) -> list[UttExample]:
-    """Materialize model-ready examples from a generated dataset directory.
+def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
+    """Materialize model-ready examples from a generated dataset directory,
+    each WAV featurised by the one front end (config.FEATURES).
 
     A split that targets.csv does not list raises TooFewUtterances, and
     an utterance that embeddings.jsonl lacks raises MissingEmbedding, each
-    naming that file.  A WAV that the analysis settings do not fit (too
-    short for one window, or sampled too slowly) raises UnfitSignal naming
-    the WAV and its utterance.
+    naming that file.  A WAV that the front end does not fit (too short
+    for one window, or sampled too slowly) raises UnfitSignal naming the
+    WAV and its utterance.
     """
-    frame_cfg = FrameConfig(win_ms=features.win_ms, hop_ms=features.hop_ms)
     root = Path(data_dir)
     embeddings = root / "embeddings.jsonl"
     store = EmbeddingStore.load_jsonl(embeddings)
@@ -286,9 +285,7 @@ def load_examples(data_dir, split: str | None = None,
         wav = root / "wavs" / f"{utt_id}.wav"
         audio = read_wav(wav)
         with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
-            frames = acoustic_frames(audio, frame_cfg, n_bands=features.n_bands,
-                                     f0_min=features.f0_min, f0_max=features.f0_max,
-                                     work=work)
+            frames = acoustic_frames(audio, FrameConfig(), work=work)
         with naming(embeddings, MissingEmbedding):
             les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
         examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,

@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msfser.cli import build_parser, main
-from msfser.config import FeatureConfig
+from msfser.config import FEATURES
 from msfser.dsp import (
     F0_MAX,
     F0_MIN,
@@ -173,26 +174,24 @@ class TestEmphasis:
         doc = json.loads(capsys.readouterr().out)
         assert doc["segment"]["mode"] == "adjacent"
 
-    @pytest.mark.parametrize("flags, field", [
-        (["--win-ms", "0.01", "--hop-ms", "0.01"], "win_ms"),
-        (["--f0-min", "0"], "f0_min"),
-        (["--f0-min", "-5"], "f0_min"),
-        (["--f0-max", "inf"], "f0_max"),
-        (["--hop-ms", "30"], "hop_ms"),         # above the 20-ms window
-        (["--f0-min", "500"], "f0_min"),        # above f0_max
-        (["--win-ms", "inf"], "win_ms"),
-        (["--win-ms", "1e308"], "win_ms"),
-    ])
-    def test_bad_setting_exits_2(self, emphasis_files, tmp_path, capsys,
-                                 flags, field):
+    def test_svg_of_labels_that_xml_reserves_parses(self, emphasis_files,
+                                                   tmp_path):
         wav, grid, _ = emphasis_files
-        out = tmp_path / "emph.json"
-        code = main(["emphasis", "--wav", str(wav), "--grid", str(grid),
-                     "--out", str(out)] + flags)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and field in err
-        assert "Traceback" not in err and not out.exists()
+        tg = read_textgrid_file(grid)
+        names = iter(["R&D", "a<b", "c>d"])
+        words = tg.tier("words")
+        relabelled = dataclasses.replace(words, intervals=tuple(
+            dataclasses.replace(iv, label=next(names, iv.label))
+            if iv.label else iv for iv in words.intervals))
+        grid.write_text(serialize_textgrid(dataclasses.replace(
+            tg, tiers=(relabelled, tg.tier("phones")))), encoding="utf-8")
+        svg = tmp_path / "scores.svg"
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid),
+                     "--out", str(tmp_path / "doc.json"),
+                     "--svg", str(svg)]) == 0
+        texts = [el.text for el in ET.parse(svg).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert {"R&D", "a<b", "c>d"} <= set(texts)
 
     def test_missing_wav_exits_2(self, emphasis_files, capsys):
         _, grid, _ = emphasis_files
@@ -316,6 +315,17 @@ class TestSynth:
         assert "Traceback" not in err and not out.exists()
 
 
+# checkpoint data that numpy reads as one number, but that is no flat
+# list of numbers
+BAD_DATA = {"text_blob_data": "0.3", "nested_data": [[0.5]],
+            "bool_data": [True], "digit_text_data": ["2"]}
+# the damage to train_config.json's features, each one key or value
+FEATURE_SPOILS = ("no_features_key", "text_feature", "huge_win_ms",
+                  "zero_hop_ms", "f0_max_above_nyquist", "n_bands_mismatch",
+                  "float_n_bands", "bool_feature", "extra_feature_key",
+                  "window_key", "other_f0_min")
+
+
 class TestTrainEval:
     def test_training_artifacts(self, trained, dataset):
         assert (trained / "checkpoint.json").is_file()
@@ -323,6 +333,11 @@ class TestTrainEval:
         cfg = json.loads((trained / "train_config.json").read_text())
         assert set(cfg) == {"model", "train", "features"}
         assert cfg["train"]["epochs"] == 2
+        # the one front end, as earlier builds recorded their defaults; the
+        # text pins each value's type too
+        assert json.dumps(cfg["features"], sort_keys=True) == (
+            '{"f0_max": 450.0, "f0_min": 70.0, "hop_ms": 5.0, '
+            '"n_bands": 8, "win_ms": 20.0}')
         params = load_checkpoint(trained / "checkpoint.json")
         assert "enc.w" in params
         history = json.loads((trained / "history.json").read_text())
@@ -390,6 +405,8 @@ class TestTrainEval:
             blob["params"][name]["data"][0] = 10 ** 400
         elif how == "renamed_param":
             blob["params"]["x" + name] = blob["params"].pop(name)
+        elif how in BAD_DATA:               # gate.b is 1 x 1
+            blob["params"]["gate.b"]["data"] = BAD_DATA[how]
         return blob
 
     @staticmethod
@@ -422,6 +439,12 @@ class TestTrainEval:
             blob["features"]["f0_min"] = True
         elif how == "extra_feature_key":
             blob["features"]["window"] = 1
+        elif how == "window_key":           # the taper the front end uses
+            blob["features"]["window"] = "hann"
+        elif how == "other_f0_min":         # an older build's --f0-min 60
+            blob["features"]["f0_min"] = 60.0
+        elif how == "wider_acoustic_dim":
+            blob["model"]["acoustic_dim"] += 1
         elif how == "float_d_model":        # the same width as a float
             blob["model"]["d_model"] = float(blob["model"]["d_model"])
         elif how == "bool_d_model":
@@ -465,6 +488,10 @@ class TestTrainEval:
         ("checkpoint.json", "not_utf8", 2),
         ("checkpoint.json", "renamed_param", 3),
         ("checkpoint.json", "deep", 2),
+        ("checkpoint.json", "text_blob_data", 2),
+        ("checkpoint.json", "nested_data", 2),
+        ("checkpoint.json", "bool_data", 2),
+        ("checkpoint.json", "digit_text_data", 2),
         ("train_config.json", "[1]", 2),
         ("train_config.json", '{"model": {}}', 2),
         ("train_config.json", "{nope", 2),
@@ -482,6 +509,9 @@ class TestTrainEval:
         ("train_config.json", "float_n_bands", 2),
         ("train_config.json", "bool_feature", 2),
         ("train_config.json", "extra_feature_key", 2),
+        ("train_config.json", "window_key", 2),
+        ("train_config.json", "other_f0_min", 2),
+        ("train_config.json", "wider_acoustic_dim", 2),
         ("train_config.json", "float_d_model", 2),
         ("train_config.json", "bool_d_model", 2),
         ("train_config.json", "float_att_dim", 2),
@@ -530,12 +560,12 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(path) in err
-        if how == "huge_win_ms":
-            # a valid file whose window is longer than every utterance:
-            # featurising fails and names the setting too
-            assert "win_ms=1e+308" in err
-        if how == "n_bands_mismatch":
-            assert "n_bands" in err
+        if how in FEATURE_SPOILS:
+            assert f"{path}: 'features' must be {FEATURES}" in err
+        if how == "wider_acoustic_dim":
+            assert f"{path}: model acoustic_dim 12 does not fit" in err
+        if how in BAD_DATA:
+            assert "'gate.b': 'data' must be a list of numbers" in err
         # the same defect reads the same in every JSON input
         if how == "bad_line_3":             # "{nope" on line 3
             assert f"{path}: line 3: not valid JSON: " in err
@@ -639,10 +669,8 @@ class TestTrainEval:
                          "--out", str(out / "report.json")]}[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        # eval names the run config whose features did not fit the WAV
-        fitted = {"train": "", "eval": f"{trained / 'train_config.json'}: "}
-        assert err.startswith(f"error: {fitted[command]}{wav} "
-                              f"(utterance {utt_id!r}): {message}")
+        assert err.startswith(f"error: {wav} (utterance {utt_id!r}): "
+                              f"{message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["targets.csv", "embeddings.jsonl"])
@@ -720,9 +748,6 @@ class TestTrainEval:
         ("--d-model", "0"),
         ("--d-model", "-3"),
         ("--dropout", "1.5"),
-        ("--n-bands", "-1"),
-        ("--win-ms", "inf"),
-        ("--win-ms", "1e308"),
         ("--lr", "inf"),
         ("--weight-decay", "inf"),
         ("--experts", "5"),
@@ -842,19 +867,17 @@ class TestFloatingPointTrouble:
 FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-300)
 COUNTS = (-1, 0, 1, 2)
 FLAGS = {
-    "emphasis": {"--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
-                 "--f0-max": FLOATS},
+    "emphasis": {},
     "synth": {"--n": COUNTS, "--les-dim": COUNTS, "--gs-dim": COUNTS,
               "--es-dim": COUNTS, "--seed": COUNTS},
     "train": {"--lr": FLOATS, "--weight-decay": FLOATS, "--dropout": FLOATS,
-              "--win-ms": FLOATS, "--hop-ms": FLOATS, "--f0-min": FLOATS,
-              "--f0-max": FLOATS, "--epochs": COUNTS, "--batch-size": COUNTS,
-              "--accum-steps": COUNTS, "--d-model": COUNTS,
-              "--n-bands": COUNTS, "--seed": COUNTS},
+              "--epochs": COUNTS, "--batch-size": COUNTS,
+              "--accum-steps": COUNTS, "--d-model": COUNTS, "--seed": COUNTS},
     "eval": {},
     "textgrid-check": {},
 }
-# eval takes its settings from train_config.json, edited per case
+# eval takes its settings from train_config.json, edited per case; every
+# edit of features is refused, since no value drawn here is FEATURES' own
 RUN_CONFIG = {
     "features": {"win_ms": FLOATS, "hop_ms": FLOATS, "f0_min": FLOATS,
                  "f0_max": FLOATS, "n_bands": COUNTS},
@@ -953,7 +976,7 @@ class TestExitCodeContract:
         traceback or a warning, and no output file holds a non-finite
         number.  A failure that damage to a file caused names that file.
         eval refuses a run config whose settings the config classes
-        refuse."""
+        refuse, or whose features are not the front end's."""
         command, flags, edits, switch, damaged = case
         inp = contract_inputs
         refused = None
@@ -973,6 +996,8 @@ class TestExitCodeContract:
             for (section, key), value in edits.items():
                 blob[section][key] = value
             cfg_path.write_text(json.dumps(blob))
+            if blob["features"] != FEATURES:
+                refused = "features"
             try:            # a setting the config classes refuse
                 TrainConfig(**blob["train"])
                 ModelConfig(**{**blob["model"],
@@ -1246,6 +1271,11 @@ class TestMisc:
         ("x.json train", "invalid choice: 'x.json'"),
         ("emphasis --wav w --grid g --mode topk",
          "unrecognized arguments: --mode topk\n"),
+        # no option sets the front end
+        ("train --data d --out o --f0-min 60",
+         "unrecognized arguments: --f0-min 60\n"),
+        ("emphasis --wav w --grid g --win-ms 25",
+         "unrecognized arguments: --win-ms 25\n"),
     ])
     def test_usage_error_names_the_unknown_word(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
@@ -1277,47 +1307,38 @@ class TestMisc:
         assert (LemfConfig().f0_min, LemfConfig().f0_max) == (F0_MIN, F0_MAX)
         assert inspect.signature(acoustic_frames).parameters[
             "n_bands"].default == N_BANDS
-        # FeatureConfig's defaults are the shared constants, and
-        # train_config.json records exactly its fields
-        assert dataclasses.asdict(FeatureConfig()) == {
+        # FEATURES is made of the shared constants, and train_config.json
+        # records it
+        assert FEATURES == {
             "win_ms": FrameConfig.win_ms, "hop_ms": FrameConfig.hop_ms,
             "n_bands": N_BANDS, "f0_min": F0_MIN, "f0_max": F0_MAX}
         run_cfg = json.loads((trained / "train_config.json").read_text())
-        assert set(run_cfg["features"]) == {
-            f.name for f in dataclasses.fields(FeatureConfig)}
-        commands = build_parser().commands
-        for name in ("emphasis", "train"):
-            parser = commands[name]
-            assert (parser.get_default("f0_min"),
-                    parser.get_default("f0_max")) == (F0_MIN, F0_MAX)
-        assert commands["train"].get_default("n_bands") == N_BANDS
+        assert run_cfg["features"] == FEATURES
 
         # the flags named after a config field: option string, dest, type
+        commands = build_parser().commands
         field_flags = {
-            "emphasis": {"win_ms": float, "hop_ms": float, "f0_min": float,
-                         "f0_max": float},
             "synth": {"sample_rate": int, "les_dim": int, "gs_dim": int,
                       "es_dim": int, "seed": int},
-            "train": {"win_ms": float, "hop_ms": float, "n_bands": int,
-                      "f0_min": float, "f0_max": float, "epochs": int,
-                      "batch_size": int, "accum_steps": int, "lr": float,
-                      "weight_decay": float, "seed": int},
+            "train": {"epochs": int, "batch_size": int, "accum_steps": int,
+                      "lr": float, "weight_decay": float, "seed": int},
         }
         for command, flags in field_flags.items():
             actions = commands[command]._option_string_actions
             for name, kind in flags.items():
                 action = actions["--" + name.replace("_", "-")]
                 assert (action.dest, action.type) == (name, kind), name
-        assert "--n-bands" not in commands["emphasis"]._option_string_actions
+        # no option sets the front end
+        for command in ("emphasis", "train"):
+            actions = commands[command]._option_string_actions
+            for name in FEATURES:
+                assert "--" + name.replace("_", "-") not in actions, name
         assert "--n-utts" not in commands["synth"]._option_string_actions
         n = commands["synth"]._option_string_actions["--n"]
         assert (n.dest, n.type) == ("n", int)
 
         # every other flag default is read from the config field it sets
         homes = [
-            (FeatureConfig, ("emphasis", "train"),
-             {name: name for name in ("win_ms", "hop_ms", "f0_min", "f0_max")}),
-            (FeatureConfig, ("train",), {"n_bands": "n_bands"}),
             (SynthConfig, ("synth",),
              {"n": "n_utts", "sample_rate": "sample_rate",
               "les_dim": "les_dim", "gs_dim": "gs_dim", "es_dim": "es_dim"}),

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from msfser.config import FeatureConfig, from_dict
+from msfser.config import FEATURES, from_dict
 from msfser.errors import (
     LengthMismatch,
     NumericalFailure,
@@ -389,7 +389,6 @@ class TestModelStructure:
 
     def test_config_round_trip(self):
         for section, cfg in (
-                ("features", FeatureConfig(25.0, 10.0, 6, 80.0, 400.0)),
                 ("model", tiny_config(experts=("A", "C"))),
                 ("train", TrainConfig(3, 8, 2, 1e-3, 1e-4, 7))):
             obj = asdict(cfg)
@@ -410,7 +409,7 @@ class TestModelStructure:
         cfg = {"model": asdict(ModelConfig(acoustic_dim=11, les_dim=16,
                                            gs_dim=16, es_dim=16)),
                "train": asdict(TrainConfig()),
-               "features": asdict(FeatureConfig()), "split": "test"}
+               "features": FEATURES, "split": "test"}
         assert config_hash(cfg) == "fc584e4975b9"
         with pytest.raises(NumericalFailure, match="^config: "):
             config_hash({"lr": float("nan")})
