@@ -18,12 +18,11 @@ oracle.  Each frame's magnitude spectrum is computed once, in blocks of the
 same size, and shared by the energy and the mel bands, so the working set
 beyond the kept spectrum does not grow with the signal.
 
-Both block loops write their temporaries into a :class:`Workspace`, whose
-arrays are allocated once per featurisation run: ``load_examples`` keeps
-one for every utterance it reads, and a call given none makes its own.
-Fresh arrays of that size would be returned to the kernel after each block
-and faulted in again by the next.  WAV I/O uses numpy and the standard
-library only.
+Both block loops write their temporaries into work arrays that belong to
+this module: one set per thread, allocated by that thread's first
+featurisation and reused for every later block and signal.  Fresh arrays
+of that size would be returned to the kernel after each block and faulted
+in again by the next.  WAV I/O uses numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+import threading
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,32 +51,27 @@ _PEAK_EQUIV = 0.97
 # Frames per block of the spectrum pass and per call of the pitch kernel:
 # large enough to amortise the numpy call overhead, small enough that the
 # (frames x FFT length) work arrays stay at 1.59 MiB (16 kHz, default
-# settings) however long the utterance.  They are allocated once per
-# featurisation run (Workspace); only the kept spectrum grows with the
+# settings) however long the utterance.  Each thread keeps one set (_take)
+# for every later block and signal; only the kept spectrum grows with the
 # utterance.  With the arrays reused, 32, 128 and 256 were no faster.
 _PITCH_BLOCK = 64
 
+_arenas = threading.local()     # vars(): this thread's slot -> bytes
 
-class Workspace:
-    """Work arrays that the frame kernels reuse from block to block.
 
-    ``take(slot, shape, dtype)`` returns the leading bytes of arena
-    ``slot`` as an uninitialised C-contiguous array.  An arena grows to the
-    largest request it has seen and serves every later one, so a kernel
-    keeps nothing it took past its own block, and nothing a caller gets
-    back from this module lies in an arena.  One workspace serves one
-    featurisation run and is freed with it; it is not thread-safe.
+def _take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """This thread's arena ``slot`` as an uninitialised C-contiguous array.
+
+    No two threads share an arena.  An arena grows to the largest request
+    it has seen and serves every later one, so a kernel keeps nothing it
+    took past its own block, and nothing a caller gets back from this
+    module lies in an arena.
     """
-
-    def __init__(self):
-        self._arenas: dict[int, np.ndarray] = {}
-
-    def take(self, slot: int, shape: tuple[int, ...], dtype=np.float64):
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        arena = self._arenas.get(slot)
-        if arena is None or arena.nbytes < nbytes:
-            arena = self._arenas[slot] = np.empty(nbytes, np.uint8)
-        return np.ndarray(shape, dtype, arena)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    arena = vars(_arenas).get(slot)
+    if arena is None or arena.nbytes < nbytes:
+        arena = vars(_arenas)[slot] = np.empty(nbytes, np.uint8)
+    return np.ndarray(shape, dtype, arena)
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ def frame_signal(audio: AudioBuffer, cfg: FrameConfig):
     return frames, times
 
 
-def _spectra(frames: np.ndarray, window: str, work: Workspace):
+def _spectra(frames: np.ndarray, window: str):
     """(mag, energy, rms): each tapered frame's one-sided magnitude spectrum
     (T x W//2+1), its L2 norm and the frame's RMS, ``_PITCH_BLOCK`` rows at
     a time."""
@@ -168,11 +163,10 @@ def _spectra(frames: np.ndarray, window: str, work: Workspace):
     for b in range(0, t, _PITCH_BLOCK):
         rows, block = slice(b, b + _PITCH_BLOCK), frames[b:b + _PITCH_BLOCK]
         half = (len(block), w // 2 + 1)
-        tapered = np.multiply(block, taper, out=work.take(1, block.shape))
-        spec = np.fft.rfft(tapered, axis=1,
-                           out=work.take(0, half, np.complex128))
+        tapered = np.multiply(block, taper, out=_take(1, block.shape))
+        spec = np.fft.rfft(tapered, axis=1, out=_take(0, half, np.complex128))
         np.abs(spec, out=mag[rows])
-        power = np.square(mag[rows], out=work.take(2, half))
+        power = np.square(mag[rows], out=_take(2, half))
         np.sqrt(np.sum(power, axis=1, out=energy[rows]), out=energy[rows])
         squares = np.multiply(block, block, out=tapered)
         np.sqrt(np.mean(squares, axis=1, out=rms[rows]), out=rms[rows])
@@ -185,7 +179,7 @@ def stft_energy(frame: np.ndarray, window: str = "hann") -> float:
     A one-row view of the batched path :func:`estimate_f0` runs.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    return float(_spectra(frame[None, :], window, Workspace())[1][0])
+    return float(_spectra(frame[None, :], window)[1][0])
 
 
 def _fast_len(n: int) -> int:
@@ -201,14 +195,14 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _nccf(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int, n: int,
-          work: Workspace) -> np.ndarray:
+def _nccf(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
+          n: int) -> np.ndarray:
     """Normalized cross-correlation at lags 0..max_lag, one row per frame.
 
     Row k correlates the mean-removed segment x[s:s + w + max_lag]
     (s = starts[k]) against its first w samples, through real FFTs of
-    length ``n``.  The result lies in ``work``'s arena 0 and is valid until
-    the next block.
+    length ``n``.  The result lies in arena 0 and is valid until the next
+    block.
     """
     k, span, half = len(starts), w + max_lag, (len(starts), n // 2 + 1)
     # rfft runs faster on rows already zero-padded to n than when it pads
@@ -216,25 +210,25 @@ def _nccf(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int, n: int,
     # first w samples, then the denominator; arena 3 the running energy;
     # arena 2 the segments' FFT, then the mask; arena 0 the other FFT,
     # then the correlation.
-    padded = work.take(1, (k, n))
+    padded = _take(1, (k, n))
     for row, s in zip(padded, starts.tolist()):
         row[:span] = x[s:s + span]
     padded[:, span:] = 0.0
     seg = padded[:, :span]
     seg -= seg.mean(axis=1, keepdims=True)
-    sq = work.take(3, (k, span + 1))
+    sq = _take(3, (k, span + 1))
     sq[:, 0] = 0.0
     np.cumsum(np.multiply(seg, seg, out=sq[:, 1:]), axis=1, out=sq[:, 1:])
 
-    fs = np.fft.rfft(padded, axis=1, out=work.take(2, half, np.complex128))
+    fs = np.fft.rfft(padded, axis=1, out=_take(2, half, np.complex128))
     padded[:, w:] = 0.0
-    fa = np.fft.rfft(padded, axis=1, out=work.take(0, half, np.complex128))
+    fa = np.fft.rfft(padded, axis=1, out=_take(0, half, np.complex128))
     np.multiply(np.conj(fa, out=fa), fs, out=fs)
-    corr = np.fft.irfft(fs, n, axis=1, out=work.take(0, (k, n)))[:, :max_lag + 1]
+    corr = np.fft.irfft(fs, n, axis=1, out=_take(0, (k, n)))[:, :max_lag + 1]
     denom = np.subtract(sq[:, w:], sq[:, :max_lag + 1],
-                        out=work.take(1, corr.shape))
+                        out=_take(1, corr.shape))
     np.sqrt(np.multiply(sq[:, w:w + 1], denom, out=denom), out=denom)
-    live = np.greater(denom, 0, out=work.take(2, corr.shape, bool))
+    live = np.greater(denom, 0, out=_take(2, corr.shape, bool))
     np.divide(corr, np.maximum(denom, 1e-300, out=denom), out=corr, where=live)
     np.copyto(corr, 0.0, where=np.logical_not(live, out=live))
     return corr
@@ -269,7 +263,7 @@ def _pick_peaks(r: np.ndarray, lag_min: int):
 
 
 def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
-           f0_min: float, f0_max: float, work: Workspace):
+           f0_min: float, f0_max: float):
     """(voiced, log_f0) for the frames starting at 0, h, 2h, ...
 
     Frames above the silence floor whose lag range holds an interior lag
@@ -293,7 +287,7 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
         fft_len = _fast_len(2 * w + max_lag)
         for b in range(0, len(group), _PITCH_BLOCK):
             idx = group[b:b + _PITCH_BLOCK]
-            r = _nccf(x, starts[idx], w, max_lag, fft_len, work)
+            r = _nccf(x, starts[idx], w, max_lag, fft_len)
             ref_lag[idx], ref_val[idx], found[idx] = _pick_peaks(r, lag_min)
 
     f0 = sr / ref_lag
@@ -306,8 +300,8 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
 
 
 def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
-                f0_min: float = F0_MIN, f0_max: float = F0_MAX,
-                work: Workspace | None = None) -> ProsodyTrack:
+                f0_min: float = F0_MIN, f0_max: float = F0_MAX
+                ) -> ProsodyTrack:
     """Per-frame F0 with voicing decision; energy filled via the STFT norm.
 
     A frame is voiced when its best normalized-autocorrelation peak in the
@@ -321,8 +315,8 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     group runs through the same vectorised kernel in blocks of at most
     ``_PITCH_BLOCK`` frames.  The output is bitwise equal to running the
     search frame by frame.  The returned track carries the frame spectra.
-    The blocks' temporaries go to ``work``, a fresh :class:`Workspace` when
-    none is given; a caller featurising many signals passes one for all.
+    The blocks' temporaries go to this module's work arrays: one set per
+    thread, reused for every later block and signal.
     """
     if not 0 < f0_min < f0_max < math.inf:
         raise BadSetting(f"need finite 0 < f0_min < f0_max, got "
@@ -332,11 +326,10 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
         raise UnfitSignal(
             f"sample rate {sr} too low to resolve f0_max={f0_max}")
 
-    work = Workspace() if work is None else work
     frames, times = frame_signal(audio, cfg)
-    mag, energy, rms = _spectra(frames, cfg.window, work)
+    mag, energy, rms = _spectra(frames, cfg.window)
     voiced, log_f0 = _pitch(audio.samples, sr, cfg.win_samples(sr),
-                            cfg.hop_samples(sr), rms, f0_min, f0_max, work)
+                            cfg.hop_samples(sr), rms, f0_min, f0_max)
     return ProsodyTrack(frame_times=times, log_f0=log_f0, voiced=voiced,
                         energy=energy, spectrum=mag)
 
@@ -366,17 +359,18 @@ def mel_filterbank(n_bands: int, n_fft_bins: int, sample_rate: int) -> np.ndarra
 
 def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
                     n_bands: int = N_BANDS,
-                    f0_min: float = F0_MIN, f0_max: float = F0_MAX,
-                    work: Workspace | None = None) -> np.ndarray:
+                    f0_min: float = F0_MIN, f0_max: float = F0_MAX
+                    ) -> np.ndarray:
     """Per-frame [log-energy, log-F0-or-0, voiced flag, mel bands].
 
     Returns a (T, acoustic_width(n_bands)) array; T matches
     :func:`frame_signal`.
-    The mel bands reuse the frame spectra of :func:`estimate_f0`, which
-    gets ``work``.
+    The mel bands reuse the frame spectra of :func:`estimate_f0`, whose
+    work arrays belong to this module: one set per thread, reused for
+    every later block and signal.
     """
     at_least(0, {"n_bands": n_bands})
-    track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max, work=work)
+    track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max)
     mag = track.spectrum
     fb = mel_filterbank(n_bands, mag.shape[1], audio.sample_rate)
     mel = np.log1p(mag @ fb.T)

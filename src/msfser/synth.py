@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,8 +30,7 @@ import numpy as np
 
 from .config import (CHANNELS, SPLITS, TARGET_NAMES, FrameConfig,
                      LemfConfig, SynthConfig)
-from .dsp import (AudioBuffer, Workspace, acoustic_frames, read_wav,
-                  write_wav)
+from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
 from .embeddings import EmbeddingStore, is_utt_id
 from .errors import (MalformedRecord, MissingEmbedding, TooFewUtterances,
                      UnfitSignal, naming, read_text, write_json)
@@ -155,11 +153,21 @@ def _channel_vector(rng: np.random.Generator, direction: np.ndarray,
     return value * direction + noise * rng.standard_normal(dim) / math.sqrt(dim)
 
 
+def _split_sizes(n_utts: int) -> dict[str, int]:
+    """Utterances per split: 70% train, 15% dev, the rest test."""
+    n_train, n_dev = int(round(n_utts * 0.7)), int(round(n_utts * 0.15))
+    return dict(zip(SPLITS, (n_train, n_dev, n_utts - n_train - n_dev)))
+
+
 def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
-    """Write WAVs, TextGrids, embeddings JSONL, targets CSV, manifest."""
-    if cfg.n_utts < 10:
-        raise TooFewUtterances(
-            f"a useful synthetic set needs >= 10 utterances, got {cfg.n_utts}")
+    """Write WAVs, TextGrids, embeddings JSONL, targets CSV, manifest.
+    Each split gets the 2 utterances evaluation needs, so n_utts >= 12."""
+    sizes = _split_sizes(cfg.n_utts)
+    for name, size in sizes.items():
+        if size < 2:
+            raise TooFewUtterances(
+                f"{cfg.n_utts} utterances leave {size} in the {name} split; "
+                f"each split needs at least 2, so use 12 or more")
     out = Path(out_dir)
     (out / "wavs").mkdir(parents=True, exist_ok=True)
     (out / "grids").mkdir(parents=True, exist_ok=True)
@@ -173,12 +181,9 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
 
     u_les, u_gs, u_es = unit(cfg.les_dim), unit(cfg.gs_dim), unit(cfg.es_dim)
 
-    order = rng.permutation(cfg.n_utts)
-    n_train = int(round(cfg.n_utts * 0.7))
-    n_dev = int(round(cfg.n_utts * 0.15))
-    cuts = (n_train, n_train + n_dev)       # the first dev and test ranks
-    split_of = {int(idx): SPLITS[bisect_right(cuts, rank)]
-                for rank, idx in enumerate(order)}
+    # the utterance at each rank of a permutation goes to that rank's split
+    ranked = [name for name in SPLITS for _ in range(sizes[name])]
+    split_of = dict(zip(rng.permutation(cfg.n_utts).tolist(), ranked))
 
     store = EmbeddingStore()
     rows = []
@@ -206,8 +211,7 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
     manifest = {
         "version": MANIFEST_VERSION,
         "config": asdict(cfg),
-        "splits": {name: sum(1 for _, s, _ in rows if s == name)
-                   for name in SPLITS},
+        "splits": sizes,
     }
     write_json(manifest, out / "manifest.json", indent=1, sort_keys=True)
     return manifest
@@ -262,7 +266,8 @@ def read_targets_csv(path) -> list[dict]:
 
 def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory,
-    each WAV featurised by the one front end (config.FEATURES).
+    each WAV featurised by the one front end (config.FEATURES), whose work
+    arrays belong to dsp: one set per thread, reused for every later signal.
 
     A split that targets.csv does not list raises TooFewUtterances, and
     an utterance that embeddings.jsonl lacks raises MissingEmbedding, each
@@ -279,13 +284,13 @@ def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
         rows = [r for r in rows if r["split"] == split]
     if not rows:
         raise TooFewUtterances(f"{targets}: no utterances in split {split!r}")
-    examples, work = [], Workspace()
+    examples = []
     for rec in rows:
         utt_id = rec["utt_id"]
         wav = root / "wavs" / f"{utt_id}.wav"
         audio = read_wav(wav)
         with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
-            frames = acoustic_frames(audio, FrameConfig(), work=work)
+            frames = acoustic_frames(audio, FrameConfig())
         with naming(embeddings, MissingEmbedding):
             les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
         examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,

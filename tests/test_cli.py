@@ -290,7 +290,7 @@ class TestSynth:
         # --seed is the only way to set it; the environment is not read
         monkeypatch.setenv("MSFSER_SEED", "7")
         a = tmp_path / "a"
-        assert main(["synth", "--out", str(a), "--n", "10",
+        assert main(["synth", "--out", str(a), "--n", "12",
                      "--les-dim", "4", "--gs-dim", "4", "--es-dim", "4"]) == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["config"]["seed"] == SynthConfig.seed == 0
@@ -308,7 +308,7 @@ class TestSynth:
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
-        code = main(["synth", "--out", str(out), "--n", "10", flag, value])
+        code = main(["synth", "--out", str(out), "--n", "12", flag, value])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
@@ -1020,7 +1020,7 @@ class TestExitCodeContract:
                     "--csv", out / "track.csv", "--svg", out / "scores.svg"]
             argv += ["--phone-tier", ""] if switch else []
         elif command == "synth":
-            argv = ["synth", "--out", out / "data", "--n", "10",
+            argv = ["synth", "--out", out / "data", "--n", "12",
                     "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]
         elif command == "train":
             argv = ["train", "--data", data, "--out", out / "run",

@@ -9,20 +9,23 @@ scipy, which the runtime does not use.
 import io
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.io import wavfile
 
+from msfser import dsp
 from msfser.dsp import (
     SILENCE_RMS_FLOOR,
     AudioBuffer,
     FrameConfig,
     ProsodyTrack,
-    Workspace,
     _fast_len,
     _pick_peaks,
     acoustic_frames,
@@ -46,6 +49,17 @@ def tone(freq, dur=1.0, amp=0.3, sr=SR, harmonic=0.5):
         amp * (np.sin(2 * np.pi * freq * t)
                + harmonic * np.sin(4 * np.pi * freq * t)),
         sr)
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, whose dsp work arrays start empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def arena_bytes() -> int:
+    """Bytes of the calling thread's dsp work arrays."""
+    return sum(arena.nbytes for arena in vars(dsp._arenas).values())
 
 
 def dft_energy_oracle(frame, window):
@@ -313,25 +327,31 @@ class TestMel:
 
     def test_working_set_beyond_the_spectrum_is_bounded(self):
         # a minute of voiced audio: the kept spectrum is 14.7 MiB, and the
-        # blocked passes may add a few hundred KiB, not whole-signal copies
+        # blocked passes may add a few hundred KiB, not whole-signal copies.
+        # A fresh thread's work arrays start empty, so they count here.
         audio, cfg = tone(150.0, dur=60.0), FrameConfig()
-        tracemalloc.start()
-        try:
-            feats = acoustic_frames(audio, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def traced():
+            tracemalloc.start()
+            try:
+                feats = acoustic_frames(audio, cfg)
+                return feats, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        feats, peak = in_fresh_thread(traced)
         spectrum = len(feats) * (cfg.win_samples(SR) // 2 + 1) * 8
         assert peak < spectrum + feats.nbytes + 3 * 2**20, peak / 2**20
 
 
 class TestWorkspace:
-    """One workspace serves every utterance of a run; nothing it held for
-    one signal may reach the features of another."""
+    """The module's work arrays serve every later signal of their thread;
+    nothing they held for one signal may reach the features of another,
+    and no two threads share them."""
 
     def test_load_examples_equals_separate_calls(self, tmp_path):
         root = tmp_path / "data"
-        generate_dataset(root, SynthConfig(n_utts=10, seed=5))
+        generate_dataset(root, SynthConfig(n_utts=12, seed=5))
         wavs = sorted((root / "wavs").glob("*.wav"))
         cfg = FrameConfig()
         # a long file grows the arenas before shorter ones reuse them; the
@@ -344,28 +364,66 @@ class TestWorkspace:
         rms = np.sqrt(np.mean(frame_signal(silent, cfg)[0] ** 2, axis=1))
         assert np.all(rms <= SILENCE_RMS_FLOOR)
 
-        examples = load_examples(root)
+        examples = in_fresh_thread(load_examples, root)
         assert {len(ex.frames) for ex in examples} >= {497, 901, 7}
         for ex in examples:
-            alone = acoustic_frames(read_wav(root / "wavs" / f"{ex.utt_id}.wav"),
-                                    cfg)
+            audio = read_wav(root / "wavs" / f"{ex.utt_id}.wav")
+            alone = in_fresh_thread(acoustic_frames, audio, cfg)
             assert ex.frames.tobytes() == alone.tobytes(), ex.utt_id
 
     def test_returned_arrays_outlive_the_next_signal(self):
-        work, cfg = Workspace(), FrameConfig()
-        first = tone(150.0, dur=1.0)
-        track = estimate_f0(first, cfg, work=work)
-        feats = acoustic_frames(first, cfg, work=work)
-        kept = [track.spectrum, track.energy, track.log_f0, track.voiced, feats]
-        before = [a.tobytes() for a in kept]
-        rng = np.random.default_rng(3)
-        # shorter first, so it lands in the arenas the first signal used
-        for other in (AudioBuffer(0.2 * rng.standard_normal(SR // 2), SR),
-                      tone(310.0, dur=3.0, amp=0.9)):
-            estimate_f0(other, cfg, work=work)
-            acoustic_frames(other, cfg, work=work)
-        assert [a.tobytes() for a in kept] == before
-        assert acoustic_frames(first, cfg, work=work).tobytes() == before[-1]
+        def run():
+            cfg = FrameConfig()
+            first = tone(150.0, dur=1.0)
+            track = estimate_f0(first, cfg)
+            feats = acoustic_frames(first, cfg)
+            kept = [track.spectrum, track.energy, track.log_f0, track.voiced,
+                    feats]
+            before = [a.tobytes() for a in kept]
+            rng = np.random.default_rng(3)
+            # shorter first, so it lands in the arenas the first signal used
+            for other in (AudioBuffer(0.2 * rng.standard_normal(SR // 2), SR),
+                          tone(310.0, dur=3.0, amp=0.9)):
+                estimate_f0(other, cfg)
+                acoustic_frames(other, cfg)
+            assert [a.tobytes() for a in kept] == before
+            assert acoustic_frames(first, cfg).tobytes() == before[-1]
+
+        in_fresh_thread(run)
+
+    def test_threads_featurising_at_once_get_the_sequential_bytes(self):
+        # more threads than cores, switching often
+        rng = np.random.default_rng(4)
+        signals = [tone(140.0, dur=3.0), tone(230.0, dur=1.5, amp=0.6),
+                   AudioBuffer(0.2 * rng.standard_normal(2 * SR), SR)]
+        want = [acoustic_frames(a, FrameConfig()).tobytes() for a in signals]
+        start = threading.Barrier(len(signals), timeout=60)
+
+        def featurise(audio):
+            start.wait()
+            return [acoustic_frames(audio, FrameConfig()).tobytes()
+                    for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(signals)) as pool:
+                got = list(pool.map(featurise, signals, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[w] * 3 for w in want]
+
+    def test_arenas_hold_one_block_set_however_long_the_signal(self):
+        # 460,800 + 461,824 + 461,824 + 281,600 bytes: the 1.59 MiB of the
+        # _PITCH_BLOCK comment, at 16 kHz with the default settings
+        def totals():
+            sizes = [arena_bytes()]
+            for dur in (1.0, 60.0):
+                acoustic_frames(tone(150.0, dur=dur), FrameConfig())
+                sizes.append(arena_bytes())
+            return sizes
+
+        assert in_fresh_thread(totals) == [0, 1_666_048, 1_666_048]
 
 
 def wav_chunk(chunk_id: bytes, payload: bytes) -> bytes:

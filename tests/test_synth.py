@@ -16,6 +16,7 @@ from msfser.synth import (
     SILENCE_GAP_S,
     WORDS_MIN,
     SynthConfig,
+    _split_sizes,
     generate_dataset,
     load_examples,
     make_emphasis_case,
@@ -94,20 +95,34 @@ class TestGeneration:
             SynthConfig(**{field: value})
 
     def test_lowest_resolvable_sample_rate_loads(self, tmp_path):
-        generate_dataset(tmp_path, SynthConfig(n_utts=10, sample_rate=1800,
+        generate_dataset(tmp_path, SynthConfig(n_utts=12, sample_rate=1800,
                                                les_dim=2, gs_dim=2, es_dim=2))
         assert load_examples(tmp_path, split="test")
 
     def test_nonfinite_manifest_is_refused(self, tmp_path, monkeypatch):
         monkeypatch.setattr("msfser.synth.MANIFEST_VERSION", float("nan"))
         with pytest.raises(NumericalFailure, match="manifest.json"):
-            generate_dataset(tmp_path, SynthConfig(n_utts=10, les_dim=2,
+            generate_dataset(tmp_path, SynthConfig(n_utts=12, les_dim=2,
                                                    gs_dim=2, es_dim=2))
         assert not (tmp_path / "manifest.json").exists()
 
     def test_too_few_utterances(self, tmp_path):
         with pytest.raises(TooFewUtterances):
             generate_dataset(tmp_path / "x", SynthConfig(n_utts=5))
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_a_test_split_of_one_is_refused_before_writing(self, tmp_path, n):
+        # 70% and 15% round to 7 + 2 and 8 + 2, leaving test one utterance,
+        # which eval cannot score
+        with pytest.raises(TooFewUtterances, match="1 in the test split"):
+            generate_dataset(tmp_path / "x", SynthConfig(n_utts=n))
+        assert not (tmp_path / "x").exists()
+
+    def test_every_split_gets_two_from_12_up(self):
+        for n in range(12, 201):
+            sizes = _split_sizes(n)
+            assert list(sizes) == ["train", "dev", "test"]
+            assert sum(sizes.values()) == n and min(sizes.values()) >= 2, n
 
 
 class TestAlignment:
