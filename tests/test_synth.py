@@ -56,10 +56,13 @@ class TestGeneration:
         assert manifest["version"] == "msf-ser-synth-v1"
 
     def test_split_sizes(self, corpus):
-        _, manifest = corpus
+        root, manifest = corpus
         splits = manifest["splits"]
         assert splits == {"train": 28, "dev": 6, "test": 6}
         assert sum(splits.values()) == CFG.n_utts
+        rows = read_targets_csv(root / "targets.csv")
+        assert {name: sum(r["split"] == name for r in rows)
+                for name in splits} == splits
 
     def test_manifest_round_trips_config(self, corpus):
         root, manifest = corpus
