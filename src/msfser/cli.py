@@ -48,7 +48,6 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
     TextGridError,
-    TooFewUtterances,
     UnfitSignal,
     json_object,
     naming,
@@ -190,10 +189,8 @@ def _cmd_train(args) -> int:
             if "dev_ccc_avg" in row:
                 line += f"  dev_ccc {row['dev_ccc_avg']:+.4f}"
             sys.stderr.write(line + "\n")
-    # targets.csv made a split too small
-    with naming(Path(args.data) / "targets.csv", TooFewUtterances):
-        history = train_model(model, train_set, train_cfg, dev_set=dev_set,
-                              log=log)
+    history = train_model(model, train_set, train_cfg, dev_set=dev_set,
+                          log=log)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,12 +245,10 @@ def _cmd_eval(args) -> int:
             raise DimMismatch(f"{Path(args.data) / 'embeddings.jsonl'} does "
                               f"not fit {cfg_path}: {ch} vectors have {got} "
                               f"dims, the model takes {want}")
-    # targets.csv made the split too small
-    with naming(Path(args.data) / "targets.csv", TooFewUtterances):
-        report = eval_report(model, dataset,
-                             extra_config={"train": asdict(train_cfg),
-                                           "features": FEATURES,
-                                           "split": args.split})
+    report = eval_report(model, dataset,
+                         extra_config={"train": asdict(train_cfg),
+                                       "features": FEATURES,
+                                       "split": args.split})
     if args.out:
         write_json(report, args.out, indent=2, sort_keys=True)
     write_json(report, indent=2, sort_keys=True)

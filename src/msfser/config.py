@@ -12,7 +12,7 @@ the setting; :func:`from_dict` reads a config class back from JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import BadSetting, MalformedRecord
 
@@ -77,7 +77,6 @@ FEATURES = {"win_ms": FrameConfig.win_ms, "hop_ms": FrameConfig.hop_ms,
 
 @dataclass(frozen=True)
 class LemfConfig:
-    frame: FrameConfig = field(default_factory=FrameConfig)
     word_tier: str = "words"            # the tiers synth writes
     phone_tier: str | None = "phones"
     f0_min: float = F0_MIN

@@ -22,7 +22,9 @@ Both block loops write their temporaries into work arrays that belong to
 this module: one set per thread, allocated by that thread's first
 featurisation and reused for every later block and signal.  Fresh arrays
 of that size would be returned to the kernel after each block and faulted
-in again by the next.  WAV I/O uses numpy and the standard library only.
+in again by the next; a request above ``_ARENA_MAX`` bytes, which the
+fixed front end never makes, is not kept.  WAV I/O uses numpy and the
+standard library only.
 """
 
 from __future__ import annotations
@@ -52,9 +54,12 @@ _PEAK_EQUIV = 0.97
 # large enough to amortise the numpy call overhead, small enough that the
 # (frames x FFT length) work arrays stay at 1.59 MiB (16 kHz, default
 # settings) however long the utterance.  Each thread keeps one set (_take)
-# for every later block and signal; only the kept spectrum grows with the
-# utterance.  With the arrays reused, 32, 128 and 256 were no faster.
+# for every later block and signal, none of its four arrays above
+# _ARENA_MAX bytes (the default front end asks at most 1.32 MiB, at
+# 48 kHz); only the kept spectrum grows with the utterance.  With the
+# arrays reused, 32, 128 and 256 were no faster.
 _PITCH_BLOCK = 64
+_ARENA_MAX = 2 << 20
 
 _arenas = threading.local()     # vars(): this thread's slot -> bytes
 
@@ -63,14 +68,18 @@ def _take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """This thread's arena ``slot`` as an uninitialised C-contiguous array.
 
     No two threads share an arena.  An arena grows to the largest request
-    it has seen and serves every later one, so a kernel keeps nothing it
-    took past its own block, and nothing a caller gets back from this
-    module lies in an arena.
+    up to ``_ARENA_MAX`` bytes that it has seen and serves every later one;
+    a larger request gets a fresh array, dropped with its block, and the
+    slot keeps its arena.  So a kernel keeps nothing it took past its own
+    block, and nothing a caller gets back from this module lies in an
+    arena.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     arena = vars(_arenas).get(slot)
     if arena is None or arena.nbytes < nbytes:
-        arena = vars(_arenas)[slot] = np.empty(nbytes, np.uint8)
+        arena = np.empty(nbytes, np.uint8)
+        if nbytes <= _ARENA_MAX:
+            vars(_arenas)[slot] = arena
     return np.ndarray(shape, dtype, arena)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LemfConfig
+from .config import FrameConfig, LemfConfig
 from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
 from .errors import EmptyInput, LengthMismatch
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
@@ -163,7 +163,8 @@ def analyze_words(track: ProsodyTrack, words,
 def run_lemf(audio: AudioBuffer, tg: TextGrid,
              cfg: LemfConfig = LemfConfig()) -> LemfResult:
     """Full emphasis pipeline for one utterance."""
-    track = estimate_f0(audio, cfg.frame, f0_min=cfg.f0_min, f0_max=cfg.f0_max)
+    track = estimate_f0(audio, FrameConfig(), f0_min=cfg.f0_min,
+                        f0_max=cfg.f0_max)
     words = word_intervals(tg, cfg.word_tier)
     if not words:
         raise EmptyInput(f"tier {cfg.word_tier!r} has no word intervals")

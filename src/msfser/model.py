@@ -40,7 +40,6 @@ import numpy as np
 
 from .config import CHANNELS, ModelConfig, TrainConfig
 from .errors import (
-    LengthMismatch,
     NumericalFailure,
     ShapeMismatch,
     TooFewUtterances,
@@ -78,7 +77,7 @@ class UttExample:
     les: np.ndarray
     gs: np.ndarray
     es: np.ndarray
-    target: np.ndarray | None = None   # (3,) valence, arousal, dominance
+    target: np.ndarray              # (3,) valence, arousal, dominance
 
 
 @dataclass
@@ -88,7 +87,7 @@ class Batch:
     les: np.ndarray                 # (B, les_dim)
     gs: np.ndarray
     es: np.ndarray
-    targets: np.ndarray | None
+    targets: np.ndarray             # (B, 3)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -97,14 +96,11 @@ class Batch:
 def make_batch(examples) -> Batch:
     if not examples:
         raise TooFewUtterances("cannot build an empty batch")
-    targets = None
-    if all(e.target is not None for e in examples):
-        targets = np.stack([np.asarray(e.target, dtype=np.float64)
-                            for e in examples])
     return Batch(
         utt_ids=tuple(e.utt_id for e in examples),
         frames=[np.asarray(e.frames, dtype=np.float64) for e in examples],
-        targets=targets,
+        targets=np.stack([np.asarray(e.target, dtype=np.float64)
+                          for e in examples]),
         **{ch: np.stack([np.asarray(getattr(e, ch), dtype=np.float64)
                          for e in examples]) for ch in CHANNELS},
     )
@@ -455,21 +451,15 @@ class MsfSerModel:
             g_enc_w += fr.T @ dz
             g_enc_b += np.ones(len(dz)) @ dz        # column sums; .sum(0) is slower
 
-    # ------------------------------------------------- loss / predict
+    # ----------------------------------------------------------- loss
 
     def loss_and_grad(self, batch: Batch, train: bool = False,
                       rng: np.random.Generator | None = None,
                       grad_scale: float = 1.0) -> float:
-        if batch.targets is None:
-            raise LengthMismatch("batch has no targets")
         pred, cache = self.forward(batch, train=train, rng=rng)
         loss, dpred = ccc_loss(pred, batch.targets)
         self.backward(cache, dpred * grad_scale)
         return loss
-
-    def predict(self, batch: Batch) -> np.ndarray:
-        pred, _ = self.forward(batch, train=False)
-        return pred
 
 
 # ------------------------------------------------------------- training
@@ -534,9 +524,7 @@ def evaluate(model: MsfSerModel, dataset) -> dict:
     preds, targets = [], []
     for start in range(0, len(dataset), EVAL_BATCH):
         batch = make_batch(dataset[start:start + EVAL_BATCH])
-        if batch.targets is None:
-            raise LengthMismatch("evaluation requires targets on every example")
-        preds.append(model.predict(batch))
+        preds.append(model.forward(batch)[0])
         targets.append(batch.targets)
     pred = np.concatenate(preds)
     target = np.concatenate(targets)
@@ -545,12 +533,10 @@ def evaluate(model: MsfSerModel, dataset) -> dict:
             "n_utterances": len(dataset)}
 
 
-def eval_report(model: MsfSerModel, dataset, extra_config: dict | None = None) -> dict:
+def eval_report(model: MsfSerModel, dataset, extra_config: dict) -> dict:
     """The JSON document emitted by the eval command."""
     res = evaluate(model, dataset)
-    cfg = {"model": asdict(model.config)}
-    if extra_config:
-        cfg.update(extra_config)
+    cfg = {"model": asdict(model.config), **extra_config}
     return {
         "ccc_v": float(res["ccc"][0]),
         "ccc_a": float(res["ccc"][1]),

@@ -269,11 +269,12 @@ def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
     each WAV featurised by the one front end (config.FEATURES), whose work
     arrays belong to dsp: one set per thread, reused for every later signal.
 
-    A split that targets.csv does not list raises TooFewUtterances, and
-    an utterance that embeddings.jsonl lacks raises MissingEmbedding, each
-    naming that file.  A WAV that the front end does not fit (too short
-    for one window, or sampled too slowly) raises UnfitSignal naming the
-    WAV and its utterance.
+    A split that targets.csv gives fewer than two utterances raises
+    TooFewUtterances before any WAV is read (generate_dataset keeps the
+    same rule), and an utterance that embeddings.jsonl lacks raises
+    MissingEmbedding, each naming that file.  A WAV that the front end
+    does not fit (too short for one window, or sampled too slowly) raises
+    UnfitSignal naming the WAV and its utterance.
     """
     root = Path(data_dir)
     embeddings = root / "embeddings.jsonl"
@@ -282,8 +283,10 @@ def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
     rows = read_targets_csv(targets)
     if split is not None:
         rows = [r for r in rows if r["split"] == split]
-    if not rows:
-        raise TooFewUtterances(f"{targets}: no utterances in split {split!r}")
+    if len(rows) < 2:
+        raise TooFewUtterances(
+            f"{targets}: split {split!r} has {len(rows)} utterance"
+            f"{'' if len(rows) == 1 else 's'}; each split needs at least 2")
     examples = []
     for rec in rows:
         utt_id = rec["utt_id"]

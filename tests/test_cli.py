@@ -684,7 +684,7 @@ class TestTrainEval:
         if target == "targets.csv":         # one dev utterance is too few
             drop = [f"{r['utt_id']}," for r in rows
                     if r["split"] == "dev" and r["utt_id"] != utt_id]
-            message = "need at least 2 utterances to evaluate, got 1"
+            message = "split 'dev' has 1 utterance; each split needs at least 2"
         else:
             drop = [f'{{"id":"{utt_id}","channel":"gs",']
             message = f"no 'gs' embedding for utterance {utt_id!r}"

@@ -425,6 +425,35 @@ class TestWorkspace:
 
         assert in_fresh_thread(totals) == [0, 1_666_048, 1_666_048]
 
+    def test_arenas_keep_no_request_above_the_cap(self):
+        # a 2**22-sample frame asks 80 MiB of work arrays; its block gets
+        # fresh ones, and the thread keeps what default features left
+        def run():
+            audio = tone(150.0, dur=2.0)
+            first = acoustic_frames(audio, FrameConfig())
+            sizes = [arena_bytes()]
+            stft_energy(np.ones(2**22))
+            sizes.append(arena_bytes())
+            estimate_f0(audio, FrameConfig(win_ms=400.0))
+            largest = max(a.nbytes for a in vars(dsp._arenas).values())
+            again = acoustic_frames(audio, FrameConfig())
+            return sizes, largest, first.tobytes() == again.tobytes()
+
+        sizes, largest, same = in_fresh_thread(run)
+        assert sizes == [1_666_048, 1_666_048]
+        assert largest <= dsp._ARENA_MAX and same
+
+    def test_cap_leaves_the_48_khz_front_end_its_arenas(self):
+        def run():
+            audio = tone(150.0, dur=2.0, sr=48000)
+            sizes = []
+            for _ in range(2):
+                acoustic_frames(audio, FrameConfig())
+                sizes.append(arena_bytes())
+            return sizes
+
+        assert in_fresh_thread(run) == [4_992_512, 4_992_512]
+
 
 def wav_chunk(chunk_id: bytes, payload: bytes) -> bytes:
     pad = b"\x00" if len(payload) % 2 else b""

@@ -10,7 +10,6 @@ import pytest
 
 from msfser.config import FEATURES, from_dict
 from msfser.errors import (
-    LengthMismatch,
     NumericalFailure,
     ShapeMismatch,
     TooFewUtterances,
@@ -499,8 +498,6 @@ class TestModelStructure:
         examples = tiny_examples(3, cfg)
         batch = make_batch(examples)
         assert len(batch) == 3 and batch.targets.shape == (3, 3)
-        examples[1].target = None
-        assert make_batch(examples).targets is None
         with pytest.raises(TooFewUtterances):
             make_batch([])
 
@@ -558,14 +555,6 @@ class TestModelGradients:
         for p in model.params():
             assert np.allclose(p.grad * 4.0, full[p.name], atol=1e-13)
 
-    def test_loss_requires_targets(self):
-        model = MsfSerModel(tiny_config())
-        examples = tiny_examples(2, model.config)
-        for e in examples:
-            e.target = None
-        with pytest.raises(LengthMismatch):
-            model.loss_and_grad(make_batch(examples))
-
 
 class TestModelBehavior:
     def test_one_hot_route_selects_expert_exactly(self):
@@ -587,7 +576,7 @@ class TestModelBehavior:
     def test_forward_eval_is_deterministic(self):
         model = MsfSerModel(tiny_config(dropout=0.5))
         batch = make_batch(tiny_examples(3, model.config))
-        assert np.array_equal(model.predict(batch), model.predict(batch))
+        assert np.array_equal(model.forward(batch)[0], model.forward(batch)[0])
 
     def test_dropout_changes_train_forward(self):
         model = MsfSerModel(tiny_config(dropout=0.5))
@@ -687,7 +676,7 @@ class TestModelBehavior:
         model = MsfSerModel(tiny_config())
         data = tiny_examples(9, model.config, seed=19)
         res = evaluate(model, data)
-        pred = model.predict(make_batch(data))
+        pred = model.forward(make_batch(data))[0]
         target = np.stack([e.target for e in data])
         for d in range(3):
             assert res["ccc"][d] == pytest.approx(
@@ -704,11 +693,8 @@ class TestModelBehavior:
             (report["ccc_v"] + report["ccc_a"] + report["ccc_d"]) / 3.0,
             abs=1e-12)
 
-    def test_evaluate_needs_targets_and_examples(self):
+    def test_evaluate_needs_two_examples(self):
         model = MsfSerModel(tiny_config())
         data = tiny_examples(3, model.config)
-        data[0].target = None
-        with pytest.raises(LengthMismatch):
-            evaluate(model, data)
         with pytest.raises(TooFewUtterances):
             evaluate(model, data[:1])
