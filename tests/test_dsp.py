@@ -441,7 +441,8 @@ class TestWorkspace:
 
         sizes, largest, same = in_fresh_thread(run)
         assert sizes == [1_666_048, 1_666_048]
-        assert largest <= dsp._ARENA_MAX and same
+        assert largest <= dsp._ARENA_MAX
+        assert same
 
     def test_cap_leaves_the_48_khz_front_end_its_arenas(self):
         def run():

@@ -300,19 +300,19 @@ class TestLoading:
 
     def test_load_examples_refuses_a_split_of_one_before_reading_wavs(
             self, corpus, tmp_path):
-        root = shutil.copytree(corpus[0], tmp_path / "data")
+        # no WAV is copied, so reading one would raise FileNotFoundError
+        root = corpus[0]
+        shutil.copy(root / "embeddings.jsonl", tmp_path)
         rows = read_targets_csv(root / "targets.csv")
         dev = [r["utt_id"] for r in rows if r["split"] == "dev"]
         lines = (root / "targets.csv").read_text().splitlines(keepends=True)
-        (root / "targets.csv").write_text("".join(
+        (tmp_path / "targets.csv").write_text("".join(
             line for line in lines if not line.startswith(
                 tuple(f"{u}," for u in dev[1:]))))
-        for utt_id in dev:          # a WAV read would raise FileNotFoundError
-            (root / "wavs" / f"{utt_id}.wav").unlink()
         with pytest.raises(TooFewUtterances, match=(
                 r"targets\.csv: split 'dev' has 1 utterance; "
                 r"each split needs at least 2$")):
-            load_examples(root, split="dev")
+            load_examples(tmp_path, split="dev")
 
     def test_embeddings_cover_every_utterance(self, corpus):
         root, _ = corpus
