@@ -35,9 +35,9 @@ print(f"pooled {h.shape} -> {pooled.shape}")
 #    g in (0, 1), so the fusion never leaves the segment between them.
 h_l = rng.standard_normal((2, 4))
 h_g = rng.standard_normal((2, 4))
-fused, (_, _, _, g) = gated_fuse(h_l, h_g, rng.standard_normal((8, 1)),
-                                 np.zeros((1, 1)))
-print(f"gate values: {g.ravel().round(3)}")
+fused, fuse_cache = gated_fuse(h_l, h_g, rng.standard_normal((8, 1)),
+                               np.zeros((1, 1)))
+print(f"gate values: {fuse_cache.g.ravel().round(3)}")
 
 # 3. Modulation scales and shifts the pooled vector conditioned on the
 #    semantics.  Its output layer starts at zero, which makes the whole

@@ -42,7 +42,6 @@ from .config import (CHANNELS, FEATURES, FIELD_TYPES, N_BANDS, SPLITS,
 from .errors import (
     DimMismatch,
     EmptyInput,
-    LengthMismatch,
     MalformedRecord,
     MsfSerError,
     NumericalFailure,
@@ -55,8 +54,7 @@ from .errors import (
     write_json,
 )
 
-_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, LengthMismatch, MemoryError,
-                   FloatingPointError)
+_PROCESS_ERRORS = (NumericalFailure, ShapeMismatch, MemoryError, FloatingPointError)
 # the commands that run without numpy; every other one runs under the
 # floating-point guard in main
 _PURE_PYTHON = {"textgrid-check"}

@@ -93,10 +93,6 @@ class ShapeMismatch(MsfSerError):
     """Operand shapes do not agree."""
 
 
-class LengthMismatch(MsfSerError):
-    """Two sequences that must have equal length do not."""
-
-
 class TooFewUtterances(MsfSerError):
     """Training/evaluation set too small for batch statistics."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import FrameConfig, LemfConfig
 from .dsp import AudioBuffer, ProsodyTrack, estimate_f0
-from .errors import EmptyInput, LengthMismatch
+from .errors import EmptyInput
 from .textgrid import Interval, TextGrid, phones_for_word, word_intervals
 
 ZSCORE_SIGMA_FLOOR = 1e-12
@@ -127,14 +127,11 @@ def select_emphasis_segment(words) -> EmphasisSegment:
     )
 
 
-def analyze_words(track: ProsodyTrack, words,
-                  phones_per_word) -> tuple[WordProsody, ...]:
-    """Aggregate, standardize, and score a sentence of aligned words."""
-    if len(words) != len(phones_per_word):
-        raise LengthMismatch(f"{len(words)} words but "
-                             f"{len(phones_per_word)} phone lists")
-    raws = [aggregate_word_prosody(track, w, ph)
-            for w, ph in zip(words, phones_per_word)]
+def analyze_words(track: ProsodyTrack, aligned) -> tuple[WordProsody, ...]:
+    """Aggregate, standardize, and score a sentence of aligned words, given
+    as (word interval, its phone intervals) pairs."""
+    aligned = tuple(aligned)                # read twice, so not an iterator
+    raws = [aggregate_word_prosody(track, w, ph) for w, ph in aligned]
 
     pitches = [r[0] for r in raws]
     defined = [p for p in pitches if p is not None]
@@ -157,7 +154,7 @@ def analyze_words(track: ProsodyTrack, words,
             z_duration=float(z_duration[i]),
             score=float(scores[i]),
             pitch_defined=pitches[i] is not None)
-        for i, w in enumerate(words))
+        for i, (w, _) in enumerate(aligned))
 
 
 def run_lemf(audio: AudioBuffer, tg: TextGrid,
@@ -168,12 +165,9 @@ def run_lemf(audio: AudioBuffer, tg: TextGrid,
     words = word_intervals(tg, cfg.word_tier)
     if not words:
         raise EmptyInput(f"tier {cfg.word_tier!r} has no word intervals")
-    if cfg.phone_tier is not None:
-        phones_per_word = [phones_for_word(tg, cfg.phone_tier, w)
-                           for w in words]
-    else:
-        phones_per_word = [() for _ in words]
-    scored = analyze_words(track, words, phones_per_word)
+    aligned = [(w, () if cfg.phone_tier is None
+                else phones_for_word(tg, cfg.phone_tier, w)) for w in words]
+    scored = analyze_words(track, aligned)
     segment = select_emphasis_segment(scored)
     return LemfResult(words=scored, segment=segment, track=track)
 

@@ -20,9 +20,9 @@ The FiLM generators are two-layer MLPs whose output layer starts at
 zero, so every expert begins as the plain pooled statistics and the
 modulation is learned.  Training minimizes sum_d (1 - CCC_d) with AdamW
 and gradient accumulation.  Each op reads a layer's weights in the order
-the model groups them, and its hand-written backward sits beside it and
-reads only its cache and weights; MsfSerModel.backward chains them, and
-each is verifiable by central finite differences.
+the model groups them; its hand-written backward sits beside it and reads
+only its cache, which holds those weights.  MsfSerModel.backward chains
+them, and each is verifiable by central finite differences.
 
 The encoder and attentive pooling run once per utterance, so their
 backward is the hot loop: it adds each utterance's att.* and enc.*
@@ -34,6 +34,7 @@ encoder's input gradient, which nothing reads.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -114,14 +115,21 @@ def config_hash(obj) -> str:
 
 # ------------------------------------------------ composable operations
 
+# Each op's cache: what its backward reads, the weights included.
+PoolCache = namedtuple("PoolCache", "h hh u a m1 sd pos att_w att_v")
+FuseCache = namedtuple("FuseCache", "h_l h_g cat g gate_w")
+FilmCache = namedtuple("FilmCache", "x cond t1 gamma w1 w2")
+HeadCache = namedtuple("HeadCache", "x ln act mask dropped w1 w2")
+
+
 def attentive_pool(h: np.ndarray, att_w: np.ndarray, att_v: np.ndarray):
     """Attention-weighted mean and standard deviation over frames.
 
     h is (T, d); the result is (2d,) = [weighted mean; weighted std],
     with the weighted variance floored at 0 before the +1e-9 stabilizer.
     The attention weights a are a (T,) vector and each moment is one
-    matrix-vector product.  Returns (pooled, cache); the cache starts
-    with h and h*h, which the encoder's backward reads too.
+    matrix-vector product.  Returns (pooled, PoolCache); the encoder's
+    backward reads its hh too.
     """
     u = h @ att_w                               # (T, att_dim)
     np.tanh(u, out=u)
@@ -132,11 +140,11 @@ def attentive_pool(h: np.ndarray, att_w: np.ndarray, att_v: np.ndarray):
     pos = raw > 0.0
     sd = np.sqrt(np.where(pos, raw, 0.0) + VAR_FLOOR)
     pooled = np.concatenate([m1, sd])
-    return pooled, (h, hh, u, a, m1, sd, pos)
+    return pooled, PoolCache(h, hh, u, a, m1, sd, pos, att_w, att_v)
 
 
-def _pool_bwd(cache, att_w: np.ndarray, att_v: np.ndarray, dpooled: np.ndarray):
-    h, hh, u, a, m1, sd, pos = cache
+def _pool_bwd(cache: PoolCache, dpooled: np.ndarray):
+    h, hh, u, a, m1, sd, pos, att_w, att_v = cache
     d = h.shape[1]
     dm2 = (dpooled[d:] / (2.0 * sd)) * pos      # d(var) = d(m2)
     dm1 = dpooled[:d] - 2.0 * m1 * dm2
@@ -156,16 +164,16 @@ def gated_fuse(h_l: np.ndarray, h_g: np.ndarray,
     """Scalar-gated blend of the two semantic encodings, per sample.
 
     g = sigmoid([h_l; h_g] W + b) is (B, 1); output g*h_l + (1-g)*h_g.
-    Returns (h_sem, cache).
+    Returns (h_sem, FuseCache).
     """
     cat = np.concatenate([h_l, h_g], axis=1)
     g = sigmoid(linear_fwd(cat, gate_w, gate_b))
     h_sem = g * h_l + (1.0 - g) * h_g
-    return h_sem, (h_l, h_g, cat, g)
+    return h_sem, FuseCache(h_l, h_g, cat, g, gate_w)
 
 
-def _fuse_bwd(cache, gate_w: np.ndarray, dh_sem: np.ndarray):
-    h_l, h_g, cat, g = cache
+def _fuse_bwd(cache: FuseCache, dh_sem: np.ndarray):
+    h_l, h_g, cat, g, gate_w = cache
     dg = ((h_l - h_g) * dh_sem).sum(axis=1, keepdims=True)
     dh_l = g * dh_sem
     dh_g = (1.0 - g) * dh_sem
@@ -183,7 +191,7 @@ def film_modulate(x: np.ndarray, cond: np.ndarray,
 
     A two-layer MLP maps cond to (scale_raw, shift); the output is
     (1 + scale_raw) * x + shift, so all-zero MLP output is exactly the
-    identity.  Returns (modulated, cache).
+    identity.  Returns (modulated, FilmCache).
     """
     z1 = linear_fwd(cond, w1, b1)
     t1 = np.tanh(z1)
@@ -194,11 +202,11 @@ def film_modulate(x: np.ndarray, cond: np.ndarray,
             f"film: modulator width {mods.shape[1]} != 2 * {x.shape[1]}")
     gamma = 1.0 + mods[:, :half]
     beta = mods[:, half:]
-    return gamma * x + beta, (x, cond, t1, gamma)
+    return gamma * x + beta, FilmCache(x, cond, t1, gamma, w1, w2)
 
 
-def _film_bwd(cache, w1: np.ndarray, w2: np.ndarray, dy: np.ndarray):
-    x, cond, t1, gamma = cache
+def _film_bwd(cache: FilmCache, dy: np.ndarray):
+    x, cond, t1, gamma, w1, w2 = cache
     dmods = np.concatenate([dy * x, dy], axis=1)     # [dgamma, dbeta]
     dt1, dw2, db2 = linear_bwd(t1, w2, dmods)
     dcond, dw1, db1 = linear_bwd(cond, w1, tanh_bwd(t1, dt1))
@@ -209,16 +217,17 @@ def expert_head(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, ln_g: np.ndarray,
                 ln_b: np.ndarray, w2: np.ndarray, b2: np.ndarray, mask: np.ndarray):
     """linear -> layer_norm -> tanh -> dropout (times mask) -> linear.
 
-    Returns (out, cache); the cache starts with x.
+    Returns (out, HeadCache); its ln is layer_norm_fwd's cache.
     """
     ln, ln_cache = layer_norm_fwd(linear_fwd(x, w1, b1), ln_g, ln_b)
     act = np.tanh(ln)
     dropped = act * mask
-    return linear_fwd(dropped, w2, b2), (x, ln_cache, act, mask, dropped)
+    return (linear_fwd(dropped, w2, b2),
+            HeadCache(x, ln_cache, act, mask, dropped, w1, w2))
 
 
-def _head_bwd(cache, w1: np.ndarray, w2: np.ndarray, dout: np.ndarray):
-    x, ln_cache, act, mask, dropped = cache
+def _head_bwd(cache: HeadCache, dout: np.ndarray):
+    x, ln_cache, act, mask, dropped, w1, w2 = cache
     dact, dw2, db2 = linear_bwd(dropped, w2, dout)
     dhz, dln_g, dln_b = layer_norm_bwd(ln_cache, tanh_bwd(act, dact * mask))
     dx, dw1, db1 = linear_bwd(x, w1, dhz)
@@ -418,19 +427,16 @@ class MsfSerModel:
         dpooled = np.zeros((len(batch), 2 * self.config.d_model))
         dcond = {}
         for (name, film_cache, head_cache), d in zip(cache["experts"], dout):
-            w1, _, _, _, w2, _ = self._weights(f"head{name}")
-            dx, *dhead = _head_bwd(head_cache, w1, w2, d)
+            dx, *dhead = _head_bwd(head_cache, d)
             self._add_grads(f"head{name}", dhead)
             if film_cache is not None:
-                w1, _, w2, _ = self._weights(f"film{name}")
-                dx, dcond[name], *dfilm = _film_bwd(film_cache, w1, w2, dx)
+                dx, dcond[name], *dfilm = _film_bwd(film_cache, dx)
                 self._add_grads(f"film{name}", dfilm)
             dpooled += dx
 
         dsem = {}
         if "B" in dcond:
-            dsem["les"], dsem["gs"], *dgate = _fuse_bwd(
-                cache["fuse"], self._weights("gate")[0], dcond["B"])
+            dsem["les"], dsem["gs"], *dgate = _fuse_bwd(cache["fuse"], dcond["B"])
             self._add_grads("gate", dgate)
         if "C" in dcond:
             dsem["es"] = dcond["C"]
@@ -440,14 +446,13 @@ class MsfSerModel:
             self._add_grads(ch, dlayer)
 
         # The encoder's input gradient is never needed, so it is not formed.
-        att_w, att_v = self._weights("att")
         g_att_w, g_att_v, g_enc_w, g_enc_b = (
             p.grad for layer in ("att", "enc") for p in self._layers[layer])
         for fr, pool_cache, dp in zip(batch.frames, cache["enc"], dpooled):
-            dz, datt_w, datt_v = _pool_bwd(pool_cache, att_w, att_v, dp)
+            dz, datt_w, datt_v = _pool_bwd(pool_cache, dp)
             g_att_w += datt_w
             g_att_v += datt_v
-            dz *= 1.0 - pool_cache[1]               # tanh backward; [1] is h*h
+            dz *= 1.0 - pool_cache.hh               # tanh backward
             g_enc_w += fr.T @ dz
             g_enc_b += np.ones(len(dz)) @ dz        # column sums; .sum(0) is slower
 

@@ -37,7 +37,7 @@ from msfser.dsp import (
     stft_energy,
     write_wav,
 )
-from msfser.errors import SignalTooShort
+from msfser.errors import BadSetting, SignalTooShort
 from msfser.synth import SynthConfig, generate_dataset, load_examples
 
 SR = 16000
@@ -143,6 +143,15 @@ class TestFraming:
                 FrameConfig(win_ms=win_ms)
         with pytest.raises(ValueError):
             FrameConfig(window="hamming")
+        with pytest.raises(BadSetting, match="hop_ms=0.0"):
+            FrameConfig(hop_ms=0.0)
+
+    @pytest.mark.parametrize("win_ms, hop_ms, hop", [
+        (50.0, 50.0, 800),      # 50 ms is exactly 800 samples at 16 kHz
+        (20.0, 0.01, 1),        # 0.16 samples rounds to 0, floored at 1
+    ])
+    def test_hop_samples(self, win_ms, hop_ms, hop):
+        assert FrameConfig(win_ms=win_ms, hop_ms=hop_ms).hop_samples(SR) == hop
 
 
 class TestStftEnergy:

@@ -184,13 +184,12 @@ class TestOpInvariants:
         rng = seeded_rng(26)
         h_l = rng.standard_normal((6, 4))
         h_g = rng.standard_normal((6, 4))
-        fused, (_, _, _, g) = gated_fuse(h_l, h_g,
-                                         rng.standard_normal((8, 1)),
-                                         rng.standard_normal((1, 1)))
+        fused, cache = gated_fuse(h_l, h_g, rng.standard_normal((8, 1)),
+                                  rng.standard_normal((1, 1)))
         lo = np.minimum(h_l, h_g)
         hi = np.maximum(h_l, h_g)
         assert np.all(fused >= lo - 1e-12) and np.all(fused <= hi + 1e-12)
-        assert np.all((g > 0.0) & (g < 1.0))
+        assert np.all((cache.g > 0.0) & (cache.g < 1.0))
 
     def test_pool_std_never_below_floor(self):
         h = np.ones((5, 3)) * 2.0      # zero variance rows
@@ -203,7 +202,7 @@ class TestOpInvariants:
         h = rng.standard_normal((1, 4))
         pooled, cache = attentive_pool(h, rng.standard_normal((4, 3)),
                                        rng.standard_normal((3, 1)))
-        assert not cache[-1].any()                      # pos
+        assert not cache.pos.any()
         assert np.array_equal(pooled[:4], h[0])
         assert np.all(pooled[4:] == math.sqrt(1e-9))
 
@@ -218,35 +217,28 @@ class TestOpInvariants:
             moe_combine(np.zeros((2, 4, 3)), np.zeros((3, 3)))
 
 
-def _pool(shapes):
-    return (attentive_pool,
-            lambda cache, h, w, v, dy: _pool_bwd(cache, w, v, dy), shapes)
+def _moe(expert_out, logits):
+    """moe_combine, with the expert outputs that _moe_bwd reads cached too."""
+    pred, pi = moe_combine(expert_out, logits)
+    return pred, (expert_out, pi)
 
 
 # a fixed dropout mask for the head: 0 or 1 / (1 - 0.5) per hidden unit
 HEAD_MASK = np.resize([2.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0], (5, 6))
 
-# (forward, backward(cache, *inputs, dy), input shapes); each backward
-# returns one gradient per forward input, in the forward's order.
+# (forward, backward(cache, dy), input shapes); each backward returns one
+# gradient per forward input, in the forward's order.
 OP_BACKWARDS = {
-    "pool": _pool([(6, 4), (4, 3), (3, 1)]),
+    "pool": (attentive_pool, _pool_bwd, [(6, 4), (4, 3), (3, 1)]),
     # one frame: the weighted variance is exactly 0, so the floored branch
-    "pool_one_frame": _pool([(1, 4), (4, 3), (3, 1)]),
-    "pool_d1": _pool([(6, 1), (1, 3), (3, 1)]),
-    "pool_att1": _pool([(6, 4), (4, 1), (1, 1)]),
-    "fuse": (gated_fuse,
-             lambda cache, h_l, h_g, w, b, dy: _fuse_bwd(cache, w, dy),
-             [(5, 3), (5, 3), (6, 1), (1, 1)]),
-    "film": (film_modulate,
-             lambda cache, x, cond, w1, b1, w2, b2, dy:
-                 _film_bwd(cache, w1, w2, dy),
+    "pool_one_frame": (attentive_pool, _pool_bwd, [(1, 4), (4, 3), (3, 1)]),
+    "pool_d1": (attentive_pool, _pool_bwd, [(6, 1), (1, 3), (3, 1)]),
+    "pool_att1": (attentive_pool, _pool_bwd, [(6, 4), (4, 1), (1, 1)]),
+    "fuse": (gated_fuse, _fuse_bwd, [(5, 3), (5, 3), (6, 1), (1, 1)]),
+    "film": (film_modulate, _film_bwd,
              [(4, 3), (4, 2), (2, 5), (1, 5), (5, 6), (1, 6)]),
-    "moe": (moe_combine,
-            lambda pi, expert_out, logits, dy: _moe_bwd(expert_out, pi, dy),
-            [(3, 5, 2), (2, 3)]),
-    "head": (lambda x, *weights: expert_head(x, *weights, HEAD_MASK),
-             lambda cache, x, w1, b1, ln_g, ln_b, w2, b2, dy:
-                 _head_bwd(cache, w1, w2, dy),
+    "moe": (_moe, lambda cache, dy: _moe_bwd(*cache, dy), [(3, 5, 2), (2, 3)]),
+    "head": (lambda x, *weights: expert_head(x, *weights, HEAD_MASK), _head_bwd,
              [(5, 4), (4, 6), (1, 6), (1, 6), (1, 6), (6, 3), (1, 3)]),
 }
 
@@ -263,7 +255,7 @@ class TestOpBackward:
         def loss():
             return float((fwd(*inputs)[0] * r).sum())
 
-        grads = bwd(cache, *inputs, r)
+        grads = bwd(cache, r)
         assert len(grads) == len(inputs)
         eps = 1e-6
         for arr, grad in zip(inputs, grads):
@@ -291,8 +283,8 @@ class TestOpBackward:
         out, cache = fwd(*inputs)
         dy = rng.standard_normal(out.shape)
         seen = [a.copy() for a in (*given, *cache, dy)]
-        bwd(cache, *inputs, dy)
-        bwd(cache, *inputs, dy)
+        bwd(cache, dy)
+        bwd(cache, dy)
         for a, b in zip((*inputs, *cache, dy), seen):
             assert np.array_equal(a, b)
 
@@ -360,11 +352,24 @@ class TestModelStructure:
         experts = {name: (film_cache, head_cache)
                    for name, film_cache, head_cache in cache["experts"]}
         assert experts["A"][0] is None
-        pooled = experts["A"][1][0]         # expert A's head reads pooled
+        pooled = experts["A"][1].x          # expert A's head reads pooled
         for name in ("B", "C"):
             film_cache, head_cache = experts[name]
-            assert film_cache[0] is pooled
-            assert np.array_equal(head_cache[0], pooled)
+            assert film_cache.x is pooled
+            assert np.array_equal(head_cache.x, pooled)
+
+    def test_named_caches_read_off_the_production_forward(self):
+        model = MsfSerModel(tiny_config())
+        model.theta += 0.3 * seeded_rng(5).standard_normal(model.n_params)
+        pred, cache = model.forward(make_batch(tiny_examples(5, model.config)))
+        assert cache["expert_out"].shape == (3, 5, 3)
+        blend = np.einsum("de,ebd->bd", cache["pi"], cache["expert_out"])
+        assert np.abs(pred - blend).max() <= 1e-12
+        for pool_cache in cache["enc"]:
+            assert abs(pool_cache.a.sum() - 1.0) <= 1e-12
+        g = cache["fuse"].g
+        assert g.shape == (5, 1) and np.all((g > 0.0) & (g < 1.0))
+        assert cache["fuse"].gate_w is model.param("gate.w").value
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

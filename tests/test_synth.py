@@ -9,15 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msfser.dsp import read_wav
+from msfser.config import FrameConfig
+from msfser.dsp import estimate_f0, read_wav
 from msfser.embeddings import EmbeddingStore
 from msfser.errors import MalformedRecord, NumericalFailure, TooFewUtterances
 from msfser.numcore import ccc, seeded_rng
 from msfser.synth import (
+    AROUSAL_OCTAVES,
     SILENCE_GAP_S,
     WORDS_MIN,
     SynthConfig,
     _split_sizes,
+    _tone,
     generate_dataset,
     load_examples,
     make_emphasis_case,
@@ -98,6 +101,9 @@ class TestGeneration:
         with pytest.raises(ValueError, match=field):
             SynthConfig(**{field: value})
 
+    def test_one_dimensional_channels_are_accepted(self):
+        SynthConfig(les_dim=1, gs_dim=1, es_dim=1)
+
     def test_lowest_resolvable_sample_rate_loads(self, tmp_path):
         generate_dataset(tmp_path, SynthConfig(n_utts=12, sample_rate=1800,
                                                les_dim=2, gs_dim=2, es_dim=2))
@@ -170,6 +176,35 @@ class TestAlignment:
             assert inside[-1].xmax == word.xmax
             assert inside[0].xmax == inside[1].xmin
 
+    def test_every_tier_tiles_the_file(self, corpus):
+        root, _ = corpus
+        for path in sorted((root / "grids").glob("*.TextGrid")):
+            tg = read_textgrid_file(path)
+            for tier in tg.tiers:
+                ivs = tier.intervals
+                assert (ivs[0].xmin, ivs[0].xmax, ivs[0].label) \
+                    == (0.0, SILENCE_GAP_S, "")
+                assert all(a.xmax == b.xmin for a, b in zip(ivs, ivs[1:]))
+                assert ivs[-1].xmax == tier.xmax == tg.xmax
+
+    @pytest.mark.parametrize("n, ramp", [(40, 10), (4, 1)])
+    def test_short_burst_ramps_over_a_quarter(self, n, ramp):
+        sr, f0, amp = 16000, 200.0, 0.5
+        t = np.arange(1, n) / sr        # the carrier is 0 at sample 0
+        carrier = np.sin(2.0 * np.pi * f0 * t) + 0.5 * np.sin(4.0 * np.pi * f0 * t)
+        envelope = _tone(n, sr, f0, amp)[1:] / (amp * carrier)
+        ramped = [k < ramp or k >= n - ramp for k in range(1, n)]
+        assert (np.abs(envelope - 1.0) > 1e-9).tolist() == ramped
+
+
+def median_f0(audio, iv=None):
+    """Median f0 in Hz over the voiced frames, or those inside iv."""
+    track = estimate_f0(audio, FrameConfig())
+    keep = track.voiced.copy()
+    if iv is not None:
+        keep &= (track.frame_times >= iv.xmin) & (track.frame_times < iv.xmax)
+    return float(np.exp(np.median(track.log_f0[keep])))
+
 
 class TestPlantedStructure:
     def test_arousal_scales_amplitude(self):
@@ -194,6 +229,34 @@ class TestPlantedStructure:
         assert max(durs[i] for i in others) < 0.23
         loudness = [rms(iv) for iv in words]
         assert loudness[plant] > 1.4 * max(loudness[i] for i in others)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_word_is_the_documented_boost(self, seed):
+        # the same seed with the plant moved: word 2 draws the same burst
+        # in both cases, and is boosted only in the first
+        measured = []
+        for plant in (2, 4):
+            audio, tg, _ = make_emphasis_case(seeded_rng(seed), n_words=6,
+                                              plant_index=plant)
+            iv = word_intervals(tg, "words")[2]
+            sr = audio.sample_rate
+            seg = audio.samples[int(round(iv.xmin * sr)):int(round(iv.xmax * sr))]
+            measured.append((median_f0(audio, iv), np.abs(seg).max(),
+                             iv.duration * sr))
+        (f0, peak, n), (base_f0, base_peak, base_n) = measured
+        assert f0 / base_f0 == pytest.approx(2.0 ** (4.0 / 12.0), abs=1e-5)
+        assert peak / base_peak == pytest.approx(10.0 ** (6.0 / 20.0), abs=1e-4)
+        # 1.5x longer, up to each burst's rounding to whole samples
+        assert abs(n - 1.5 * base_n) <= 0.5 + 1.5 * 0.5 + 1e-6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arousal_raises_pitch_by_the_documented_octaves(self, seed):
+        cfg = SynthConfig(les_dim=4, gs_dim=4, es_dim=4)
+        high, low = (synth_utterance(seeded_rng(seed), cfg,
+                                     np.array([0.0, arousal, 0.0]))[0]
+                     for arousal in (0.8, -0.8))
+        ratio = median_f0(high) / median_f0(low)
+        assert ratio == pytest.approx(2.0 ** (1.6 * AROUSAL_OCTAVES), rel=5e-3)
 
     def test_emphasis_case_respects_requested_index(self):
         _, tg, plant = make_emphasis_case(seeded_rng(4), n_words=6,

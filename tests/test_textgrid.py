@@ -16,6 +16,7 @@ from msfser.errors import (
 )
 from msfser.textgrid import (
     SILENCE_LABELS,
+    TIME_TOL,
     Interval,
     TextGrid,
     Tier,
@@ -230,6 +231,14 @@ class TestValidation:
 
     def test_valid_grid_passes(self):
         validate_textgrid(small_grid())
+
+    @pytest.mark.parametrize("tg", [
+        TextGrid(0.0, 1.0, tiers=(Tier("w", 0.0, 1.0 + TIME_TOL, ()),)),
+        TextGrid(0.0, 1.0, tiers=(Tier("w", 0.0, 1.0, (
+            Interval(0.0, 0.5 + TIME_TOL, "a"), Interval(0.5, 1.0, "b"))),)),
+    ], ids=["tier-ends-past-file", "intervals-overlap"])
+    def test_times_exactly_on_the_tolerance_pass(self, tg):
+        validate_textgrid(tg)
 
     def test_unknown_tier_kind(self):
         # kinds are case-sensitive: "Interval" is neither of the two
