@@ -20,10 +20,12 @@ beyond the kept spectrum does not grow with the signal.
 
 Both block loops write their temporaries into work arrays that belong to
 this module: one set per thread, allocated by that thread's first
-featurisation and reused for every later block and signal.  Fresh arrays
-of that size would be returned to the kernel after each block and faulted
-in again by the next; a request above ``_ARENA_MAX`` bytes, which the
-fixed front end never makes, is not kept.  WAV I/O uses numpy and the
+featurisation and reused for its later blocks and signals until
+:func:`release_work_arrays` drops them (``synth.load_examples`` does, once
+its split is featurised).  Fresh arrays of that size would be returned to
+the kernel after each block and faulted in again by the next; a request
+above ``_ARENA_MAX`` bytes, which the fixed front end never makes, is not
+kept.  WAV I/O uses numpy and the
 standard library only.
 """
 
@@ -54,7 +56,7 @@ _PEAK_EQUIV = 0.97
 # large enough to amortise the numpy call overhead, small enough that the
 # (frames x FFT length) work arrays stay at 1.59 MiB (16 kHz, default
 # settings) however long the utterance.  Each thread keeps one set (_take)
-# for every later block and signal, none of its four arrays above
+# until release_work_arrays, none of its four arrays above
 # _ARENA_MAX bytes (the default front end asks at most 1.32 MiB, at
 # 48 kHz); only the kept spectrum grows with the utterance.  With the
 # arrays reused, 32, 128 and 256 were no faster.
@@ -68,9 +70,9 @@ def _take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """This thread's arena ``slot`` as an uninitialised C-contiguous array.
 
     No two threads share an arena.  An arena grows to the largest request
-    up to ``_ARENA_MAX`` bytes that it has seen and serves every later one;
-    a larger request gets a fresh array, dropped with its block, and the
-    slot keeps its arena.  So a kernel keeps nothing it took past its own
+    up to ``_ARENA_MAX`` bytes that it has seen and serves every later one
+    until :func:`release_work_arrays`; a larger request gets a fresh array,
+    dropped with its block, and the slot keeps its arena.  So a kernel keeps nothing it took past its own
     block, and nothing a caller gets back from this module lies in an
     arena.
     """
@@ -81,6 +83,12 @@ def _take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         if nbytes <= _ARENA_MAX:
             vars(_arenas)[slot] = arena
     return np.ndarray(shape, dtype, arena)
+
+
+def release_work_arrays() -> None:
+    """Drop the calling thread's work arrays; its next featurisation
+    allocates them again."""
+    vars(_arenas).clear()
 
 
 @dataclass(frozen=True)
@@ -325,7 +333,8 @@ def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,
     ``_PITCH_BLOCK`` frames.  The output is bitwise equal to running the
     search frame by frame.  The returned track carries the frame spectra.
     The blocks' temporaries go to this module's work arrays: one set per
-    thread, reused for every later block and signal.
+    thread, reused for its later blocks and signals until
+    :func:`release_work_arrays`.
     """
     if not 0 < f0_min < f0_max < math.inf:
         raise BadSetting(f"need finite 0 < f0_min < f0_max, got "
@@ -375,8 +384,8 @@ def acoustic_frames(audio: AudioBuffer, cfg: FrameConfig,
     Returns a (T, acoustic_width(n_bands)) array; T matches
     :func:`frame_signal`.
     The mel bands reuse the frame spectra of :func:`estimate_f0`, whose
-    work arrays belong to this module: one set per thread, reused for
-    every later block and signal.
+    work arrays belong to this module: one set per thread, reused for its
+    later blocks and signals until :func:`release_work_arrays`.
     """
     at_least(0, {"n_bands": n_bands})
     track = estimate_f0(audio, cfg, f0_min=f0_min, f0_max=f0_max)

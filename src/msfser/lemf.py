@@ -159,14 +159,18 @@ def analyze_words(track: ProsodyTrack, aligned) -> tuple[WordProsody, ...]:
 
 def run_lemf(audio: AudioBuffer, tg: TextGrid,
              cfg: LemfConfig = LemfConfig()) -> LemfResult:
-    """Full emphasis pipeline for one utterance."""
-    track = estimate_f0(audio, FrameConfig(), f0_min=cfg.f0_min,
-                        f0_max=cfg.f0_max)
+    """Full emphasis pipeline for one utterance.
+
+    The grid's words and phones are resolved before the pitch track, so a
+    bad tier fails without running the front end.
+    """
     words = word_intervals(tg, cfg.word_tier)
     if not words:
         raise EmptyInput(f"tier {cfg.word_tier!r} has no word intervals")
     aligned = [(w, () if cfg.phone_tier is None
                 else phones_for_word(tg, cfg.phone_tier, w)) for w in words]
+    track = estimate_f0(audio, FrameConfig(), f0_min=cfg.f0_min,
+                        f0_max=cfg.f0_max)
     scored = analyze_words(track, aligned)
     segment = select_emphasis_segment(scored)
     return LemfResult(words=scored, segment=segment, track=track)

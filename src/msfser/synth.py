@@ -30,7 +30,8 @@ import numpy as np
 
 from .config import (CHANNELS, SPLITS, TARGET_NAMES, FrameConfig,
                      LemfConfig, SynthConfig)
-from .dsp import AudioBuffer, acoustic_frames, read_wav, write_wav
+from .dsp import (AudioBuffer, acoustic_frames, read_wav,
+                  release_work_arrays, write_wav)
 from .embeddings import EmbeddingStore, is_utt_id
 from .errors import (MalformedRecord, MissingEmbedding, TooFewUtterances,
                      UnfitSignal, naming, read_text, write_json)
@@ -266,8 +267,9 @@ def read_targets_csv(path) -> list[dict]:
 
 def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
     """Materialize model-ready examples from a generated dataset directory,
-    each WAV featurised by the one front end (config.FEATURES), whose work
-    arrays belong to dsp: one set per thread, reused for every later signal.
+    each WAV featurised by the one front end (config.FEATURES).  Every WAV
+    of the split reuses one set of dsp work arrays, which the calling
+    thread drops when this returns or raises.
 
     A split that targets.csv gives fewer than two utterances raises
     TooFewUtterances before any WAV is read (generate_dataset keeps the
@@ -288,14 +290,17 @@ def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
             f"{targets}: split {split!r} has {len(rows)} utterance"
             f"{'' if len(rows) == 1 else 's'}; each split needs at least 2")
     examples = []
-    for rec in rows:
-        utt_id = rec["utt_id"]
-        wav = root / "wavs" / f"{utt_id}.wav"
-        audio = read_wav(wav)
-        with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
-            frames = acoustic_frames(audio, FrameConfig())
-        with naming(embeddings, MissingEmbedding):
-            les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
-        examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,
-                                   gs=gs, es=es, target=rec["target"]))
+    try:
+        for rec in rows:
+            utt_id = rec["utt_id"]
+            wav = root / "wavs" / f"{utt_id}.wav"
+            audio = read_wav(wav)
+            with naming(f"{wav} (utterance {utt_id!r})", UnfitSignal):
+                frames = acoustic_frames(audio, FrameConfig())
+            with naming(embeddings, MissingEmbedding):
+                les, gs, es = [store.get(utt_id, ch) for ch in CHANNELS]
+            examples.append(UttExample(utt_id=utt_id, frames=frames, les=les,
+                                       gs=gs, es=es, target=rec["target"]))
+    finally:
+        release_work_arrays()
     return examples

@@ -149,6 +149,14 @@ def unfit(wav, how):
         write_wav(wav, AudioBuffer(read_wav(wav).samples, 1000))
 
 
+@pytest.fixture
+def no_pitch_track(monkeypatch):
+    """Fail any pitch track run_lemf starts: a bad tier must stop it first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_f0 ran before the word tier was read")
+    monkeypatch.setattr("msfser.lemf.estimate_f0", refuse)
+
+
 class TestEmphasis:
     def test_json_csv_svg_outputs(self, emphasis_files, tmp_path, capsys):
         wav, grid, plant = emphasis_files
@@ -227,7 +235,7 @@ class TestEmphasis:
 
     @pytest.mark.parametrize("flag", ["--word-tier", "--phone-tier"])
     def test_missing_tier_names_the_grid_once(self, emphasis_files, capsys,
-                                              flag):
+                                              no_pitch_track, flag):
         wav, grid, _ = emphasis_files
         assert main(["emphasis", "--wav", str(wav), "--grid", str(grid),
                      flag, "nope"]) == 2
@@ -235,7 +243,18 @@ class TestEmphasis:
         assert err == (f"error: {grid}: no tier named 'nope' "
                        "(have: ['words', 'phones'])\n")
 
-    def test_grid_without_words_names_the_grid(self, emphasis_files, capsys):
+    @pytest.mark.parametrize("how", [how for how, _ in UNFIT_WAV])
+    def test_bad_tier_is_reported_before_an_unfit_wav(self, emphasis_files,
+                                                      capsys, how):
+        wav, grid, _ = emphasis_files
+        unfit(wav, how)
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid),
+                     "--word-tier", "nope"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {grid}: no tier named 'nope'")
+
+    def test_grid_without_words_names_the_grid(self, emphasis_files, capsys,
+                                               no_pitch_track):
         wav, grid, _ = emphasis_files
         tg = read_textgrid_file(grid)
         silent = dataclasses.replace(tg.tier("words"), intervals=(

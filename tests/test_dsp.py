@@ -37,7 +37,7 @@ from msfser.dsp import (
     stft_energy,
     write_wav,
 )
-from msfser.errors import BadSetting, SignalTooShort
+from msfser.errors import BadSetting, SignalTooShort, UnfitSignal
 from msfser.synth import SynthConfig, generate_dataset, load_examples
 
 SR = 16000
@@ -354,9 +354,9 @@ class TestMel:
 
 
 class TestWorkspace:
-    """The module's work arrays serve every later signal of their thread;
-    nothing they held for one signal may reach the features of another,
-    and no two threads share them."""
+    """The module's work arrays serve the later signals of their thread
+    until released; nothing they held for one signal may reach the
+    features of another, and no two threads share them."""
 
     def test_load_examples_equals_separate_calls(self, tmp_path):
         root = tmp_path / "data"
@@ -373,12 +373,38 @@ class TestWorkspace:
         rms = np.sqrt(np.mean(frame_signal(silent, cfg)[0] ** 2, axis=1))
         assert np.all(rms <= SILENCE_RMS_FLOOR)
 
-        examples = in_fresh_thread(load_examples, root)
-        assert {len(ex.frames) for ex in examples} >= {497, 901, 7}
-        for ex in examples:
+        # the second call re-grows the arrays the first one released
+        first, second = in_fresh_thread(
+            lambda: [load_examples(root) for _ in range(2)])
+        assert {len(ex.frames) for ex in first} >= {497, 901, 7}
+        for ex, again in zip(first, second, strict=True):
             audio = read_wav(root / "wavs" / f"{ex.utt_id}.wav")
             alone = in_fresh_thread(acoustic_frames, audio, cfg)
+            assert ex.utt_id == again.utt_id
             assert ex.frames.tobytes() == alone.tobytes(), ex.utt_id
+            assert again.frames.tobytes() == alone.tobytes(), ex.utt_id
+
+    def test_load_examples_leaves_no_work_arrays(self, tmp_path):
+        # a split grows 1,666,048 bytes, which the thread drops once the
+        # split is featurised, and also when a WAV cut short (to 28
+        # samples) in the middle of the split stops it
+        root = tmp_path / "data"
+        generate_dataset(root, SynthConfig(n_utts=12, seed=5))
+
+        def featurise():
+            try:
+                load_examples(root)
+            except UnfitSignal as exc:
+                return str(exc), arena_bytes()
+            return None, arena_bytes()
+
+        assert in_fresh_thread(featurise) == (None, 0)
+        wav = root / "wavs" / "utt_0006.wav"
+        wav.write_bytes(wav.read_bytes()[:100])
+        error, left = in_fresh_thread(featurise)
+        assert f"{wav} (utterance 'utt_0006')" in error
+        assert "signal has 28 samples" in error
+        assert left == 0
 
     def test_returned_arrays_outlive_the_next_signal(self):
         def run():
