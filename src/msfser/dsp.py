@@ -25,8 +25,7 @@ featurisation and reused for its later blocks and signals until
 its split is featurised).  Fresh arrays of that size would be returned to
 the kernel after each block and faulted in again by the next; a request
 above ``_ARENA_MAX`` bytes, which the fixed front end never makes, is not
-kept.  WAV I/O uses numpy and the
-standard library only.
+kept.  WAV I/O uses numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -56,10 +55,10 @@ _PEAK_EQUIV = 0.97
 # large enough to amortise the numpy call overhead, small enough that the
 # (frames x FFT length) work arrays stay at 1.59 MiB (16 kHz, default
 # settings) however long the utterance.  Each thread keeps one set (_take)
-# until release_work_arrays, none of its four arrays above
-# _ARENA_MAX bytes (the default front end asks at most 1.32 MiB, at
-# 48 kHz); only the kept spectrum grows with the utterance.  With the
-# arrays reused, 32, 128 and 256 were no faster.
+# until release_work_arrays, none of its four arrays above _ARENA_MAX
+# bytes (the default front end asks at most 1.32 MiB, at 48 kHz); only the
+# kept spectrum grows with the utterance.  With the arrays reused, 32, 128
+# and 256 were no faster.
 _PITCH_BLOCK = 64
 _ARENA_MAX = 2 << 20
 
@@ -72,9 +71,9 @@ def _take(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     No two threads share an arena.  An arena grows to the largest request
     up to ``_ARENA_MAX`` bytes that it has seen and serves every later one
     until :func:`release_work_arrays`; a larger request gets a fresh array,
-    dropped with its block, and the slot keeps its arena.  So a kernel keeps nothing it took past its own
-    block, and nothing a caller gets back from this module lies in an
-    arena.
+    dropped with its block, and the slot keeps its arena.  So a kernel
+    keeps nothing it took past its own block, and nothing a caller gets
+    back from this module lies in an arena.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     arena = vars(_arenas).get(slot)

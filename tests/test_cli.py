@@ -153,7 +153,7 @@ def unfit(wav, how):
 def no_pitch_track(monkeypatch):
     """Fail any pitch track run_lemf starts: a bad tier must stop it first."""
     def refuse(*args, **kwargs):
-        raise AssertionError("estimate_f0 ran before the word tier was read")
+        raise AssertionError("estimate_f0 ran before the tiers were read")
     monkeypatch.setattr("msfser.lemf.estimate_f0", refuse)
 
 
