@@ -78,11 +78,12 @@ top = int(np.argmax([w.score for w in result.words]))
 print(f"\ntop-scoring word: index {top} "
       f"({'correct' if top == planted else 'WRONG'})")
 
-# The default segment mode pads the argmax word with its neighbours so
+# The emphasis segment is the argmax word and its neighbours, so
 # downstream text always gets a few words of context.
-seg = result.segment
-print(f"segment spans {seg.time_span:.2f} s over words "
-      f"{seg.word_indices}: {' '.join(seg.words)}")
+chosen = [result.words[i] for i in result.segment]
+span = chosen[-1].interval.xmax - chosen[0].interval.xmin
+print(f"segment spans {span:.2f} s over words "
+      f"{result.segment}: {' '.join(w.word for w in chosen)}")
 
 # Free-form metadata slots render into a fixed sentence for models that
 # read a text channel; absent slots collapse cleanly.

@@ -25,8 +25,8 @@ _EXPORTS = {name: module for module, names in (
             "frame_signal mel_filterbank read_wav stft_energy write_wav"),
     ("embeddings", "EmbeddingStore"),
     ("errors", "MsfSerError"),
-    ("lemf", "EmphasisSegment LemfResult WordProsody run_lemf "
-             "select_emphasis_indices select_emphasis_segment zscore_normalize"),
+    ("lemf", "LemfResult WordProsody run_lemf select_emphasis_indices "
+             "zscore_normalize"),
     ("model", "Batch MsfSerModel UttExample attentive_pool eval_report "
               "evaluate expert_head film_modulate gated_fuse make_batch "
               "moe_combine train_model"),

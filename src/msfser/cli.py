@@ -148,7 +148,7 @@ def _cmd_emphasis(args) -> int:
     if args.svg:
         _write_score_svg(args.svg, [w.word for w in result.words],
                          [w.score for w in result.words],
-                         set(result.segment.word_indices))
+                         set(result.segment))
     return 0
 
 

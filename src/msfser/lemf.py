@@ -46,16 +46,9 @@ class WordProsody:
 
 
 @dataclass(frozen=True)
-class EmphasisSegment:
-    word_indices: tuple[int, ...]
-    words: tuple[str, ...]
-    time_span: float
-
-
-@dataclass(frozen=True)
 class LemfResult:
     words: tuple[WordProsody, ...]
-    segment: EmphasisSegment
+    segment: tuple[int, ...]    # word indices, from select_emphasis_indices
     track: ProsodyTrack
 
 
@@ -114,19 +107,6 @@ def select_emphasis_indices(scores) -> tuple[int, ...]:
     return (start, start + 1, start + 2)
 
 
-def select_emphasis_segment(words) -> EmphasisSegment:
-    """Build the emphasis segment from scored words."""
-    indices = select_emphasis_indices([w.score for w in words])
-    chosen = [words[i] for i in indices]
-    span = max(w.interval.xmax for w in chosen) - min(w.interval.xmin
-                                                      for w in chosen)
-    return EmphasisSegment(
-        word_indices=indices,
-        words=tuple(w.word for w in chosen),
-        time_span=span,
-    )
-
-
 def analyze_words(track: ProsodyTrack, aligned) -> tuple[WordProsody, ...]:
     """Aggregate, standardize, and score a sentence of aligned words, given
     as (word interval, its phone intervals) pairs."""
@@ -172,7 +152,7 @@ def run_lemf(audio: AudioBuffer, tg: TextGrid,
     track = estimate_f0(audio, FrameConfig(), f0_min=cfg.f0_min,
                         f0_max=cfg.f0_max)
     scored = analyze_words(track, aligned)
-    segment = select_emphasis_segment(scored)
+    segment = select_emphasis_indices([w.score for w in scored])
     return LemfResult(words=scored, segment=segment, track=track)
 
 
@@ -197,7 +177,7 @@ def words_to_json(utt_id: str, result: LemfResult) -> dict:
         ],
         "segment": {
             "mode": "adjacent",
-            "indices": list(result.segment.word_indices),
-            "words": list(result.segment.words),
+            "indices": list(result.segment),
+            "words": [result.words[i].word for i in result.segment],
         },
     }

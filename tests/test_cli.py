@@ -201,6 +201,23 @@ class TestEmphasis:
             "{http://www.w3.org/2000/svg}text")]
         assert {"R&D", "a<b", "c>d"} <= set(texts)
 
+    @pytest.mark.parametrize("n_words, plant", [(7, 4), (2, 1)])
+    def test_svg_darkens_exactly_the_segment(self, tmp_path, n_words, plant):
+        audio, tg, _ = make_emphasis_case(seeded_rng(12), n_words=n_words,
+                                          plant_index=plant)
+        wav, grid = tmp_path / "utt.wav", tmp_path / "utt.TextGrid"
+        write_wav(wav, audio)
+        grid.write_text(serialize_textgrid(tg), encoding="utf-8")
+        out, svg = tmp_path / "doc.json", tmp_path / "scores.svg"
+        assert main(["emphasis", "--wav", str(wav), "--grid", str(grid),
+                     "--out", str(out), "--svg", str(svg)]) == 0
+        indices = json.loads(out.read_text())["segment"]["indices"]
+        assert plant in indices and len(indices) == min(3, n_words)
+        fills = [el.get("fill") for el in ET.parse(svg).iter(
+            "{http://www.w3.org/2000/svg}rect")][1:]    # after the background
+        assert fills == ["#1f4e79" if i in indices else "#8fb4d9"
+                         for i in range(n_words)]
+
     def test_missing_wav_exits_2(self, emphasis_files, capsys):
         _, grid, _ = emphasis_files
         assert main(["emphasis", "--wav", "/nonexistent.wav",

@@ -19,18 +19,16 @@ from msfser.lemf import (
     BETA,
     GAMMA,
     LemfConfig,
-    WordProsody,
     aggregate_word_prosody,
     analyze_words,
     run_lemf,
     select_emphasis_indices,
-    select_emphasis_segment,
     words_to_json,
     zscore_normalize,
 )
 from msfser.numcore import seeded_rng
 from msfser.synth import make_emphasis_case
-from msfser.textgrid import Interval
+from msfser.textgrid import Interval, word_intervals
 
 DEMO_03 = Path(__file__).resolve().parents[1] / "demos" / "03_emphasis_detection.py"
 
@@ -219,17 +217,6 @@ class TestSegmentSelection:
         with pytest.raises(EmptyInput):
             select_emphasis_indices([])
 
-    def test_segment_carries_words_and_span(self):
-        words = [WordProsody(word=w, interval=Interval(i * 0.5, i * 0.5 + 0.4, w),
-                             f_pitch=0, f_energy=0, f_duration=0,
-                             z_pitch=0, z_energy=0, z_duration=0, score=s)
-                 for i, (w, s) in enumerate(
-                     [("a", 0.0), ("b", 3.0), ("c", 1.0), ("d", 0.0)])]
-        seg = select_emphasis_segment(words)
-        assert seg.word_indices == (0, 1, 2)
-        assert seg.words == ("a", "b", "c")
-        assert seg.time_span == pytest.approx(1.4)
-
 
 class TestDescription:
     """The ES template lives in demo 03, its only caller; load it as a module."""
@@ -291,14 +278,14 @@ class TestEndToEnd:
         res = run_lemf(audio, tg, LemfConfig(f0_min=70.0, f0_max=450.0))
         top = int(np.argmax([w.score for w in res.words]))
         assert top == plant
-        assert plant in res.segment.word_indices
+        assert plant in res.segment
 
     def test_single_word_utterance(self):
         rng = seeded_rng(5)
         audio, tg, _ = make_emphasis_case(rng, n_words=1, plant_index=0)
         res = run_lemf(audio, tg, LemfConfig(f0_min=70.0, f0_max=450.0))
         assert len(res.words) == 1
-        assert res.segment.word_indices == (0,)
+        assert res.segment == (0,)
         # single word: every z-score degenerates to zero
         assert res.words[0].score == 0.0
 
@@ -322,4 +309,16 @@ class TestEndToEnd:
                                 "f_duration", "z_pitch", "z_energy",
                                 "z_duration", "score"}
         assert set(doc["segment"]) == {"mode", "indices", "words"}
-        assert doc["segment"]["indices"] == list(res.segment.word_indices)
+        assert doc["segment"]["indices"] == list(res.segment)
+
+    def test_json_segment_words_at_indices(self):
+        for n_words, seed in ((1, 8), (2, 9), (7, 10)):
+            audio, tg, _ = make_emphasis_case(seeded_rng(seed), n_words=n_words)
+            res = run_lemf(audio, tg, LemfConfig(f0_min=70.0, f0_max=450.0))
+            assert res.segment == select_emphasis_indices(
+                [w.score for w in res.words])
+            seg = words_to_json("utt_x", res)["segment"]
+            labels = [w.label for w in word_intervals(tg, "words")]
+            start = seg["indices"][0]
+            assert seg["indices"] == list(range(start, start + min(3, n_words)))
+            assert seg["words"] == [labels[i] for i in seg["indices"]]
