@@ -1,5 +1,6 @@
 """Every setting's one home: shared constants, the data rules that more
-than one module applies, the config dataclasses and FEATURES.
+than one module applies (a rule of one module, such as dsp's sample-rate
+floor, lives there), the config dataclasses and FEATURES.
 
 Pure Python, no numpy, so the command line can read its flag defaults
 without loading the modules that do the work.  Each class is re-exported
@@ -28,12 +29,6 @@ def acoustic_width(n_bands: int) -> int:
     """Columns of an acoustic frame: log-energy, log-F0-or-0 and the voiced
     flag, then the mel bands."""
     return 3 + n_bands
-
-
-def min_sample_rate(f0_max: float) -> float:
-    """The lowest sample rate at which the pitch tracker resolves f0 up to
-    f0_max: four samples per period."""
-    return 4 * f0_max
 
 
 def at_least(low, settings: dict, *names) -> None:
@@ -86,7 +81,6 @@ class LemfConfig:
 @dataclass(frozen=True)
 class SynthConfig:
     n_utts: int = 160
-    sample_rate: int = 16000
     les_dim: int = 16
     gs_dim: int = 16
     es_dim: int = 16
@@ -95,10 +89,6 @@ class SynthConfig:
     def __post_init__(self):
         at_least(1, vars(self), "les_dim", "gs_dim", "es_dim")
         at_least(0, vars(self), "seed")
-        lowest = min_sample_rate(F0_MAX)
-        if not self.sample_rate >= lowest:
-            raise BadSetting(f"sample_rate must be >= {lowest:g} to resolve "
-                             f"f0 up to {F0_MAX:g} Hz, got {self.sample_rate}")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (F0_MAX, F0_MIN, N_BANDS, FrameConfig, acoustic_width,
-                     at_least, min_sample_rate)
+                     at_least)
 from .errors import BadSetting, SignalTooShort, UnfitSignal, naming
 
 SILENCE_RMS_FLOOR = 1e-4
@@ -237,7 +237,7 @@ def _nccf(x: np.ndarray, starts: np.ndarray, w: int, max_lag: int,
     np.cumsum(np.multiply(seg, seg, out=sq[:, 1:]), axis=1, out=sq[:, 1:])
 
     fs = np.fft.rfft(padded, axis=1, out=_take(2, half, np.complex128))
-    padded[:, w:] = 0.0
+    padded[:, w:span] = 0.0        # rfft left [span:n] as zeroed above
     fa = np.fft.rfft(padded, axis=1, out=_take(0, half, np.complex128))
     np.multiply(np.conj(fa, out=fa), fs, out=fs)
     corr = np.fft.irfft(fs, n, axis=1, out=_take(0, (k, n)))[:, :max_lag + 1]
@@ -313,6 +313,12 @@ def _pitch(x: np.ndarray, sr: int, w: int, h: int, rms: np.ndarray,
     # math.log, not np.log: the two need not agree in the last bit
     log_f0[voiced] = list(map(math.log, f0[voiced]))
     return voiced, log_f0
+
+
+def min_sample_rate(f0_max: float) -> float:
+    """The lowest sample rate at which the pitch tracker resolves f0 up to
+    f0_max: four samples per period."""
+    return 4 * f0_max
 
 
 def estimate_f0(audio: AudioBuffer, cfg: FrameConfig,

@@ -1,9 +1,10 @@
 """Seeded synthetic corpus: tone-burst utterances with known structure.
 
 Each utterance is a row of harmonic tone bursts ("words") separated by
-50 ms of silence, written as PCM16 WAV plus an aligned words/phones
-TextGrid.  Three latent emotion values (valence, arousal, dominance)
-drive the generators along separate routes:
+50 ms of silence, written as 16 kHz (``SAMPLE_RATE``, the rate of the
+speech corpora it stands in for) mono PCM16 WAV plus an aligned
+words/phones TextGrid.  Three latent emotion values (valence, arousal,
+dominance) drive the generators along separate routes:
 
   arousal   -> audio: burst amplitude and base pitch both rise with it
   valence   -> the les and gs vectors (latent times a fixed direction
@@ -39,6 +40,7 @@ from .model import UttExample
 from .numcore import seeded_rng
 from .textgrid import Interval, TextGrid, Tier, serialize_textgrid
 
+SAMPLE_RATE = 16000                         # Hz, of both generators' audio
 SILENCE_GAP_S = 0.05
 SYLLABLES = ("ba", "da", "ga", "ka", "ma", "na", "pa", "ta")
 MANIFEST_VERSION = "msf-ser-synth-v1"
@@ -49,11 +51,11 @@ WORD_DUR_MIN, WORD_DUR_MAX = 0.15, 0.28     # seconds
 CHANNEL_NOISE, TARGET_NOISE = 0.05, 0.05
 
 
-def _tone(n: int, sample_rate: int, f0: float, amp: float) -> np.ndarray:
+def _tone(n: int, f0: float, amp: float) -> np.ndarray:
     """Two-harmonic burst with raised-cosine attack and release."""
-    t = np.arange(n) / sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     wave = np.sin(2.0 * np.pi * f0 * t) + 0.5 * np.sin(4.0 * np.pi * f0 * t)
-    ramp = min(int(0.01 * sample_rate), max(1, n // 4))
+    ramp = min(int(0.01 * SAMPLE_RATE), max(1, n // 4))
     env = np.ones(n)
     fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
     env[:ramp] = fade
@@ -61,29 +63,29 @@ def _tone(n: int, sample_rate: int, f0: float, amp: float) -> np.ndarray:
     return amp * env * wave
 
 
-def _assemble(words: list[tuple[str, float, float, float]],
-              sample_rate: int) -> tuple[AudioBuffer, TextGrid]:
+def _assemble(words: list[tuple[str, float, float, float]]
+              ) -> tuple[AudioBuffer, TextGrid]:
     """Lay out (label, duration_s, f0, amp) bursts with silence gaps.
 
     Interval times come from integer sample counts, so the TextGrid and
     the waveform agree exactly.
     """
-    gap = int(round(SILENCE_GAP_S * sample_rate))
+    gap = int(round(SILENCE_GAP_S * SAMPLE_RATE))
     pieces = [np.zeros(gap)]
     word_iv, phone_iv = [], []
     cursor = gap
     for label, dur, f0, amp in words:
-        n = int(round(dur * sample_rate))
-        pieces.append(_tone(n, sample_rate, f0, amp))
-        x0, x1 = cursor / sample_rate, (cursor + n) / sample_rate
+        n = int(round(dur * SAMPLE_RATE))
+        pieces.append(_tone(n, f0, amp))
+        x0, x1 = cursor / SAMPLE_RATE, (cursor + n) / SAMPLE_RATE
         word_iv.append(Interval(x0, x1, label))
         split = cursor + max(1, int(round(0.4 * n)))
-        phone_iv.append(Interval(x0, split / sample_rate, label[0]))
-        phone_iv.append(Interval(split / sample_rate, x1, label[1:]))
+        phone_iv.append(Interval(x0, split / SAMPLE_RATE, label[0]))
+        phone_iv.append(Interval(split / SAMPLE_RATE, x1, label[1:]))
         pieces.append(np.zeros(gap))
         cursor += n + gap
     samples = np.concatenate(pieces)
-    xmax = len(samples) / sample_rate
+    xmax = len(samples) / SAMPLE_RATE
 
     def with_gaps(iv):
         full, prev = [], 0.0
@@ -102,7 +104,7 @@ def _assemble(words: list[tuple[str, float, float, float]],
         Tier(name=LemfConfig.phone_tier, xmin=0.0, xmax=xmax,
              intervals=with_gaps(phone_iv)),
     ))
-    return AudioBuffer(samples=samples, sample_rate=sample_rate), tg
+    return AudioBuffer(samples=samples, sample_rate=SAMPLE_RATE), tg
 
 
 def make_emphasis_case(rng: np.random.Generator, n_words: int | None = None,
@@ -128,12 +130,12 @@ def make_emphasis_case(rng: np.random.Generator, n_words: int | None = None,
             f0 *= 2.0 ** (4.0 / 12.0)
             amp *= 10.0 ** (6.0 / 20.0)
         words.append((label, dur, f0, amp))
-    audio, tg = _assemble(words, 16000)
+    audio, tg = _assemble(words)
     return audio, tg, plant_index
 
 
-def synth_utterance(rng: np.random.Generator, cfg: SynthConfig,
-                    latents: np.ndarray) -> tuple[AudioBuffer, TextGrid]:
+def synth_utterance(rng: np.random.Generator, latents: np.ndarray
+                    ) -> tuple[AudioBuffer, TextGrid]:
     """Audio + alignment whose prosody encodes the arousal latent."""
     _, arousal, _ = latents
     f0 = BASE_F0 * 2.0 ** (AROUSAL_OCTAVES * arousal)
@@ -145,7 +147,7 @@ def synth_utterance(rng: np.random.Generator, cfg: SynthConfig,
         dur = float(rng.uniform(WORD_DUR_MIN, WORD_DUR_MAX))
         jitter = 2.0 ** (rng.uniform(-0.08, 0.08))
         words.append((label, dur, f0 * jitter, amp * float(rng.uniform(0.9, 1.1))))
-    return _assemble(words, cfg.sample_rate)
+    return _assemble(words)
 
 
 def _channel_vector(rng: np.random.Generator, direction: np.ndarray,
@@ -191,7 +193,7 @@ def generate_dataset(out_dir, cfg: SynthConfig = SynthConfig()) -> dict:
     for i in range(cfg.n_utts):
         utt_id = f"utt_{i:04d}"
         latents = rng.uniform(-1.0, 1.0, size=3)
-        audio, tg = synth_utterance(rng, cfg, latents)
+        audio, tg = synth_utterance(rng, latents)
         write_wav(out / "wavs" / f"{utt_id}.wav", audio)
         (out / "grids" / f"{utt_id}.TextGrid").write_text(
             serialize_textgrid(tg), encoding="utf-8")

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import rewrite_wavs_at_lowest_rate
 from msfser.cli import build_parser, main
 from msfser.config import FEATURES
 from msfser.dsp import (
@@ -339,8 +340,7 @@ class TestSynth:
         assert commands["train"].get_default("seed") == 6
 
     @pytest.mark.parametrize("flag, value", [
-        ("--sample-rate", "0"), ("--les-dim", "0"), ("--es-dim", "-2"),
-        ("--sample-rate", "100"), ("--seed", "-1"),
+        ("--les-dim", "0"), ("--es-dim", "-2"), ("--seed", "-1"),
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -348,6 +348,17 @@ class TestSynth:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_sample_rate_flag_is_refused(self, tmp_path, capsys):
+        # every corpus is written at synth.SAMPLE_RATE; no option sets it
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(out), "--n", "12",
+                  "--sample-rate", "8000"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample-rate 8000" in err
         assert "Traceback" not in err and not out.exists()
 
 
@@ -985,16 +996,16 @@ def cli_cases(draw):
 
 @pytest.fixture(scope="session")
 def contract_inputs(tmp_path_factory):
-    """One emphasis case and a 12-utterance corpus at the lowest sample
-    rate with a 1-epoch model trained on it."""
+    """One emphasis case and a 12-utterance corpus rewritten at the lowest
+    sample rate with a 1-epoch model trained on it."""
     root = tmp_path_factory.mktemp("contract-inputs")
     audio, tg, _ = make_emphasis_case(seeded_rng(5), n_words=5)
     write_wav(root / "utt.wav", audio)
     (root / "utt.TextGrid").write_text(serialize_textgrid(tg), encoding="utf-8")
     data, model = root / "data", str(root / "model")
     assert main(["synth", "--out", str(data), "--n", "12", "--seed", "0",
-                 "--sample-rate", str(4 * int(F0_MAX)), "--les-dim", "2",
-                 "--gs-dim", "2", "--es-dim", "2"]) == 0
+                 "--les-dim", "2", "--gs-dim", "2", "--es-dim", "2"]) == 0
+    rewrite_wavs_at_lowest_rate(data)
     splits = {r["utt_id"]: r["split"]
               for r in read_targets_csv(data / "targets.csv")}
     assert (splits["utt_0000"], splits["utt_0001"]) == ("train", "test")
@@ -1334,8 +1345,7 @@ class TestMisc:
 
     def test_one_default_per_setting(self, trained, monkeypatch):
         fields = {f.name for f in dataclasses.fields(SynthConfig)}
-        assert fields == {"n_utts", "sample_rate", "les_dim", "gs_dim",
-                          "es_dim", "seed"}
+        assert fields == {"n_utts", "les_dim", "gs_dim", "es_dim", "seed"}
         for fn in (estimate_f0, acoustic_frames):
             params = inspect.signature(fn).parameters
             assert (params["f0_min"].default,
@@ -1354,8 +1364,8 @@ class TestMisc:
         # the flags named after a config field: option string, dest, type
         commands = build_parser().commands
         field_flags = {
-            "synth": {"sample_rate": int, "les_dim": int, "gs_dim": int,
-                      "es_dim": int, "seed": int},
+            "synth": {"les_dim": int, "gs_dim": int, "es_dim": int,
+                      "seed": int},
             "train": {"epochs": int, "batch_size": int, "accum_steps": int,
                       "lr": float, "weight_decay": float, "seed": int},
         }
@@ -1376,8 +1386,8 @@ class TestMisc:
         # every other flag default is read from the config field it sets
         homes = [
             (SynthConfig, ("synth",),
-             {"n": "n_utts", "sample_rate": "sample_rate",
-              "les_dim": "les_dim", "gs_dim": "gs_dim", "es_dim": "es_dim"}),
+             {"n": "n_utts", "les_dim": "les_dim", "gs_dim": "gs_dim",
+              "es_dim": "es_dim"}),
             (TrainConfig, ("train",),
              {name: name for name in ("epochs", "batch_size", "accum_steps",
                                       "lr", "weight_decay")}),

@@ -254,6 +254,12 @@ class TestF0:
             estimate_f0(AudioBuffer(np.zeros(4000), 1000), FrameConfig(),
                         f0_max=400.0)
 
+    def test_sample_rate_floor_is_four_samples_per_period(self):
+        assert dsp.min_sample_rate(450.0) == 1800.0
+        estimate_f0(tone(200.0, sr=1800), FrameConfig())
+        with pytest.raises(UnfitSignal, match="sample rate 1799 too low"):
+            estimate_f0(tone(200.0, sr=1799), FrameConfig())
+
     def test_refinement_step_is_clipped_to_half_a_lag(self):
         # the right neighbour equals the peak, so the vertex is half a lag
         # to the right; rounding puts the unclipped step at 0.5 + 1 ulp

@@ -3,7 +3,7 @@ structure that training is later expected to recover."""
 
 import json
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +14,10 @@ from msfser.dsp import estimate_f0, read_wav
 from msfser.embeddings import EmbeddingStore
 from msfser.errors import MalformedRecord, NumericalFailure, TooFewUtterances
 from msfser.numcore import ccc, seeded_rng
+from conftest import rewrite_wavs_at_lowest_rate
 from msfser.synth import (
     AROUSAL_OCTAVES,
+    SAMPLE_RATE,
     SILENCE_GAP_S,
     WORDS_MIN,
     SynthConfig,
@@ -93,9 +95,7 @@ class TestGeneration:
         assert (a / "targets.csv").read_bytes() != (b / "targets.csv").read_bytes()
 
     @pytest.mark.parametrize("field, value", [
-        ("sample_rate", 0), ("sample_rate", -8000), ("sample_rate", 1799),
-        ("les_dim", 0),
-        ("gs_dim", -1), ("es_dim", 0),
+        ("les_dim", 0), ("gs_dim", -1), ("es_dim", 0),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -105,9 +105,26 @@ class TestGeneration:
         SynthConfig(les_dim=1, gs_dim=1, es_dim=1)
 
     def test_lowest_resolvable_sample_rate_loads(self, tmp_path):
-        generate_dataset(tmp_path, SynthConfig(n_utts=12, sample_rate=1800,
-                                               les_dim=2, gs_dim=2, es_dim=2))
+        generate_dataset(tmp_path, SynthConfig(n_utts=12, les_dim=2, gs_dim=2,
+                                               es_dim=2))
+        rewrite_wavs_at_lowest_rate(tmp_path)
+        assert read_wav(tmp_path / "wavs" / "utt_0000.wav").sample_rate == 1800
         assert load_examples(tmp_path, split="test")
+
+    def test_one_sample_rate(self, corpus):
+        # every corpus WAV and planted-word case is at SAMPLE_RATE, and the
+        # manifest records exactly SynthConfig's fields, none of them a rate
+        root, manifest = corpus
+        assert SAMPLE_RATE == 16000
+        for path in sorted((root / "wavs").glob("*.wav")):
+            assert read_wav(path).sample_rate == SAMPLE_RATE, path
+        for seed in range(5):
+            audio, _, _ = make_emphasis_case(seeded_rng(seed))
+            assert audio.sample_rate == SAMPLE_RATE
+        names = [f.name for f in fields(SynthConfig)]
+        assert names == ["n_utts", "les_dim", "gs_dim", "es_dim", "seed"]
+        on_disk = json.loads((root / "manifest.json").read_text())
+        assert list(on_disk["config"]) == sorted(names)
 
     def test_nonfinite_manifest_is_refused(self, tmp_path, monkeypatch):
         monkeypatch.setattr("msfser.synth.MANIFEST_VERSION", float("nan"))
@@ -149,7 +166,7 @@ class TestAlignment:
         for tier in tg.tiers:
             for iv in tier.intervals:
                 for x in (iv.xmin, iv.xmax):
-                    assert abs(x * CFG.sample_rate - round(x * CFG.sample_rate)) <= 1e-6
+                    assert abs(x * SAMPLE_RATE - round(x * SAMPLE_RATE)) <= 1e-6
 
     def test_words_carry_energy_and_gaps_are_silent(self, corpus):
         root, _ = corpus
@@ -189,10 +206,10 @@ class TestAlignment:
 
     @pytest.mark.parametrize("n, ramp", [(40, 10), (4, 1)])
     def test_short_burst_ramps_over_a_quarter(self, n, ramp):
-        sr, f0, amp = 16000, 200.0, 0.5
-        t = np.arange(1, n) / sr        # the carrier is 0 at sample 0
+        f0, amp = 200.0, 0.5
+        t = np.arange(1, n) / SAMPLE_RATE   # the carrier is 0 at sample 0
         carrier = np.sin(2.0 * np.pi * f0 * t) + 0.5 * np.sin(4.0 * np.pi * f0 * t)
-        envelope = _tone(n, sr, f0, amp)[1:] / (amp * carrier)
+        envelope = _tone(n, f0, amp)[1:] / (amp * carrier)
         ramped = [k < ramp or k >= n - ramp for k in range(1, n)]
         assert (np.abs(envelope - 1.0) > 1e-9).tolist() == ramped
 
@@ -208,9 +225,8 @@ def median_f0(audio, iv=None):
 
 class TestPlantedStructure:
     def test_arousal_scales_amplitude(self):
-        cfg = SynthConfig(les_dim=4, gs_dim=4, es_dim=4)
-        low, _ = synth_utterance(seeded_rng(1), cfg, np.array([0.0, -1.0, 0.0]))
-        high, _ = synth_utterance(seeded_rng(1), cfg, np.array([0.0, 1.0, 0.0]))
+        low, _ = synth_utterance(seeded_rng(1), np.array([0.0, -1.0, 0.0]))
+        high, _ = synth_utterance(seeded_rng(1), np.array([0.0, 1.0, 0.0]))
         ratio = np.abs(high.samples).max() / np.abs(low.samples).max()
         assert ratio > 2.5       # nominal 4x, minus per-word jitter
 
@@ -251,8 +267,7 @@ class TestPlantedStructure:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_arousal_raises_pitch_by_the_documented_octaves(self, seed):
-        cfg = SynthConfig(les_dim=4, gs_dim=4, es_dim=4)
-        high, low = (synth_utterance(seeded_rng(seed), cfg,
+        high, low = (synth_utterance(seeded_rng(seed),
                                      np.array([0.0, arousal, 0.0]))[0]
                      for arousal in (0.8, -0.8))
         ratio = median_f0(high) / median_f0(low)
