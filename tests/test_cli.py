@@ -350,15 +350,16 @@ class TestSynth:
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_sample_rate_flag_is_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["0", "100", "8000"])
+    def test_sample_rate_flag_is_refused(self, tmp_path, capsys, value):
         # every corpus is written at synth.SAMPLE_RATE; no option sets it
         out = tmp_path / "x"
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(out), "--n", "12",
-                  "--sample-rate", "8000"])
+                  "--sample-rate", value])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert "unrecognized arguments: --sample-rate 8000" in err
+        assert f"unrecognized arguments: --sample-rate {value}" in err
         assert "Traceback" not in err and not out.exists()
 
 

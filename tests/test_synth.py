@@ -101,6 +101,12 @@ class TestGeneration:
         with pytest.raises(ValueError, match=field):
             SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [-8000, 0, 16000])
+    def test_sample_rate_is_not_a_setting(self, value):
+        # every signal is generated at SAMPLE_RATE; the config cannot set it
+        with pytest.raises(TypeError, match="sample_rate"):
+            SynthConfig(sample_rate=value)
+
     def test_one_dimensional_channels_are_accepted(self):
         SynthConfig(les_dim=1, gs_dim=1, es_dim=1)
 
