@@ -463,13 +463,7 @@ def prosody_to_csv(track: ProsodyTrack, fh) -> None:
     """Columns: time_s, voiced (0/1), f0_hz (empty when unvoiced), log_f0, energy."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["time_s", "voiced", "f0_hz", "log_f0", "energy"])
-    for i in range(len(track)):
-        if track.voiced[i]:
-            f0 = math.exp(track.log_f0[i])
-            row = [repr(float(track.frame_times[i])), 1,
-                   repr(f0), repr(float(track.log_f0[i])),
-                   repr(float(track.energy[i]))]
-        else:
-            row = [repr(float(track.frame_times[i])), 0, "", "",
-                   repr(float(track.energy[i]))]
-        writer.writerow(row)
+    for t, voiced, log_f0, energy in zip(track.frame_times, track.voiced,
+                                         track.log_f0, track.energy):
+        pitch = [repr(math.exp(log_f0)), repr(float(log_f0))] if voiced else ["", ""]
+        writer.writerow([repr(float(t)), int(voiced), *pitch, repr(float(energy))])

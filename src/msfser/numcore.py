@@ -69,12 +69,8 @@ def linear_bwd(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
 # -------------------------------------------------------- nonlinearities
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))     # <= 1, so neither branch can overflow
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def sigmoid_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:

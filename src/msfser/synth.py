@@ -67,44 +67,35 @@ def _assemble(words: list[tuple[str, float, float, float]]
               ) -> tuple[AudioBuffer, TextGrid]:
     """Lay out (label, duration_s, f0, amp) bursts with silence gaps.
 
-    Interval times come from integer sample counts, so the TextGrid and
-    the waveform agree exactly.
+    Each tier tiles [0, xmax]: the words (or each word's two phones) with
+    the silences between and around them labelled "".  Interval times come
+    from integer sample counts, so the TextGrid and the waveform agree
+    exactly.
     """
     gap = int(round(SILENCE_GAP_S * SAMPLE_RATE))
     pieces = [np.zeros(gap)]
-    word_iv, phone_iv = [], []
+    lead = Interval(0.0, gap / SAMPLE_RATE, "")
+    word_iv, phone_iv = [lead], [lead]
     cursor = gap
     for label, dur, f0, amp in words:
         n = int(round(dur * SAMPLE_RATE))
-        pieces.append(_tone(n, f0, amp))
+        pieces += [_tone(n, f0, amp), np.zeros(gap)]
         x0, x1 = cursor / SAMPLE_RATE, (cursor + n) / SAMPLE_RATE
-        word_iv.append(Interval(x0, x1, label))
-        split = cursor + max(1, int(round(0.4 * n)))
-        phone_iv.append(Interval(x0, split / SAMPLE_RATE, label[0]))
-        phone_iv.append(Interval(split / SAMPLE_RATE, x1, label[1:]))
-        pieces.append(np.zeros(gap))
+        split = (cursor + max(1, int(round(0.4 * n)))) / SAMPLE_RATE
         cursor += n + gap
-    samples = np.concatenate(pieces)
-    xmax = len(samples) / SAMPLE_RATE
-
-    def with_gaps(iv):
-        full, prev = [], 0.0
-        for itv in iv:
-            if itv.xmin > prev:
-                full.append(Interval(prev, itv.xmin, ""))
-            full.append(itv)
-            prev = itv.xmax
-        if prev < xmax:
-            full.append(Interval(prev, xmax, ""))
-        return tuple(full)
-
+        silence = Interval(x1, cursor / SAMPLE_RATE, "")
+        word_iv += [Interval(x0, x1, label), silence]
+        phone_iv += [Interval(x0, split, label[0]),
+                     Interval(split, x1, label[1:]), silence]
+    xmax = cursor / SAMPLE_RATE
     tg = TextGrid(xmin=0.0, xmax=xmax, tiers=(
         Tier(name=LemfConfig.word_tier, xmin=0.0, xmax=xmax,
-             intervals=with_gaps(word_iv)),
+             intervals=tuple(word_iv)),
         Tier(name=LemfConfig.phone_tier, xmin=0.0, xmax=xmax,
-             intervals=with_gaps(phone_iv)),
+             intervals=tuple(phone_iv)),
     ))
-    return AudioBuffer(samples=samples, sample_rate=SAMPLE_RATE), tg
+    return AudioBuffer(samples=np.concatenate(pieces),
+                       sample_rate=SAMPLE_RATE), tg
 
 
 def make_emphasis_case(rng: np.random.Generator, n_words: int | None = None,

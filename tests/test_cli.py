@@ -745,6 +745,23 @@ class TestTrainEval:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "", "utt_id,split,valence,arousal\nutt_0000,test,0.1,0.2\n",
+    ], ids=["empty", "no-dominance"])
+    def test_eval_targets_header_names_the_file(self, dataset, trained,
+                                                tmp_path, capsys, text):
+        data = shutil.copytree(dataset, tmp_path / "data")
+        path = data / "targets.csv"
+        path.write_text(text)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--data", str(data), "--model", str(trained),
+                     "--out", str(out)]) == 2
+        # one line naming the file, so no Traceback
+        assert capsys.readouterr().err == (
+            f"error: {path}: targets CSV must have columns "
+            f"['arousal', 'dominance', 'split', 'utt_id', 'valence']\n")
+        assert not out.exists()
+
     def test_nonfinite_target_exits_2(self, dataset, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)

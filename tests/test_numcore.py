@@ -56,6 +56,16 @@ def fd(f, x, eps=1e-6):
     return g
 
 
+def sigmoid_two_branch(x):
+    """Oracle: each sign's exp on its own masked elements."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def rel_err(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-10)
     return np.abs(a - b).max() / scale
@@ -99,6 +109,18 @@ class TestActivations:
         rng = seeded_rng(2)
         x = rng.standard_normal((3, 4))
         assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("x", [
+        np.array([sign * v for v in (0.0, 5e-324, 1e-300, 1.0, 709.79,
+                                     745.2, 1000.0, np.inf)
+                  for sign in (1.0, -1.0)]),
+        seeded_rng(5).standard_normal((64, 3)) * 30.0,
+    ], ids=["edges", "normal-x30"])
+    def test_sigmoid_matches_two_branch_oracle_bitwise(self, x):
+        # the CLI's guard: an overflow, divide or invalid op would raise
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            y, want = sigmoid(x), sigmoid_two_branch(x)
+        assert y.shape == want.shape and y.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["sigmoid", "tanh"])
     def test_backward_matches_fd(self, name):

@@ -357,6 +357,18 @@ class TestLoading:
         with pytest.raises(MalformedRecord, match="targets.csv.*'u1'"):
             read_targets_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "utt_id,split,valence,arousal\nu0,train,0.1,0.2\nu1,dev,0.1,0.2\n",
+    ], ids=["empty", "no-dominance"])
+    def test_header_without_every_column_rejected(self, tmp_path, text):
+        path = tmp_path / "targets.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedRecord, match=(
+                r"targets.csv: targets CSV must have columns \['arousal', "
+                r"'dominance', 'split', 'utt_id', 'valence'\]")):
+            read_targets_csv(path)
+
     def test_repeated_utterance_rejected(self, tmp_path):
         path = tmp_path / "targets.csv"
         path.write_text("utt_id,split,valence,arousal,dominance\n"
