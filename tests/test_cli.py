@@ -1187,6 +1187,33 @@ class TestCrossProcessDeterminism:
         assert (stdouts, files) == again
 
 
+class TestConsoleRun:
+    """tests/console_run.py, the checks CI runs on the installed entry point,
+    run here on the module.  The script runs as a process of its own: its
+    children's peak RSS would count this process's numpy."""
+
+    script = Path(__file__).with_name("console_run.py")
+
+    def test_every_check_passes(self):
+        src = Path(__import__("msfser").__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, self.script, sys.executable, "-m", "msfser.cli"],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_refuses_a_parent_that_holds_numpy(self):
+        code = ("import runpy, sys, numpy\n"
+                f"sys.argv = [{str(self.script)!r}, 'true']\n"
+                f"runpy.run_path({str(self.script)!r}, run_name='__main__')")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "numpy is loaded here" in result.stderr
+
+
 class TestRuntime:
     @staticmethod
     def loaded_after(statement, *argv, package="msfser"):
