@@ -13,8 +13,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from msfser import (
     ModelConfig,
     MsfSerModel,

@@ -258,8 +258,8 @@ def read_targets_csv(path) -> list[dict]:
     return rows
 
 
-def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
-    """Materialize model-ready examples from a generated dataset directory,
+def load_examples(data_dir, split: str) -> list[UttExample]:
+    """Materialize model-ready examples of one split of a generated dataset,
     each WAV featurised by the one front end (config.FEATURES).  Every WAV
     of the split reuses one set of dsp work arrays, which the calling
     thread drops when this returns or raises.
@@ -275,9 +275,7 @@ def load_examples(data_dir, split: str | None = None) -> list[UttExample]:
     embeddings = root / "embeddings.jsonl"
     store = EmbeddingStore.load_jsonl(embeddings)
     targets = root / "targets.csv"
-    rows = read_targets_csv(targets)
-    if split is not None:
-        rows = [r for r in rows if r["split"] == split]
+    rows = [r for r in read_targets_csv(targets) if r["split"] == split]
     if len(rows) < 2:
         raise TooFewUtterances(
             f"{targets}: split {split!r} has {len(rows)} utterance"

@@ -8,7 +8,6 @@ import inspect
 import io
 import json
 import math
-import os
 import re
 import shutil
 import struct
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_wavs_at_lowest_rate
+from conftest import SRC, checkout_env, rewrite_wavs_at_lowest_rate
 from msfser.cli import build_parser, main
 from msfser.config import FEATURES
 from msfser.dsp import (
@@ -918,9 +917,9 @@ class TestFloatingPointTrouble:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflow encountered" in err
-        src = Path(__import__("msfser").__file__).resolve().parents[1]
         result = subprocess.run([sys.executable, "-m", "msfser.cli", *argv],
-                                cwd=src, capture_output=True, text=True)
+                                cwd=SRC, env=checkout_env(),
+                                capture_output=True, text=True)
         assert result.returncode == 3
         assert result.stderr.startswith("error: ")
         assert "overflow encountered" in result.stderr
@@ -1164,14 +1163,11 @@ class TestCrossProcessDeterminism:
         """Two runs in fresh processes, in different directories and under
         different hash seeds, write the same bytes to every file and to
         stdout."""
-        src = Path(__import__("msfser").__file__).resolve().parents[1]
         runs = []
         for hash_seed in ("1", "2"):
             cwd = tmp_path / f"seed{hash_seed}"
             cwd.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+            env = checkout_env(PYTHONHASHSEED=hash_seed)
             stdouts = [subprocess.run(
                 [sys.executable, "-m", "msfser.cli", *argv], cwd=cwd, env=env,
                 capture_output=True, check=True).stdout
@@ -1195,12 +1191,9 @@ class TestConsoleRun:
     script = Path(__file__).with_name("console_run.py")
 
     def test_every_check_passes(self):
-        src = Path(__import__("msfser").__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, self.script, sys.executable, "-m", "msfser.cli"],
-            env=env, capture_output=True, text=True)
+            env=checkout_env(), capture_output=True, text=True)
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_refuses_a_parent_that_holds_numpy(self):
@@ -1218,13 +1211,12 @@ class TestRuntime:
     @staticmethod
     def loaded_after(statement, *argv, package="msfser"):
         """The modules of package a fresh interpreter holds after statement."""
-        src = Path(__import__("msfser").__file__).resolve().parents[1]
         # the list goes on a line of its own, after anything statement prints
         code = (f"import sys\n{statement}\nprint('\\n' + ' '.join(sorted("
                 f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
         result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                                cwd=src, capture_output=True, text=True,
-                                check=True)
+                                cwd=SRC, env=checkout_env(),
+                                capture_output=True, text=True, check=True)
         return result.stdout.splitlines()[-1].split()
 
     @pytest.fixture(scope="class")
@@ -1316,11 +1308,11 @@ for name, home in homes.items():
         assert "msfser.model" in self.loaded_after(check)
 
     def test_import_loads_no_scipy(self):
-        src = Path(__import__("msfser").__file__).resolve().parents[1]
         code = ("import msfser.cli, sys; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
-        result = subprocess.run([sys.executable, "-c", code], cwd=src,
-                                capture_output=True, text=True, check=True)
+        result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                                env=checkout_env(), capture_output=True,
+                                text=True, check=True)
         assert result.stdout.strip() == "[]"
 
     def test_numpy_is_the_only_dependency(self):
@@ -1342,6 +1334,33 @@ for name, home in homes.items():
         for path in paths:
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                       feature_version=(3, 10))
+
+    def test_every_module_level_import_is_used(self):
+        # a name a module imports at its top level must be read somewhere
+        # in that module; "# noqa: F401" on the import marks a deliberate
+        # one.  tests/ is left out: test_acceptance.py, the acceptance
+        # criteria, which are not edited, imports json and never uses it
+        root = Path(__file__).resolve().parents[1]
+        unused = []
+        for path in [path for top in ("src", "demos")
+                     for path in sorted((root / top).rglob("*.py"))]:
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            tree = ast.parse(source, filename=str(path))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for stmt in tree.body:
+                if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                        or getattr(stmt, "module", None) == "__future__"
+                        or any("# noqa: F401" in line for line in
+                               lines[stmt.lineno - 1:stmt.end_lineno])):
+                    continue
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.relative_to(root)}:"
+                                      f"{stmt.lineno}: {name}")
+        assert unused == []
 
 
 class TestMisc:

@@ -1,16 +1,13 @@
 """The narrative demos run to completion; the training one takes about 6 s
 on a 2 vCPU Intel Xeon."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import msfser
+from conftest import SRC, checkout_env
 
-SRC = Path(msfser.__file__).resolve().parents[1]
 DEMOS = SRC.parent / "demos"
 
 
@@ -22,10 +19,8 @@ DEMOS = SRC.parent / "demos"
 def test_demo_runs(name, tmp_path):
     # TMPDIR: a demo's temporary files go in tmp_path, where the test can
     # see that none is left behind
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path,
-                            env=env, capture_output=True, text=True,
-                            timeout=120)
+                            env=checkout_env(TMPDIR=str(tmp_path)),
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert not list(tmp_path.glob("msfser_demo_*"))

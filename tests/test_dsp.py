@@ -1,7 +1,8 @@
 """Framing, spectral energy, F0 estimation, mel features, WAV I/O.
 
-The STFT energy tests compare against a straight-line O(N^2) DFT written
-with scalar math, sharing no code with the implementation under test.
+The STFT energy tests compare against C5's straight-line O(N^2) DFT,
+``test_acceptance.dft_energy``, written with scalar math and sharing no
+code with the implementation under test.
 The WAV reader and writer and the FFT length rule are checked against
 scipy, which the runtime does not use.
 """
@@ -20,6 +21,7 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.io import wavfile
 
+from test_acceptance import dft_energy
 from msfser import dsp
 from msfser.dsp import (
     SILENCE_RMS_FLOOR,
@@ -38,7 +40,12 @@ from msfser.dsp import (
     write_wav,
 )
 from msfser.errors import BadSetting, SignalTooShort, UnfitSignal
-from msfser.synth import SynthConfig, generate_dataset, load_examples
+from msfser.synth import (
+    SynthConfig,
+    generate_dataset,
+    load_examples,
+    read_targets_csv,
+)
 
 SR = 16000
 
@@ -60,22 +67,6 @@ def in_fresh_thread(fn, *args):
 def arena_bytes() -> int:
     """Bytes of the calling thread's dsp work arrays."""
     return sum(arena.nbytes for arena in vars(dsp._arenas).values())
-
-
-def dft_energy_oracle(frame, window):
-    """One-sided spectral L2 norm by the textbook O(N^2) definition."""
-    n = len(frame)
-    if window == "hann":
-        w = [0.5 - 0.5 * math.cos(2.0 * math.pi * k / n) for k in range(n)]
-    else:
-        w = [1.0] * n
-    x = [float(frame[k]) * w[k] for k in range(n)]
-    total = 0.0
-    for k in range(n // 2 + 1):
-        re = sum(x[t] * math.cos(2.0 * math.pi * k * t / n) for t in range(n))
-        im = -sum(x[t] * math.sin(2.0 * math.pi * k * t / n) for t in range(n))
-        total += re * re + im * im
-    return math.sqrt(total)
 
 
 class TestFraming:
@@ -169,7 +160,7 @@ class TestStftEnergy:
                 n = int(rng.integers(8, 80))
                 frame = rng.standard_normal(n)
                 got = stft_energy(frame, window=window)
-                want = dft_energy_oracle(frame, window)
+                want = dft_energy(frame.tolist(), window)
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_parseval_bounds_rectangular(self):
@@ -359,6 +350,13 @@ class TestMel:
         assert peak < spectrum + feats.nbytes + 3 * 2**20, peak / 2**20
 
 
+def train_ids(root):
+    """The train split's utterances, in targets.csv order: the order
+    load_examples featurises them in."""
+    return [row["utt_id"] for row in read_targets_csv(root / "targets.csv")
+            if row["split"] == "train"]
+
+
 class TestWorkspace:
     """The module's work arrays serve the later signals of their thread
     until released; nothing they held for one signal may reach the
@@ -367,21 +365,21 @@ class TestWorkspace:
     def test_load_examples_equals_separate_calls(self, tmp_path):
         root = tmp_path / "data"
         generate_dataset(root, SynthConfig(n_utts=12, seed=5))
-        wavs = sorted((root / "wavs").glob("*.wav"))
+        train = [root / "wavs" / f"{utt_id}.wav" for utt_id in train_ids(root)]
         cfg = FrameConfig()
         # a long file grows the arenas before shorter ones reuse them; the
         # last frames of the 4.5-s one have lag ranges 180, 100 and 20
-        write_wav(wavs[0], tone(130.0, dur=2.5))
-        write_wav(wavs[2], AudioBuffer(np.full(SR // 3, 2e-5), SR))
-        write_wav(wavs[4], tone(260.0, dur=(320 + 80 * 900 + 20) / SR))
-        write_wav(wavs[6], tone(95.0, dur=0.05))
-        silent = read_wav(wavs[2])
+        write_wav(train[0], tone(130.0, dur=2.5))
+        write_wav(train[2], AudioBuffer(np.full(SR // 3, 2e-5), SR))
+        write_wav(train[4], tone(260.0, dur=(320 + 80 * 900 + 20) / SR))
+        write_wav(train[6], tone(95.0, dur=0.05))
+        silent = read_wav(train[2])
         rms = np.sqrt(np.mean(frame_signal(silent, cfg)[0] ** 2, axis=1))
         assert np.all(rms <= SILENCE_RMS_FLOOR)
 
         # the second call re-grows the arrays the first one released
         first, second = in_fresh_thread(
-            lambda: [load_examples(root) for _ in range(2)])
+            lambda: [load_examples(root, "train") for _ in range(2)])
         assert {len(ex.frames) for ex in first} >= {497, 901, 7}
         for ex, again in zip(first, second, strict=True):
             audio = read_wav(root / "wavs" / f"{ex.utt_id}.wav")
@@ -391,24 +389,26 @@ class TestWorkspace:
             assert again.frames.tobytes() == alone.tobytes(), ex.utt_id
 
     def test_load_examples_leaves_no_work_arrays(self, tmp_path):
-        # a split grows 1,666,048 bytes, which the thread drops once the
-        # split is featurised, and also when a WAV cut short (to 28
-        # samples) in the middle of the split stops it
+        # the train split grows 1,666,048 bytes, which the thread drops
+        # once the split is featurised, and also when a WAV cut short (to
+        # 28 samples) in the middle of the split stops it
         root = tmp_path / "data"
         generate_dataset(root, SynthConfig(n_utts=12, seed=5))
 
         def featurise():
             try:
-                load_examples(root)
+                load_examples(root, "train")
             except UnfitSignal as exc:
                 return str(exc), arena_bytes()
             return None, arena_bytes()
 
         assert in_fresh_thread(featurise) == (None, 0)
-        wav = root / "wavs" / "utt_0006.wav"
+        train = train_ids(root)
+        utt_id = train[len(train) // 2]
+        wav = root / "wavs" / f"{utt_id}.wav"
         wav.write_bytes(wav.read_bytes()[:100])
         error, left = in_fresh_thread(featurise)
-        assert f"{wav} (utterance 'utt_0006')" in error
+        assert f"{wav} (utterance {utt_id!r})" in error
         assert "signal has 28 samples" in error
         assert left == 0
 
